@@ -2,13 +2,15 @@
 
 Both implementations are imported directly (no WIDTHSPAN_PURE round trip
 needed) and run on the same generated instances; results are checked for
-equality before timings are reported.
+equality before timings are reported; a mismatch is printed and the
+script exits 1.
 
 Usage: python benchmarks/bench_kernel.py [--sizes 1000,10000,100000] [--repeat 3]
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from widthspan import _kernel_py
@@ -55,9 +57,13 @@ def main() -> int:
             print(f"{inst[0]:>8} {len(inst[1]):>8} {t_py:>10.4f} {'-':>13} {'-':>8}")
             continue
         t_c, r_c = bench(_kernel.tree_stretch, inst, args.repeat)
-        assert list(r_c[0]) == list(r_py[0]) and list(r_c[1]) == list(r_py[1]), (
-            f"kernel mismatch at n={n}"
-        )
+        for label, got, want in (("in_tree", r_c[0], r_py[0]), ("stretch", r_c[1], r_py[1])):
+            diff = [i for i, (x, y) in enumerate(zip(got, want)) if x != y]
+            if diff or len(got) != len(want):
+                i = diff[0] if diff else min(len(got), len(want))
+                print(f"kernel mismatch at n={n}: {label}[{i}] compiled {list(got[i:i + 1])}, "
+                      f"pure {list(want[i:i + 1])}", file=sys.stderr)
+                return 1
         print(f"{inst[0]:>8} {len(inst[1]):>8} {t_py:>10.4f} {t_c:>13.4f} {t_py / t_c:>7.1f}x")
     if _kernel is None:
         print("compiled kernel not available; pure-Python timings only")

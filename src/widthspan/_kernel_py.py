@@ -19,97 +19,51 @@ def _find(parent: list[int], x: int) -> int:
     return root
 
 
-def _lca_tables(n: int, adj_head: list[int], adj_next: list[int], adj_to: list[int]):
-    """Euler tour + sparse table for O(1) LCA over a tree rooted at 0.
-
-    The adjacency is a linked-list form (head/next/to) to avoid building
-    per-vertex lists.  Returns (depth, first_seen, table, log_row_index).
-    """
-    depth = [0] * n
-    euler: list[int] = []
-    first = [-1] * n
-    # iterative DFS; it[] tracks the next adjacency cursor per vertex
-    cursor = adj_head[:]
-    parent = [-1] * n
-    stack = [0]
-    first[0] = 0
-    euler.append(0)
-    while stack:
-        v = stack[-1]
-        e = cursor[v]
-        advanced = False
-        while e != -1:
-            w = adj_to[e]
-            e2 = adj_next[e]
-            if w != parent[v]:
-                cursor[v] = e2
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                first[w] = len(euler)
-                euler.append(w)
-                stack.append(w)
-                advanced = True
-                break
-            e = e2
-        if not advanced:
-            cursor[v] = -1
-            stack.pop()
-            if stack:
-                euler.append(stack[-1])
-    size = len(euler)
-    log = [0] * (size + 1)
-    for i in range(2, size + 1):
-        log[i] = log[i >> 1] + 1
-    levels = log[size] + 1
-    # sparse table of euler indices minimizing depth
-    table = [euler[:]]
-    span = 1
-    for _ in range(1, levels):
-        prev = table[-1]
-        row = prev[:]
-        limit = size - 2 * span + 1
-        for i in range(limit):
-            a, b = prev[i], prev[i + span]
-            row[i] = a if depth[a] <= depth[b] else b
-        table.append(row)
-        span *= 2
-    return depth, first, table, log
-
-
-def _lca(u: int, v: int, first, table, log, depth) -> int:
-    i, j = first[u], first[v]
-    if i > j:
-        i, j = j, i
-    k = log[j - i + 1]
-    a = table[k][i]
-    b = table[k][j - (1 << k) + 1]
-    return a if depth[a] <= depth[b] else b
-
-
 def _stretches(n: int, eu, ev, in_tree) -> list[int]:
+    """Tree-path length between the endpoints of every edge.
+
+    Tarjan's offline LCA: one iterative DFS from vertex 0 gives parents,
+    depths and a preorder.  Reversed, the preorder is a postorder; when a
+    vertex finishes, every query edge whose other endpoint finished earlier
+    is answered by ``_find`` on that endpoint, which climbs the finished
+    vertices (each linked to its tree parent) to the lowest unfinished
+    ancestor: the LCA.  Memory is O(n + m).
+    """
     m = len(eu)
-    # linked-list adjacency of the tree
-    adj_head = [-1] * n
-    adj_next: list[int] = []
-    adj_to: list[int] = []
-    for i in range(m):
-        if in_tree[i]:
-            u, v = eu[i], ev[i]
-            adj_to.append(v)
-            adj_next.append(adj_head[u])
-            adj_head[u] = len(adj_to) - 1
-            adj_to.append(u)
-            adj_next.append(adj_head[v])
-            adj_head[v] = len(adj_to) - 1
-    depth, first, table, log = _lca_tables(n, adj_head, adj_next, adj_to)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    queries: list[list[int]] = [[] for _ in range(n)]
     out = [0] * m
     for i in range(m):
+        u, v = eu[i], ev[i]
         if in_tree[i]:
+            adj[u].append(v)
+            adj[v].append(u)
             out[i] = 1
         else:
-            u, v = eu[i], ev[i]
-            a = _lca(u, v, first, table, log, depth)
-            out[i] = depth[u] + depth[v] - 2 * depth[a]
+            queries[u].append(i)
+            queries[v].append(i)
+    parent = [0] * n
+    depth = [0] * n
+    preorder = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        p, d = parent[v], depth[v] + 1
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                depth[w] = d
+                stack.append(w)
+    uf = list(range(n))
+    for v in reversed(preorder):
+        for i in queries[v]:
+            if out[i]:  # the other endpoint has finished
+                u = eu[i] if ev[i] == v else ev[i]
+                out[i] = depth[u] + depth[v] - 2 * depth[_find(uf, u)]
+            else:
+                out[i] = -1  # first endpoint to finish; answered at the second
+        uf[v] = parent[v]
     return out
 
 
@@ -120,7 +74,9 @@ def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread
     tree-path length between every edge's endpoints.
     """
     m = len(eu)
-    order = sorted(range(m), key=lambda i: (height[i], spread[i], i))
+    # (height, spread, index) order: two stable sorts, minor key first
+    order = sorted(range(m), key=spread.__getitem__)
+    order.sort(key=height.__getitem__)
     parent = list(range(n))
     in_tree = [0] * m
     picked = 0

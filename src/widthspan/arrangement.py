@@ -6,6 +6,16 @@ node of size s covers the largest power of two strictly below s, the right
 child covers the rest.  Every graph edge is "split" by exactly one node (the
 lowest node whose interval contains both endpoint positions), and the height
 of that node is the primary MST weight used by the tree construction.
+
+The tree is a spine of perfect blocks, one per set bit of n from the highest
+down, and a node of size s has height (s - 1).bit_length().  So the split
+height is arithmetic on 0-based positions x < y: with
+dx = (x ^ n).bit_length() and dy = (y ^ n).bit_length() (the block of each
+endpoint), it is (x ^ y).bit_length() when dx == dy, and otherwise the
+height of the spine node whose left child is x's block,
+((n & ((1 << max(dx, dy)) - 1)) - 1).bit_length().  ``split_heights`` uses
+this closed form; the explicit ``ArrangementNode`` tree serves the
+split-set statistics and charging diagnostics.
 """
 from __future__ import annotations
 
@@ -167,14 +177,26 @@ def _descend_to_split(root: ArrangementNode, pu: int, pv: int) -> ArrangementNod
     return node
 
 
-def split_heights(g: Graph, a: LinearArrangement, root: ArrangementNode | None = None) -> list[int]:
-    """Arrangement-tree height of the node splitting each edge (by ID - 1)."""
-    if root is None:
-        root = build_arrangement_tree(g, a)
+def split_heights(g: Graph, a: LinearArrangement) -> list[int]:
+    """Arrangement-tree height of the node splitting each edge (by ID - 1).
+
+    Closed form from the module docstring; equals the height of the node
+    ``build_arrangement_tree`` assigns the edge to.
+    """
+    if a.n != g.n:
+        raise ArrangementError("arrangement size does not match graph")
+    n = g.n
+    zero = [p - 1 for p in a.position_of]  # 0-based position per vertex
+    block = [(x ^ n).bit_length() for x in zero]
+    spine = [((n & ((1 << d) - 1)) - 1).bit_length() for d in range(n.bit_length() + 1)]
     out = []
+    append = out.append
     for u, v in g.edges:
-        node = _descend_to_split(root, a.position_of[u], a.position_of[v])
-        out.append(node.height)
+        du, dv = block[u], block[v]
+        if du == dv:
+            append((zero[u] ^ zero[v]).bit_length())
+        else:
+            append(spine[du if du > dv else dv])
     return out
 
 

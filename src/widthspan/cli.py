@@ -19,7 +19,9 @@ from fractions import Fraction
 
 from . import __version__
 from .arrangement import (
+    ArrangementError,
     LinearArrangement,
+    PaddedArrangement,
     build_arrangement_tree,
     dump_arrangement,
     edge_spreads,
@@ -44,7 +46,6 @@ from .oracle import (
     expected_stretch_oracle,
 )
 from .twdp import DPLimitError, TreeDecompositionError, dp_min_stretch, load_td, make_nice
-from .arrangement import PaddedArrangement
 
 
 class CliError(Exception):
@@ -55,22 +56,20 @@ class CliError(Exception):
 # Serialization helpers.
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
+def _json_default(value):
+    """``json.dumps`` hook: a ``Fraction`` becomes an int or ``"p/q"``; a set
+    (of edge IDs, in every report) becomes its sorted list."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        return sorted(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _sha256(text: str) -> str:
@@ -197,7 +196,10 @@ def _cmd_build_tree(args, run: _Run) -> int:
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.padded:
-        padded = PaddedArrangement(a, args.shift)
+        try:
+            padded = PaddedArrangement(a, args.shift)
+        except ArrangementError as exc:
+            raise CliError(str(exc)) from exc
         report = build_tree_padded(g, padded)
     else:
         report = build_tree(g, a)

@@ -31,7 +31,7 @@ class DistributionReport:
 
     @property
     def max_expected_stretch(self) -> Fraction:
-        return max(self.per_edge_expected_stretch)
+        return max(self.per_edge_expected_stretch, default=Fraction(0))
 
 
 def build_shift_tree(g: Graph, a: LinearArrangement, shift: int) -> StretchReport:

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import kernel
 from .arrangement import (
-    ArrangementNode,
     LinearArrangement,
     PaddedArrangement,
     build_arrangement_tree,
@@ -53,7 +52,8 @@ class StretchReport:
         m = len(self.per_edge_stretch)
         n = len(self.tree_edges) + 1
         # FCB(T) = m * stretch(T) + m - 2n + 2, exactly
-        assert self.fcb_weight == self.total_stretch + m - 2 * n + 2, "cycle-basis identity violated"
+        if self.fcb_weight != self.total_stretch + m - 2 * n + 2:
+            raise ValueError("cycle-basis identity violated")
 
     @property
     def m(self) -> int:
@@ -72,13 +72,13 @@ def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
         tree_edges=frozenset(i + 1 for i, t in enumerate(in_tree) if t),
         per_edge_stretch=tuple(stretch),
         total_stretch=total,
-        avg_stretch=Fraction(total, m),
+        avg_stretch=Fraction(total, m) if m else Fraction(0),
         fcb_weight=fcb,
     )
 
 
-def edge_weights(g: Graph, a: LinearArrangement, root: ArrangementNode | None = None) -> list[EdgeWeight]:
-    heights = split_heights(g, a, root)
+def edge_weights(g: Graph, a: LinearArrangement) -> list[EdgeWeight]:
+    heights = split_heights(g, a)
     spreads = edge_spreads(g, a)
     return [EdgeWeight(h, s, i + 1) for i, (h, s) in enumerate(zip(heights, spreads))]
 

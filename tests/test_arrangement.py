@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +208,35 @@ def test_split_set_size_bound():
         bw, _ = widths(g, a)
         root = build_arrangement_tree(g, a)
         assert all(len(nd.split_edges) <= bw * (bw + 1) // 2 for nd in root.walk())
+
+
+def _tree_split_heights(g, a):
+    """Reference: height of the node build_arrangement_tree assigns each edge to."""
+    heights = [None] * g.m
+    for node in build_arrangement_tree(g, a).walk():
+        for eid in node.split_edges:
+            heights[eid - 1] = node.height
+    return heights
+
+
+def _random_connected_edges(rng, n):
+    """A random spanning tree plus about 2n random chords."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    for _ in range(2 * n):
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        edges.add((u, v))
+    return sorted(edges)
+
+
+def test_closed_form_split_heights_match_tree():
+    rng = random.Random(2004)
+    for n in [*range(2, 200), 1000, 1023, 1024, 1025, 4097]:
+        if n <= 40:  # every pair of positions
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        else:
+            edges = _random_connected_edges(rng, n)
+        g = make_graph(n, edges)
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        a = LinearArrangement.from_order(order)
+        assert split_heights(g, a) == _tree_split_heights(g, a), n

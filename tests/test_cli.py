@@ -1,9 +1,10 @@
 import json
 import hashlib
+from fractions import Fraction
 
 import pytest
 
-from widthspan.cli import main
+from widthspan.cli import _dumps, main
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 C4_ORDER = "1\n2\n4\n3\n"
@@ -198,3 +199,64 @@ def test_repeated_runs_byte_identical(c4_files, tmp_path):
                      "--explicit", "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.fixture
+def single_vertex(tmp_path):
+    graph = tmp_path / "k1.gr"
+    graph.write_text("p 1 0\n")
+    return str(graph)
+
+
+@pytest.mark.parametrize("args, key", [
+    (["build-tree"], "avg_stretch"),
+    (["distribution", "--explicit"], "max_expected_stretch"),
+    (["cutwidth-tree", "--best-shift"], "avg_stretch"),
+])
+def test_edgeless_graph_reports_zero(single_vertex, capsys, args, key):
+    assert main([*args, "--graph", single_vertex]) == 0
+    report = _json_out(capsys)
+    assert report[key] == 0
+
+
+def test_padded_shift_out_of_range_is_cli_error(tmp_path, capsys):
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    assert main(["build-tree", "--graph", str(graph), "--padded", "--shift", "99"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "shift 99" in err
+    assert "Traceback" not in err
+
+
+def _jsonable(value):
+    """The recursive pre-pass ``_dumps`` replaced; kept as the reference."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (frozenset, set)):
+        return sorted(_jsonable(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("report", [
+    {"avg_stretch": Fraction(3, 2), "total_stretch": 6, "fcb_weight": Fraction(4)},
+    {"tree_edges": frozenset({64, 1, 33, 7}), "per_edge_stretch": (1, 1, 3, 1, 2)},
+    {"per_edge_expected_stretch": [Fraction(1), Fraction(3, 2), Fraction(-5, 2)],
+     "best_shift": 0, "mode": "explicit", "max_expected_stretch": Fraction(5, 2)},
+    {"mode": "sample", "samples": [
+        {"seed": 7, "shift": 2, "tree_edges": sorted({4, 2, 1}),
+         "total_stretch": 6, "avg_stretch": Fraction(3, 2)},
+        {"seed": 8, "shift": 0, "tree_edges": frozenset({3, 2, 1}),
+         "total_stretch": 4, "avg_stretch": Fraction(1)},
+    ]},
+    {"argmin_trees": [sorted(t) for t in (frozenset({1, 2}), frozenset({2, 3}))],
+     "empty": [], "nested": {"b": {12, 3}, "a": (Fraction(0), Fraction(7, 3))}},
+])
+def test_dumps_matches_recursive_prepass(report):
+    expected = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    assert _dumps(report) == expected

@@ -103,3 +103,69 @@ def test_distances_in_tree_validation():
     with pytest.raises(ValueError, match="cycle"):
         distances_in_tree(4, eu + [2], ev + [3], [1, 1, 1, 0])
     assert list(distances_in_tree(3, eu, ev, [1, 1, 0])) == [1, 1, 2]
+
+
+def _parent_walk_distances(n, eu, ev, in_tree):
+    """Reference: root the tree at 0, then walk both endpoints up to meet."""
+    adj = [[] for _ in range(n)]
+    for i, keep in enumerate(in_tree):
+        if keep:
+            adj[eu[i]].append(ev[i])
+            adj[ev[i]].append(eu[i])
+    parent = [-1] * n
+    depth = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    out = []
+    for u, v in zip(eu, ev):
+        steps = 0
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u = parent[u]
+            steps += 1
+        out.append(steps)
+    return out
+
+
+def _tree_with_chords(rng, tree_edges, n):
+    """Kernel-form edge lists: the given tree edges plus random chords."""
+    edges = {(min(u, v), max(u, v)) for u, v in tree_edges}
+    tree = set(edges)
+    for _ in range(2 * n if n > 2 else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    edge_list = list(edges)
+    rng.shuffle(edge_list)
+    eu = [u for u, _ in edge_list]
+    ev = [v for _, v in edge_list]
+    return eu, ev, [1 if e in tree else 0 for e in edge_list]
+
+
+def test_offline_lca_matches_parent_walk():
+    rng = random.Random(1979)
+    trees = [
+        (1, []),
+        (2, [(0, 1)]),
+        (300, [(v - 1, v) for v in range(1, 300)]),   # path: deepest tree
+        (300, [(0, v) for v in range(1, 300)]),       # star: shallowest tree
+        (300, [(299, v) for v in range(299)]),        # star rooted away from 0
+    ]
+    for _ in range(40):
+        n = rng.randrange(3, 120)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        trees.append((n, [(labels[rng.randrange(v)], labels[v]) for v in range(1, n)]))
+    for n, tree_edges in trees:
+        eu, ev, in_tree = _tree_with_chords(rng, tree_edges, n)
+        expected = _parent_walk_distances(n, eu, ev, in_tree)
+        assert _kernel_py.distances_in_tree(n, eu, ev, in_tree) == expected

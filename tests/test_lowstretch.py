@@ -15,6 +15,7 @@ from widthspan.arrangement import (
 from widthspan.graph import generate
 from widthspan.lowstretch import (
     EdgeWeight,
+    StretchReport,
     build_tree,
     build_tree_padded,
     charge_diagnostics,
@@ -218,3 +219,15 @@ def test_avg_stretch_cubic_bound_small_families():
             r = build_tree(g, a)
             assert r.avg_stretch <= 4 * bw**3 + 2
             assert r.fcb_weight <= 4 * bw**3 * g.n
+
+
+def test_inconsistent_report_raises():
+    # C4 with tree edges 1-3 has stretches (1, 1, 1, 3): FCB weight is 4, not 5
+    with pytest.raises(ValueError, match="cycle-basis identity"):
+        StretchReport(
+            tree_edges=frozenset({1, 2, 3}),
+            per_edge_stretch=(1, 1, 1, 3),
+            total_stretch=6,
+            avg_stretch=Fraction(3, 2),
+            fcb_weight=5,
+        )
