@@ -1,9 +1,8 @@
 """Benchmark the compiled kernel against its pure-Python twin.
 
-Both implementations are imported directly (no WIDTHSPAN_PURE round trip
-needed) and run on the same generated instances; results are checked for
-equality before timings are reported; a mismatch is printed and the
-script exits 1.
+Both implementations are imported directly and run on the same generated
+instances; results are checked for equality before timings are reported; a
+mismatch is printed and the script exits 1.
 
 Usage: python benchmarks/bench_kernel.py [--sizes 1000,10000,100000] [--repeat 3]
 """

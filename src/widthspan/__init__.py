@@ -37,12 +37,10 @@ from .graph import (
 )
 from .lowstretch import (
     ChargeReport,
-    EdgeWeight,
     StretchReport,
     build_tree,
     build_tree_padded,
     charge_diagnostics,
-    edge_weights,
     lemma31_check,
     stretch_of,
 )
@@ -91,12 +89,10 @@ __all__ = [
     "generate",
     "load_graph",
     "ChargeReport",
-    "EdgeWeight",
     "StretchReport",
     "build_tree",
     "build_tree_padded",
     "charge_diagnostics",
-    "edge_weights",
     "lemma31_check",
     "stretch_of",
     "OracleCapExceeded",

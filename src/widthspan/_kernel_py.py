@@ -1,7 +1,7 @@
 """Pure-Python twin of the compiled kernel.
 
-Same contracts as ``_kernel``; selected at import time by ``kernel`` when the
-compiled extension is unavailable or WIDTHSPAN_PURE=1 is set.
+Same contracts as ``_kernel``; ``kernel`` uses it when the compiled extension
+does not import.  Both modules can be imported directly to compare them.
 
 Vertices here are 0-based; callers translate from the 1-based public API.
 """

@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -144,13 +142,6 @@ def _stretch_report_dict(g: Graph, report: StretchReport) -> dict:
     }
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("WIDTHSPAN_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -207,45 +198,11 @@ def _cmd_build_tree(args, run: _Run) -> int:
     return 0
 
 
-def _shift_row(payload):
-    g, a, shift = payload
-    report = build_shift_tree(g, a, shift)
-    return shift, report.per_edge_stretch, report.total_stretch, report.avg_stretch
-
-
-def _explicit_parallel(g: Graph, a: LinearArrangement, jobs: int):
-    """Same result as explicit_distribution; shifts fanned out over workers
-    and merged in shift order, so the output is independent of jobs."""
-    count = shift_count(g.n)
-    sums = [0] * g.m
-    per_shift = []
-    best_shift = 0
-    best_total = None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        rows = pool.map(_shift_row, [(g, a, s) for s in range(count)], chunksize=16)
-        for shift, per_edge, total, avg in rows:
-            for i, s in enumerate(per_edge):
-                sums[i] += s
-            per_shift.append(avg)
-            if best_total is None or total < best_total:
-                best_total = total
-                best_shift = shift
-    from .distribution import DistributionReport
-
-    return DistributionReport(
-        shifts=count,
-        per_edge_expected_stretch=tuple(Fraction(s, count) for s in sums),
-        per_shift_avg_stretch=tuple(per_shift),
-        best_shift=best_shift,
-    )
-
-
 def _cmd_distribution(args, run: _Run) -> int:
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.explicit:
-        jobs = _jobs(args)
-        dist = _explicit_parallel(g, a, jobs) if jobs > 1 else explicit_distribution(g, a)
+        dist = explicit_distribution(g, a, jobs=args.jobs)
         report = {
             "mode": "explicit",
             "shifts": dist.shifts,
@@ -517,7 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if arrangement:
             p.add_argument("--arrangement", help="arrangement file (default: identity)")
         p.add_argument("--out", help="output JSON path (default: stdout)")
-        p.add_argument("--jobs", type=int, default=None, help="worker fan-out")
 
     p = sub.add_parser("gen", help="generate a graph family with a witness arrangement")
     p.add_argument("--family", required=True,
@@ -530,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, help="cutwidth parameter (random_cutwidth)")
     p.add_argument("--out", help="graph output path (default: stdout)")
     p.add_argument("--arrangement-out", help="write the witness arrangement here")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("stats", help="n, m, widths, and split-set statistics")
@@ -543,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="output JSON path (default: stdout)")
     p.add_argument("--padded", action="store_true", help="use the padded power-of-two tree")
     p.add_argument("--shift", type=int, default=0, help="padding shift (with --padded)")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_build_tree)
 
     p = sub.add_parser("distribution", help="shifted-padding tree distribution")
@@ -553,6 +507,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", type=int, metavar="N", help="draw N trees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="CSV export (explicit mode)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for --explicit (default: 1)")
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("cutwidth-tree", help="cutwidth-witness spanning tree")
@@ -569,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", action="store_true",
                    help="lift the width/size practical limits")
     p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_dp_min_stretch)
 
     p = sub.add_parser("oracle", help="exhaustive spanning-tree enumeration")
@@ -577,14 +532,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--histogram", action="store_true")
     p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", required=True,
                    choices=["bandwidth", "cutwidth", "distribution", "dp", "all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -12,8 +12,11 @@ or the best shift by exhaustion.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 
 from .arrangement import LinearArrangement, PaddedArrangement, shift_count
 from .graph import Graph
@@ -44,26 +47,54 @@ def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, Stretch
     return shift, build_shift_tree(g, a, shift)
 
 
-def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
-    """Build the tree of every shift; exact expectations, no sampling error."""
+def _shift_row(g: Graph, a: LinearArrangement, shift: int) -> tuple[tuple[int, ...], int, Fraction]:
+    """Per-edge stretches, total and average stretch of one shift's tree:
+    all the shift loop's callers read, and all a worker process sends back."""
+    report = build_shift_tree(g, a, shift)
+    return report.per_edge_stretch, report.total_stretch, report.avg_stretch
+
+
+def _shift_rows(g: Graph, a: LinearArrangement, jobs: int = 1) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
+    """Yield the ``_shift_row`` of every shift, in shift order.
+
+    With ``jobs > 1`` the shifts are fanned out over that many worker
+    processes; ``map`` returns them in order, so results do not depend on
+    ``jobs``.  Serially, only one tree is alive at a time.
+    """
+    shifts = range(shift_count(g.n))
+    if jobs <= 1:
+        yield from map(partial(_shift_row, g, a), shifts)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_shift_row, repeat(g), repeat(a), shifts, chunksize=16)
+
+
+def _best_shift(totals: list[int]) -> int:
+    """The shift of minimum total stretch; ties go to the lowest shift."""
+    return min(range(len(totals)), key=totals.__getitem__)
+
+
+def explicit_distribution(g: Graph, a: LinearArrangement, jobs: int = 1) -> DistributionReport:
+    """Build the tree of every shift; exact expectations, no sampling error.
+
+    ``jobs > 1`` builds the shift trees in that many worker processes.
+    """
     count = shift_count(g.n)
     sums = [0] * g.m
     per_shift: list[Fraction] = []
-    best_shift = 0
-    best_total = None
-    for shift in range(count):
-        report = build_shift_tree(g, a, shift)
-        for i, s in enumerate(report.per_edge_stretch):
+    totals: list[int] = []
+    for per_edge, total, avg in _shift_rows(g, a, jobs):
+        for i, s in enumerate(per_edge):
             sums[i] += s
-        per_shift.append(report.avg_stretch)
-        if best_total is None or report.total_stretch < best_total:
-            best_total = report.total_stretch
-            best_shift = shift
+        per_shift.append(avg)
+        totals.append(total)
     return DistributionReport(
         shifts=count,
         per_edge_expected_stretch=tuple(Fraction(s, count) for s in sums),
         per_shift_avg_stretch=tuple(per_shift),
-        best_shift=best_shift,
+        best_shift=_best_shift(totals),
     )
 
 
@@ -76,17 +107,13 @@ def cutwidth_tree(
 ) -> tuple[int, StretchReport]:
     """Cutwidth-witness spanning tree: one sampled shift, or the best of all.
 
-    best_shift mode derandomizes by exhaustion: it evaluates every shift and
-    returns the tree of minimum average stretch (lowest shift on ties).
+    best_shift mode derandomizes by exhaustion: it evaluates every shift
+    and returns the tree of minimum average stretch (lowest shift on ties).
     """
     if best_shift == (seed is not None):
         raise ValueError("choose exactly one of seed= or best_shift=True")
     if seed is not None:
         return sample_tree(g, a, seed)
-    best: tuple[int, StretchReport] | None = None
-    for shift in range(shift_count(g.n)):
-        report = build_shift_tree(g, a, shift)
-        if best is None or report.total_stretch < best[1].total_stretch:
-            best = (shift, report)
-    assert best is not None
-    return best
+    # only the totals are kept, so the winning tree is built once more
+    shift = _best_shift([total for _, total, _ in _shift_rows(g, a)])
+    return shift, build_shift_tree(g, a, shift)

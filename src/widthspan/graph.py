@@ -260,6 +260,8 @@ def generate(
                     edges.append((u, v))
         order = list(range(1, n + 1))
     elif family == "random_cutwidth":
+        if n < 3:
+            raise ValueError("random_cutwidth needs n >= 3")
         if c is None or c < 1:
             raise ValueError("random_cutwidth requires c >= 1")
         rng = random.Random(seed)

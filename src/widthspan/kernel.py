@@ -1,19 +1,11 @@
-"""Kernel selection: compiled extension if available, pure Python otherwise.
-
-Set WIDTHSPAN_PURE=1 to force the pure-Python twin (used by the benchmark and
-by tests that cross-check the two implementations).
-"""
+"""Kernel selection: the compiled extension when it imports, else its pure-Python
+twin.  ``IMPLEMENTATION`` names the one in use."""
 from __future__ import annotations
 
-import os
-
-if os.environ.get("WIDTHSPAN_PURE") == "1":
+try:
+    from . import _kernel as _impl  # type: ignore[attr-defined]
+except ImportError:
     from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
 
 IMPLEMENTATION: str = _impl.IMPLEMENTATION
 tree_stretch = _impl.tree_stretch

@@ -29,15 +29,6 @@ from .arrangement import (
 from .graph import Graph
 
 
-@dataclass(frozen=True, order=True)
-class EdgeWeight:
-    """Lexicographic MST weight: split height, then spread, then edge ID."""
-
-    split_height: int
-    spread: int
-    edge_id: int
-
-
 @dataclass(frozen=True)
 class StretchReport:
     """A spanning tree with per-edge stretch and cycle-basis accounting."""
@@ -77,12 +68,6 @@ def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
     )
 
 
-def edge_weights(g: Graph, a: LinearArrangement) -> list[EdgeWeight]:
-    heights = split_heights(g, a)
-    spreads = edge_spreads(g, a)
-    return [EdgeWeight(h, s, i + 1) for i, (h, s) in enumerate(zip(heights, spreads))]
-
-
 def _kernel_edges(g: Graph) -> tuple[list[int], list[int]]:
     eu = [u - 1 for u, _ in g.edges]
     ev = [v - 1 for _, v in g.edges]
@@ -90,7 +75,8 @@ def _kernel_edges(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def build_tree(g: Graph, a: LinearArrangement) -> StretchReport:
-    """MST under EdgeWeight order for the raw (unpadded) arrangement tree."""
+    """MST under (split height, spread, edge ID) order for the raw (unpadded)
+    arrangement tree."""
     heights = split_heights(g, a)
     spreads = edge_spreads(g, a)
     eu, ev = _kernel_edges(g)
@@ -156,7 +142,6 @@ class ChargeReport:
     bandwidth: int
     nodes: tuple[NodeCharge, ...]
     total_charge: int
-    total_charge_literal: int  # alternate third-case reading (never fires; see tests)
 
     @property
     def root(self) -> NodeCharge:
@@ -201,11 +186,9 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
 
     nodes: list[NodeCharge] = []
     total = 0
-    total_literal = 0
     for node in root.walk():
         lx = long_of[(node.lo, node.hi)]
         charge = 0
-        charge_literal = 0
         if not node.is_leaf:
             y, z = node.left, node.right
             ly = long_of[(y.lo, y.hi)]
@@ -217,18 +200,9 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
                 charge = ny
             elif lx < lz and lx == ly:
                 charge = nz
-            # alternate reading of the third case (lz < lx, ly == lz)
-            if lx < ly and lx < lz:
-                charge_literal = ny + nz
-            elif lx < ly and lx == lz:
-                charge_literal = ny
-            elif lz < lx and ly == lz:
-                charge_literal = nz
         nodes.append(NodeCharge(node.lo, node.hi, node.size, lx, charge))
         total += charge
-        total_literal += charge_literal
-    return ChargeReport(bandwidth=b, nodes=tuple(nodes), total_charge=total,
-                        total_charge_literal=total_literal)
+    return ChargeReport(bandwidth=b, nodes=tuple(nodes), total_charge=total)
 
 
 def fundamental_cycle_spans(g: Graph, a: LinearArrangement, report: StretchReport) -> list[tuple[int, int, int]]:

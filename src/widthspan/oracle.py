@@ -171,8 +171,8 @@ def enumerate_min_stretch(g: Graph, cap: int = 10**6, histogram: bool = False) -
         elif total == best:
             argmin.append(tree)
     expected = spanning_tree_count(g)
-    assert seen == expected, f"enumerated {seen} trees, matrix-tree says {expected}"
-    assert best is not None
+    if seen != expected:
+        raise RuntimeError(f"enumerated {seen} trees, matrix-tree says {expected}")
     return OracleResult(
         spanning_tree_count=seen,
         min_total_stretch=best,

@@ -92,14 +92,22 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
                 raise TreeDecompositionError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise TreeDecompositionError(f"line {lineno}: expected 's td <#bags> <width+1> <n>'")
-            header = tuple(int(x) for x in parts[2:])
+            try:
+                header = tuple(int(x) for x in parts[2:])
+            except ValueError:
+                raise TreeDecompositionError(f"line {lineno}: non-integer 's td' fields") from None
         elif parts[0] == "b":
             if header is None:
                 raise TreeDecompositionError(f"line {lineno}: bag line before solution line")
-            bag_id = int(parts[1])
+            if len(parts) < 2:
+                raise TreeDecompositionError(f"line {lineno}: bag line must be 'b <id> <vertices...>'")
+            try:
+                bag_id, *members = (int(x) for x in parts[1:])
+            except ValueError:
+                raise TreeDecompositionError(f"line {lineno}: non-integer bag id or vertex") from None
             if bag_id in bags:
                 raise TreeDecompositionError(f"line {lineno}: duplicate bag {bag_id}")
-            bags[bag_id] = frozenset(int(x) for x in parts[2:])
+            bags[bag_id] = frozenset(members)
         else:
             try:
                 i, j = int(parts[0]), int(parts[1])

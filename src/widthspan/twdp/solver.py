@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..graph import Graph
+from ..lowstretch import stretch_of
 from .decomposition import NiceTreeDecomposition, TreeDecomposition, make_nice
 
 ABOVE = "above"
@@ -36,8 +37,13 @@ BELOW = "below"
 EdgeMap = dict[tuple[int, int], tuple[int, bool]]
 
 
+# Practical limits of dp_min_stretch (its tables grow as Theta(n^(k+1))).
+MAX_WIDTH = 3
+MAX_N = 24
+
+
 class DPLimitError(RuntimeError):
-    """Instance exceeds the configured practical limits of the table DP."""
+    """Instance exceeds the practical limits of the table DP."""
 
 
 def _ekey(a: int, b: int) -> tuple[int, int]:
@@ -110,34 +116,6 @@ def _future_need(bag: frozenset[int], edges: EdgeMap) -> int:
         if v not in bag and _steiner_tag(adj, v) == ABOVE:
             need += 1
     return need
-
-
-def _check_trace(bag: frozenset[int], edges: EdgeMap, cap: int) -> None:
-    """Structural invariants; cheap because traces have O(k) vertices."""
-    verts = _vertices(bag, edges)
-    assert len(verts) <= cap, f"trace has {len(verts)} vertices, cap {cap}"
-    assert len(edges) == len(verts) - 1, "trace is not a tree"
-    adj = _adjacency(edges)
-    for v in verts:
-        if v in bag:
-            continue
-        assert len(adj.get(v, ())) >= 3, "degree-2 Steiner vertex not contracted"
-        _steiner_tag(adj, v)  # asserts tag uniformity
-    for (a, b), (cost, realized) in edges.items():
-        assert cost >= 1
-        if a in bag and b in bag and cost == 1:
-            assert realized, "unit bag edge must be realized"
-    if verts:
-        start = next(iter(verts))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y, _, _ in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        assert seen == verts, "trace is disconnected"
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +309,11 @@ def introduce_step(
     g: Graph,
     *,
     future_budget: int | None = None,
-    vertex_cap: int | None = None,
 ) -> dict:
     """All parent entries for introducing v above bag_j; charges each graph
     edge between v and the bag with its trace distance."""
     bag_i = bag_j | {v}
-    cap = vertex_cap if vertex_cap is not None else 2 * len(bag_i)
+    cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
     table_i: dict = {}
@@ -478,32 +455,29 @@ def dp_min_stretch(
     decomposition: TreeDecomposition | NiceTreeDecomposition,
     *,
     enforce_limits: bool = True,
-    max_width: int = 3,
-    max_n: int = 24,
     prune_future: bool = True,
-    vertex_cap: int | None = None,
     keep_tables: bool = False,
 ) -> DPResult:
     """Leaf-to-root DP; returns the exact optimum and a witness tree.
 
     The table at a bag indexes every contracted trace a spanning tree can
     leave on it; the stored cost is the minimum total stretch of graph edges
-    already fully introduced.  The per-instance limits guard the Theta(n^(k+1))
-    table growth and can be lifted explicitly.
+    already fully introduced.  The limits MAX_WIDTH and MAX_N guard the
+    Theta(n^(k+1)) table growth; enforce_limits=False lifts them.
     """
     if isinstance(decomposition, NiceTreeDecomposition):
         ntd = decomposition
     else:
         ntd = make_nice(decomposition, g)
     if enforce_limits:
-        if ntd.width > max_width:
+        if ntd.width > MAX_WIDTH:
             raise DPLimitError(
-                f"decomposition width {ntd.width} exceeds limit {max_width}: "
+                f"decomposition width {ntd.width} exceeds limit {MAX_WIDTH}: "
                 f"the table grows as n^(k+1); pass enforce_limits=False to override"
             )
-        if g.n > max_n:
+        if g.n > MAX_N:
             raise DPLimitError(
-                f"graph has {g.n} vertices, limit {max_n}: "
+                f"graph has {g.n} vertices, limit {MAX_N}: "
                 f"the table grows as n^(k+1); pass enforce_limits=False to override"
             )
 
@@ -519,7 +493,7 @@ def dp_min_stretch(
             budget = n - len(nd.below) if prune_future else None
             tables[node_id] = introduce_step(
                 tables[child], nd.vertex, ntd.nodes[child].bag, g,
-                future_budget=budget, vertex_cap=vertex_cap,
+                future_budget=budget,
             )
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
@@ -554,13 +528,15 @@ def dp_min_stretch(
         elif tag == "join":
             stack.append((nd.children[0], e.back[1]))
             stack.append((nd.children[1], e.back[2]))
-    assert len(pairs) == n - 1, f"witness has {len(pairs)} edges, expected {n - 1}"
+    if len(pairs) != n - 1:
+        raise RuntimeError(f"witness has {len(pairs)} edges, expected {n - 1}; this is a bug")
     by_pair = {edge: eid for eid, edge in enumerate(g.edges, start=1)}
     tree_ids = frozenset(by_pair[p] for p in pairs)
-    check = _naive_total_stretch(g, tree_ids)
-    assert check == entry.cost, (
-        f"witness stretch {check} disagrees with DP optimum {entry.cost}"
-    )
+    check = stretch_of(g, tree_ids).total_stretch
+    if check != entry.cost:
+        raise RuntimeError(
+            f"witness stretch {check} disagrees with DP optimum {entry.cost}; this is a bug"
+        )
     return DPResult(
         min_total_stretch=entry.cost,
         min_avg_stretch=Fraction(entry.cost, g.m) if g.m else Fraction(0),
@@ -570,34 +546,3 @@ def dp_min_stretch(
         tables=tables if keep_tables else None,
         ntd=ntd if keep_tables else None,
     )
-
-
-def _naive_total_stretch(g: Graph, tree_ids: frozenset[int]) -> int:
-    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for eid in tree_ids:
-        u, v = g.edges[eid - 1]
-        adj[u].append(v)
-        adj[v].append(u)
-    par = {1: 0}
-    depth = {1: 0}
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in par:
-                par[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    assert len(par) == g.n, "witness edges do not span the graph"
-    total = 0
-    for u, v in g.edges:
-        x, y = u, v
-        d = 0
-        while x != y:
-            if depth[x] >= depth[y]:
-                x = par[x]
-            else:
-                y = par[y]
-            d += 1
-        total += d
-    return total

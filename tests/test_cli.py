@@ -1,5 +1,6 @@
 import json
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -95,13 +96,30 @@ def test_distribution_sample_mode(c4_files, capsys):
 
 
 def test_distribution_jobs_deterministic(c4_files, tmp_path):
-    graph, arr = c4_files
-    out1 = tmp_path / "d1.json"
-    out2 = tmp_path / "d2.json"
-    base = ["distribution", "--graph", graph, "--arrangement", arr, "--explicit"]
-    assert main(base + ["--out", str(out1)]) == 0
-    assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
-    assert out1.read_text() == out2.read_text()
+    # a shuffled grid-40: 88 shifts (more than one pool chunk of 16) whose
+    # totals differ, so a shift-order mix-up changes the output
+    grid, grid_arr = tmp_path / "g40.gr", tmp_path / "g40.arr"
+    assert main(["gen", "--family", "grid", "--n", "40", "--out", str(grid)]) == 0
+    order = list(range(1, 41))
+    random.Random(3).shuffle(order)
+    grid_arr.write_text("".join(f"{v}\n" for v in order))
+    for graph, arr in (c4_files, (str(grid), str(grid_arr))):
+        base = ["distribution", "--explicit", "--graph", graph, "--arrangement", arr]
+        out1 = tmp_path / "j1.json"
+        out2 = tmp_path / "j2.json"
+        assert main(base + ["--out", str(out1)]) == 0
+        assert main(base + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize(
+    "args", [["stats"], ["build-tree"], ["oracle"], ["cutwidth-tree", "--best-shift"]]
+)
+def test_jobs_only_on_distribution(c4_files, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--graph", c4_files[0], "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_cutwidth_tree_best_shift(c4_files, capsys):
@@ -142,6 +160,22 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
                  "--allow-large"]) == 0
+
+
+@pytest.mark.parametrize("td_text, message", [
+    ("s td x 2 4\nb 1 1 2 3 4\n", "line 1: non-integer 's td' fields"),
+    ("s td 1 4 4\nb x 1 2 3 4\n", "line 2: non-integer bag id or vertex"),
+    ("s td 1 4 4\nb\n", "line 2: bag line must be"),
+])
+def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
+    graph = tmp_path / "k4.gr"
+    graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    td = tmp_path / "bad.td"
+    td.write_text(td_text)
+    assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_oracle_command(c4_files, capsys):

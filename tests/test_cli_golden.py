@@ -1,0 +1,194 @@
+"""Golden CLI outputs: refactors must leave every byte of every report as it was.
+
+Each case runs ``cli.main`` in-process on a fixed corpus and compares the
+SHA-256 of its stdout (followed by the CSV export, where there is one) with
+the digest recorded below.  A case must also exit 0 and print nothing to
+stderr.
+
+When an output is meant to change, print the new table with
+``PYTHONPATH=src python tests/test_cli_golden.py`` and say why in the change.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
+from widthspan.cli import main
+
+FAMILIES = {
+    "path": [],
+    "cycle": [],
+    "grid": [],
+    "caterpillar": [],
+    "random_bandwidth": ["--b", "3", "--p", "0.6"],
+    "random_cutwidth": ["--c", "2"],
+}
+N = 12
+SHUFFLE_SEED = 11
+ARRANGEMENT_COMMANDS = {
+    "stats": ["stats"],
+    "build-tree": ["build-tree"],
+    "build-tree --padded --shift 3": ["build-tree", "--padded", "--shift", "3"],
+    "distribution --explicit --csv": ["distribution", "--explicit", "--csv", "{csv}"],
+    "distribution --sample 3 --seed 5": ["distribution", "--sample", "3", "--seed", "5"],
+    "cutwidth-tree --best-shift": ["cutwidth-tree", "--best-shift"],
+    "cutwidth-tree --seed 2": ["cutwidth-tree", "--seed", "2"],
+}
+K4 = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+K4_TD = "s td 1 4 4\nb 1 1 2 3 4\n"
+GRID_2X3 = "p 6 7\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 3 5\ne 4 6\ne 5 6\n"
+GRID_2X3_TD = "s td 4 3 6\nb 1 1 2 3\nb 2 2 3 4\nb 3 3 4 5\nb 4 4 5 6\n1 2\n2 3\n3 4\n"
+
+
+def _run(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc != 0 or err.getvalue():
+        raise AssertionError(f"{argv}: exit {rc}, stderr {err.getvalue()!r}")
+    return out.getvalue()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def golden_digests(work: Path) -> dict[str, str]:
+    """Run the whole corpus inside ``work``; map each case to its digest."""
+    digests = {}
+    for family, params in FAMILIES.items():
+        graph = str(work / f"{family}.gr")
+        _run(["gen", "--family", family, "--n", str(N), "--seed", "1",
+              *params, "--out", graph])
+        shuffled = list(range(1, N + 1))
+        random.Random(SHUFFLE_SEED).shuffle(shuffled)
+        arrangement = work / f"{family}.arr"
+        arrangement.write_text("".join(f"{v}\n" for v in shuffled))
+        for arr_name, arr_args in (("identity", []),
+                                   ("shuffled", ["--arrangement", str(arrangement)])):
+            for name, command in ARRANGEMENT_COMMANDS.items():
+                csv = work / "out.csv"
+                argv = [arg.format(csv=csv) for arg in command]
+                text = _run([*argv, "--graph", graph, *arr_args])
+                if "--csv" in command:
+                    text += "--- csv ---\n" + csv.read_text()
+                digests[f"{family}/{arr_name}: {name}"] = _digest(text)
+    for label, graph_text, td_text in (("K4", K4, K4_TD), ("grid 2x3", GRID_2X3, GRID_2X3_TD)):
+        graph = work / "dp.gr"
+        graph.write_text(graph_text)
+        td = work / "dp.td"
+        td.write_text(td_text)
+        digests[f"{label}: dp-min-stretch"] = _digest(
+            _run(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]))
+        digests[f"{label}: oracle --histogram"] = _digest(
+            _run(["oracle", "--graph", str(graph), "--histogram"]))
+    return digests
+
+
+GOLDEN: dict[str, str] = {
+    'path/identity: stats': '0ffc3fbcfc89c4a8a726afca5e69d4e91339cfd9a62baddf82824a45e75eb951',
+    'path/identity: build-tree': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'path/identity: build-tree --padded --shift 3': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'path/identity: distribution --explicit --csv': '7c39b6c19edeb59bfac352d7804816eae3bc3e0ca12c7754b49bab741cbad59c',
+    'path/identity: distribution --sample 3 --seed 5': 'e5ba5814dba63cecf665de9ce3faa0bc542a59d3aead2e072fe0bc0d4d50d53b',
+    'path/identity: cutwidth-tree --best-shift': 'fcf085a2aa31a308262edf776c0828414a12042973dbad9126a89bb48e906e65',
+    'path/identity: cutwidth-tree --seed 2': 'd7c4493f0354f3279b1b0804e86b83c8b934aebd1c47c1fd088321458ea52f3b',
+    'path/shuffled: stats': '2c36975fab81c00263f7f59896f344793b7ecc16dda3653ae11e22774da66e3b',
+    'path/shuffled: build-tree': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'path/shuffled: build-tree --padded --shift 3': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'path/shuffled: distribution --explicit --csv': 'aa7ce1b9b7bdbfffe3958a340a8e4106b01d96fa0c2328333dfe5446a83c4502',
+    'path/shuffled: distribution --sample 3 --seed 5': 'e5ba5814dba63cecf665de9ce3faa0bc542a59d3aead2e072fe0bc0d4d50d53b',
+    'path/shuffled: cutwidth-tree --best-shift': '91bbda379dca5ca050ead325d63320c33f349f5fd02b2abcfbb49b6455c3b5b5',
+    'path/shuffled: cutwidth-tree --seed 2': 'bb1fbc0bb404ae88c599613badbb4e36fb06df0450ba9e2eec1921647fcd2952',
+    'cycle/identity: stats': '5c93aa119147310c9b493ef02b036624608078db3a3a87fd2cd14c9454707241',
+    'cycle/identity: build-tree': '2c7eeddb1d42295ac1614a5b70ce115aa12a9499d182e089c51ab26d19191437',
+    'cycle/identity: build-tree --padded --shift 3': '2c7eeddb1d42295ac1614a5b70ce115aa12a9499d182e089c51ab26d19191437',
+    'cycle/identity: distribution --explicit --csv': 'fc603dc9c4a4c64803c2a807e7de7b9911b9519741fd411f16cd9ab25e8c5192',
+    'cycle/identity: distribution --sample 3 --seed 5': 'db9f2cbf0a89536ed6353e9fe850fbbfc4035801fa58fd62ae23c7d3f1c8a74b',
+    'cycle/identity: cutwidth-tree --best-shift': '6ad7dd8deb610edf2ff1edfc16bade1c9a592b153f1202997d957a163b579091',
+    'cycle/identity: cutwidth-tree --seed 2': '4cf2ddef13a0e4f8df9e79a2d5fa54e6c18d7ff990376a7925bbde22007beb1a',
+    'cycle/shuffled: stats': 'a12471eca1550c9ebde278fd4377d5135ec59587b9398ef61253a3c30b715886',
+    'cycle/shuffled: build-tree': 'ec15abfeda22334fc866dd63af09d46aad5f54c7a3aade6aa030edb607e1fe82',
+    'cycle/shuffled: build-tree --padded --shift 3': 'ec15abfeda22334fc866dd63af09d46aad5f54c7a3aade6aa030edb607e1fe82',
+    'cycle/shuffled: distribution --explicit --csv': '2bd87197c831155e9553739b125858618943fcfd7ad53564fab2634c03af01d3',
+    'cycle/shuffled: distribution --sample 3 --seed 5': '10808fd038a24edddeb71d2f39b41914a4d1e4565675df1a684e3976f9d91747',
+    'cycle/shuffled: cutwidth-tree --best-shift': '8fcaad11ee2014c0fd9f7e1b45eeff03cc5f760e4d0f539284f7c0e60d5fd3a4',
+    'cycle/shuffled: cutwidth-tree --seed 2': '8d57754e1b47d35022430ca004dc0e6e26c61babb05bc22cc19d47742ee58726',
+    'grid/identity: stats': '4ac6278e3db31355b116ce5495d8d5f8b8637ae8f1fa079ff92b048f293387c2',
+    'grid/identity: build-tree': '19526d0d904ea8364ad7ad19da028fc05b026934e0aa46bae0f4d668c550e33f',
+    'grid/identity: build-tree --padded --shift 3': '7e0a393db8049338ed227f59f5abab51c3198cf9f6a32145f7c68b02ccd44274',
+    'grid/identity: distribution --explicit --csv': '9624866e8e8f7c30bee323253e16482accf2779973ef4052b137bdab11f1b6d7',
+    'grid/identity: distribution --sample 3 --seed 5': 'f8bff39333e7ffd626777d994d4ff7cc3a4c0606bf8f7a59fecd13ccdde85ec8',
+    'grid/identity: cutwidth-tree --best-shift': 'a4c1731e38e6c26c474b688432ba1a693217dc19563f0e308117cf8e16745f52',
+    'grid/identity: cutwidth-tree --seed 2': 'b47ea41e30f4d714d8f85f3e3d8a4378f034ccb6b0d4dc4b56baeddfaabfef8e',
+    'grid/shuffled: stats': '749518c1f8ff37a293620b077e04b7737c918ee0233893d7e4b649d0cc3f4a22',
+    'grid/shuffled: build-tree': 'ef3d283820fbf7947f2833f5357ac548bbcf85fc4158213cfa43f8c1f917271d',
+    'grid/shuffled: build-tree --padded --shift 3': 'ffa8e044a26421e3992e9605dcf1c40a0069dbc3c292431bfe94ed67e60c3c09',
+    'grid/shuffled: distribution --explicit --csv': 'ea75bfce5f0791d697a647547aee7ecd6cefb5d73fbdfbbed7b1eb6e4e08bae7',
+    'grid/shuffled: distribution --sample 3 --seed 5': 'd11cd3b79cb5680b8775c3b723edec24f29bc7c51d93d1442e9ace21736d8040',
+    'grid/shuffled: cutwidth-tree --best-shift': '85f842ffb79d4ed69a5ccfe3d66052c7b31f1de0579e00520c337a58cefa2401',
+    'grid/shuffled: cutwidth-tree --seed 2': '923346524d6365e16b0539c248281aab7dcb688c851aa77c012cc6a3b4b3b8e5',
+    'caterpillar/identity: stats': 'c38c54860c56e2f5b0f812a1a57436a5df66c3dd7bcfa43bc8429f76736dcc58',
+    'caterpillar/identity: build-tree': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'caterpillar/identity: build-tree --padded --shift 3': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'caterpillar/identity: distribution --explicit --csv': 'b68c63f615e1e4575a8fd84ba04f04d4f55ddc9a6107109f0300efc09973ede5',
+    'caterpillar/identity: distribution --sample 3 --seed 5': 'e5ba5814dba63cecf665de9ce3faa0bc542a59d3aead2e072fe0bc0d4d50d53b',
+    'caterpillar/identity: cutwidth-tree --best-shift': '986a48144eff431955acea012773b15cc14bda6f8c40c5de38c3b53d44c4892b',
+    'caterpillar/identity: cutwidth-tree --seed 2': '7c4dd24b3af2771f96efc32964422cba42539565a07adb80cd6a830ec859cae1',
+    'caterpillar/shuffled: stats': '7491d509a9c4404dfb7a7c6ab18cb91714ada3ca69b21d2bcc6175de1f50cc11',
+    'caterpillar/shuffled: build-tree': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'caterpillar/shuffled: build-tree --padded --shift 3': '559b37cfdbbf646e67b01547fd9bc7772f51e14dbc8494fee61bc6c99ee73e97',
+    'caterpillar/shuffled: distribution --explicit --csv': '525291df625ef32386c90527ed974113f6b9ce72330ac0edf4b871d63a462785',
+    'caterpillar/shuffled: distribution --sample 3 --seed 5': 'e5ba5814dba63cecf665de9ce3faa0bc542a59d3aead2e072fe0bc0d4d50d53b',
+    'caterpillar/shuffled: cutwidth-tree --best-shift': '354ccff609dc27f29a21b06738428959e7e14c87748551c928c9e1616b5376d7',
+    'caterpillar/shuffled: cutwidth-tree --seed 2': 'c02260fb5990280798e0bab35091d1c74b12076284a698fd8ed4a6fc74cd7374',
+    'random_bandwidth/identity: stats': 'b9b6aa5859963f1d5bbb460d27caaa668ddd3fd09842fe809998811592682166',
+    'random_bandwidth/identity: build-tree': '670940d22c3e55b6bb5985c478ea64d23cf03bd75f31e7798d8d744b8118b56e',
+    'random_bandwidth/identity: build-tree --padded --shift 3': '670940d22c3e55b6bb5985c478ea64d23cf03bd75f31e7798d8d744b8118b56e',
+    'random_bandwidth/identity: distribution --explicit --csv': 'e85bedc6ab57c83cddfc034c16453f59ba222cd6dd66f5221c36a2172df55e45',
+    'random_bandwidth/identity: distribution --sample 3 --seed 5': 'a3543737511d40a4adea0a2369754e0659b7059a63d83e01d8903c29c6ae3c32',
+    'random_bandwidth/identity: cutwidth-tree --best-shift': '0470f5c6a5c98069ca3192221bce9306b9450025de292aee5c8a91be1b13fc9a',
+    'random_bandwidth/identity: cutwidth-tree --seed 2': '48dbaba3ac832997c86384564e227d2e8b9a290a7e849fd5ea6091702b0f17c2',
+    'random_bandwidth/shuffled: stats': '3bb9489eb6289d68353da7f34587dacbabdfe78f0dfc5053b5c33e4b2cc3274b',
+    'random_bandwidth/shuffled: build-tree': '839cb3266407828fd82dbb3730fe5b3b90169424427940f64e0a835689b9886c',
+    'random_bandwidth/shuffled: build-tree --padded --shift 3': '0334a6bb833348f20dd613c39d36ad6626f7f16895d9f2bb1a2aac9c8de459d0',
+    'random_bandwidth/shuffled: distribution --explicit --csv': '3ae0340c253fef6885a046027e374e957a2fe0c87ebc34b5c0dd61ec3a230f57',
+    'random_bandwidth/shuffled: distribution --sample 3 --seed 5': 'adf701e8b3ec0568fe9d832595a8a3658548f73c7a1d90a6c3ee67e40c7e4f36',
+    'random_bandwidth/shuffled: cutwidth-tree --best-shift': 'cbe117f6ef658510bb86d48904436284cb4ed70dedca3ea8decd854deca48e54',
+    'random_bandwidth/shuffled: cutwidth-tree --seed 2': 'af9b5b925abf1f06923d22b76c068c1ace3ab8fadc45b5cdde7a8193ece8bca1',
+    'random_cutwidth/identity: stats': 'ff5da51cf368ed518d4d4b790617dc89285358f4f5fe77699fb8f72d170e1f28',
+    'random_cutwidth/identity: build-tree': '01c173b42298a97206cdae3a3cda6910d0391df55b05ed0eabf371e1c8635db3',
+    'random_cutwidth/identity: build-tree --padded --shift 3': '01c173b42298a97206cdae3a3cda6910d0391df55b05ed0eabf371e1c8635db3',
+    'random_cutwidth/identity: distribution --explicit --csv': '6359367571e5aeb937a2ce030bc4a67c07b1ddf8b94814d418ddb06d695df3a5',
+    'random_cutwidth/identity: distribution --sample 3 --seed 5': 'f90b3765d73c284985e8ef53d75c5606f485ee6b7babd0346f4cb7e79528649c',
+    'random_cutwidth/identity: cutwidth-tree --best-shift': '216cb6bef0a050fb525996218e45a92b294739b1b87645df5dd0a54083b80243',
+    'random_cutwidth/identity: cutwidth-tree --seed 2': '30275026e235801492055307059ce1afd269032903a9ee4721f77234f813cc3c',
+    'random_cutwidth/shuffled: stats': '9ea5482367d71eab1f269f142c9773ffa9a6e0d7c3fd5020a9bbc52b0f4a6691',
+    'random_cutwidth/shuffled: build-tree': '766e32f8856b4f7accaf00acfe5044764ff8f8bce80b9fa1578a7f4b2658f86c',
+    'random_cutwidth/shuffled: build-tree --padded --shift 3': '766e32f8856b4f7accaf00acfe5044764ff8f8bce80b9fa1578a7f4b2658f86c',
+    'random_cutwidth/shuffled: distribution --explicit --csv': '9efa3ef27a966c58bc24547113b9587d862195596241432a3a37224ed82e79d3',
+    'random_cutwidth/shuffled: distribution --sample 3 --seed 5': '635289e145e712593ae940bb4720b706e1afb259ba47bf7005859e0c88da7d68',
+    'random_cutwidth/shuffled: cutwidth-tree --best-shift': '13ac26d9fc9d5bcde7d0199ab4f1e694bc154976574cdeb78e378d3c3ec98b4e',
+    'random_cutwidth/shuffled: cutwidth-tree --seed 2': '872960e66e2d2f2cc04620bfc9c50bb512c59de55bb1f9af073437b1298f3c59',
+    'K4: dp-min-stretch': '052e12f0843d54981605634f15d2611cf6021c6422d27a2cd2b9eccefa11a7e8',
+    'K4: oracle --histogram': 'efd2e3d85ca3b296598eb0ad34a39d3c6cac988b6536debf6773627ad3e27807',
+    'grid 2x3: dp-min-stretch': '06b87a5d6e83f25a362bf1ad645953285dba13cd795bfe7b5b3afc822c63a555',
+    'grid 2x3: oracle --histogram': '74993b2ae25358107a2f2061a810406120ee6b26f9f361c8af354963d953e2a1',
+}
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    digests = golden_digests(tmp_path)
+    assert digests.keys() == GOLDEN.keys()
+    changed = [case for case in GOLDEN if digests[case] != GOLDEN[case]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        for case, digest in golden_digests(Path(work)).items():
+            print(f"    {case!r}: {digest!r},")

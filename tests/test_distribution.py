@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,15 @@ def test_cutwidth_tree_best_shift_is_minimal():
     ]
     assert rep.total_stretch == min(totals)
     assert shift == totals.index(min(totals))
+
+
+def test_worker_processes_give_the_same_results():
+    # 88 shifts, several pool chunks of 16, whose totals differ: a shift-order
+    # mix-up changes the per-shift averages and the best shift
+    g, order = generate("grid", 40)
+    random.Random(3).shuffle(order)
+    a = LinearArrangement.from_order(order)
+    assert explicit_distribution(g, a, jobs=2) == explicit_distribution(g, a)
 
 
 def test_cutwidth_tree_seeded_mode():

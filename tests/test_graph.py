@@ -134,11 +134,14 @@ def test_random_cutwidth_witness(c, n, seed):
         ("random_bandwidth", {"b": 2, "p": 0.0}),
         ("random_cutwidth", {}),
         ("nosuch", {}),
+        ("random_cutwidth", {"n": 2, "c": 2}),
     ],
 )
 def test_generate_invalid_params(family, kwargs):
-    with pytest.raises(ValueError):
-        generate(family, 8, **kwargs)
+    kwargs = dict(kwargs)
+    n = kwargs.pop("n", 8)
+    with pytest.raises(ValueError, match=family):
+        generate(family, n, **kwargs)
 
 
 def test_generate_rejects_tiny_n():

@@ -14,12 +14,10 @@ from widthspan.arrangement import (
 )
 from widthspan.graph import generate
 from widthspan.lowstretch import (
-    EdgeWeight,
     StretchReport,
     build_tree,
     build_tree_padded,
     charge_diagnostics,
-    edge_weights,
     fundamental_cycle_spans,
     lemma31_check,
     stretch_of,
@@ -49,10 +47,13 @@ def test_c4_folded_tree_frozen():
 def test_edge_weights_are_the_sort_key():
     g = make_graph(4, C4_EDGES)
     a = LinearArrangement.from_order([1, 2, 4, 3])
-    ws = edge_weights(g, a)
-    assert ws[0] == EdgeWeight(1, 1, 1)
-    assert ws[1] == EdgeWeight(2, 2, 2)
-    assert sorted(ws) == [ws[0], ws[2], ws[1], ws[3]]
+    heights, spreads = split_heights(g, a), edge_spreads(g, a)
+    assert (heights[0], spreads[0]) == (1, 1)
+    assert (heights[1], spreads[1]) == (2, 2)
+    order = sorted(range(g.m), key=lambda i: (heights[i], spreads[i], i))
+    assert order == [0, 2, 1, 3]
+    # the first three edges of that order close no cycle: they are the tree
+    assert build_tree(g, a).tree_edges == frozenset({1, 3, 2})
 
 
 def test_stretch_of_k4_star_and_path():
@@ -168,7 +169,6 @@ def test_charge_bounds(b, n, seed):
     assert all(1 <= nc.long_components <= max(bw, 1) for nc in rep.nodes)
     assert rep.root.long_components == 1
     assert rep.total_charge <= bw * n
-    assert rep.total_charge_literal <= rep.total_charge
 
 
 def test_long_components_not_monotone_for_tiny_children():

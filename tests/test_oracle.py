@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthspan import oracle
 from widthspan.arrangement import LinearArrangement
 from widthspan.graph import generate
 from widthspan.lowstretch import stretch_of
@@ -101,3 +102,12 @@ def test_count_matches_enumeration(n, seed):
     assert len(set(trees)) == len(trees)
     for tree in trees:
         assert stretch_of(g, tree).tree_edges == tree
+
+
+def test_count_mismatch_raises(monkeypatch):
+    # the check must survive python -O, so it cannot be an assert
+    g, _ = generate("cycle", 4)
+    true_count = oracle.spanning_tree_count(g)
+    monkeypatch.setattr(oracle, "spanning_tree_count", lambda g: true_count + 1)
+    with pytest.raises(RuntimeError, match="matrix-tree says 5"):
+        enumerate_min_stretch(g)

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +15,7 @@ from widthspan.twdp import (
     load_td,
     make_nice,
 )
+from widthspan.twdp import solver
 from widthspan.twdp.decomposition import min_fill_td
 from widthspan.twdp.solver import (
     Configuration,
@@ -219,6 +221,14 @@ def test_dp_small_exact_values():
     assert res.min_total_stretch == 9
     # the witness is a genuine spanning tree achieving the optimum
     assert stretch_of(g, res.tree_edges).total_stretch == 9
+
+
+def test_witness_mismatch_raises(monkeypatch):
+    # the check must survive python -O, so it cannot be an assert
+    g, _ = generate("complete", 4)
+    monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
+    with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
+        _dp(g)
 
 
 @pytest.mark.parametrize("family,n", [("cycle", 8), ("grid", 6), ("caterpillar", 9), ("path", 10)])
