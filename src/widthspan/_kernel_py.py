@@ -11,6 +11,8 @@ IMPLEMENTATION = "python"
 
 
 def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, with path compression.  The hot loops of
+    ``tree_stretch`` and ``_stretches`` inline a path-halving find instead."""
     root = x
     while parent[root] != root:
         root = parent[root]
@@ -25,9 +27,9 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     Tarjan's offline LCA: one iterative DFS from vertex 0 gives parents,
     depths and a preorder.  Reversed, the preorder is a postorder; when a
     vertex finishes, every query edge whose other endpoint finished earlier
-    is answered by ``_find`` on that endpoint, which climbs the finished
-    vertices (each linked to its tree parent) to the lowest unfinished
-    ancestor: the LCA.  Memory is O(n + m).
+    is answered by a union-find find on that endpoint, which climbs the
+    finished vertices (each linked to its tree parent) to the lowest
+    unfinished ancestor: the LCA.  Memory is O(n + m).
     """
     m = len(eu)
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -60,7 +62,10 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
         for i in queries[v]:
             if out[i]:  # the other endpoint has finished
                 u = eu[i] if ev[i] == v else ev[i]
-                out[i] = depth[u] + depth[v] - 2 * depth[_find(uf, u)]
+                r = u
+                while uf[r] != r:  # find, with path halving
+                    uf[r] = r = uf[uf[r]]
+                out[i] = depth[u] + depth[v] - 2 * depth[r]
             else:
                 out[i] = -1  # first endpoint to finish; answered at the second
         uf[v] = parent[v]
@@ -81,7 +86,12 @@ def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread
     in_tree = [0] * m
     picked = 0
     for i in order:
-        ru, rv = _find(parent, eu[i]), _find(parent, ev[i])
+        ru = eu[i]
+        while parent[ru] != ru:  # find, with path halving
+            parent[ru] = ru = parent[parent[ru]]
+        rv = ev[i]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru != rv:
             parent[ru] = rv
             in_tree[i] = 1

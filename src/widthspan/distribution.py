@@ -15,12 +15,15 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import repeat
+from operator import add
 
 from .arrangement import LinearArrangement, PaddedArrangement, shift_count
 from .graph import Graph
-from .lowstretch import StretchReport, build_tree_padded
+from .lowstretch import ShiftRow, StretchReport, build_tree_padded, padded_stretch_rows
+
+# Shifts per task of the worker pool; each task sets up the graph once.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -47,28 +50,30 @@ def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, Stretch
     return shift, build_shift_tree(g, a, shift)
 
 
-def _shift_row(g: Graph, a: LinearArrangement, shift: int) -> tuple[tuple[int, ...], int, Fraction]:
-    """Per-edge stretches, total and average stretch of one shift's tree:
-    all the shift loop's callers read, and all a worker process sends back."""
-    report = build_shift_tree(g, a, shift)
-    return report.per_edge_stretch, report.total_stretch, report.avg_stretch
+def _chunk_rows(g: Graph, a: LinearArrangement, shifts: range) -> list[ShiftRow]:
+    """The rows of a run of shifts: one worker task."""
+    return list(padded_stretch_rows(g, a, shifts))
 
 
-def _shift_rows(g: Graph, a: LinearArrangement, jobs: int = 1) -> Iterator[tuple[tuple[int, ...], int, Fraction]]:
-    """Yield the ``_shift_row`` of every shift, in shift order.
+def _shift_rows(g: Graph, a: LinearArrangement, jobs: int = 1) -> Iterator[ShiftRow]:
+    """Yield the per-edge stretches, total and average stretch of every
+    shift's tree, in shift order: all the shift loop's callers read, and all
+    a worker process sends back.
 
-    With ``jobs > 1`` the shifts are fanned out over that many worker
-    processes; ``map`` returns them in order, so results do not depend on
-    ``jobs``.  Serially, only one tree is alive at a time.
+    With ``jobs > 1`` runs of ``_CHUNK`` shifts are fanned out over that many
+    worker processes; ``map`` returns them in order, so results do not depend
+    on ``jobs``.  Serially, only one tree is alive at a time.
     """
-    shifts = range(shift_count(g.n))
+    count = shift_count(g.n)
     if jobs <= 1:
-        yield from map(partial(_shift_row, g, a), shifts)
+        yield from padded_stretch_rows(g, a, range(count))
         return
     from concurrent.futures import ProcessPoolExecutor
 
+    chunks = [range(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_shift_row, repeat(g), repeat(a), shifts, chunksize=16)
+        for rows in pool.map(_chunk_rows, repeat(g), repeat(a), chunks):
+            yield from rows
 
 
 def _best_shift(totals: list[int]) -> int:
@@ -86,8 +91,7 @@ def explicit_distribution(g: Graph, a: LinearArrangement, jobs: int = 1) -> Dist
     per_shift: list[Fraction] = []
     totals: list[int] = []
     for per_edge, total, avg in _shift_rows(g, a, jobs):
-        for i, s in enumerate(per_edge):
-            sums[i] += s
+        sums = list(map(add, sums, per_edge))
         per_shift.append(avg)
         totals.append(total)
     return DistributionReport(

@@ -12,8 +12,11 @@ node and the node charges they induce.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 
 from . import kernel
 from .arrangement import (
@@ -40,11 +43,7 @@ class StretchReport:
     fcb_weight: int
 
     def __post_init__(self):
-        m = len(self.per_edge_stretch)
-        n = len(self.tree_edges) + 1
-        # FCB(T) = m * stretch(T) + m - 2n + 2, exactly
-        if self.fcb_weight != self.total_stretch + m - 2 * n + 2:
-            raise ValueError("cycle-basis identity violated")
+        _check_cycle_basis(self.fcb_weight, self.total_stretch, self.m, self.n)
 
     @property
     def m(self) -> int:
@@ -55,16 +54,33 @@ class StretchReport:
         return len(self.tree_edges) + 1
 
 
+# Per-edge stretches, total and average stretch of one shift's tree.
+ShiftRow = tuple[list[int], int, Fraction]
+
+
+def _check_cycle_basis(fcb_weight: int, total_stretch: int, m: int, n: int) -> None:
+    # FCB(T) = m * stretch(T) + m - 2n + 2, exactly
+    if fcb_weight != total_stretch + m - 2 * n + 2:
+        raise ValueError("cycle-basis identity violated")
+
+
+def _fcb_weight(in_tree: list[int], stretch: list[int]) -> int:
+    """Fundamental cycle basis weight: a non-tree edge's cycle has stretch + 1 edges."""
+    return sum(compress(stretch, map(not_, in_tree))) + in_tree.count(0)
+
+
+def _avg(total: int, m: int) -> Fraction:
+    return Fraction(total, m) if m else Fraction(0)
+
+
 def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
-    m = len(stretch)
     total = sum(stretch)
-    fcb = sum(s + 1 for s, t in zip(stretch, in_tree) if not t)
     return StretchReport(
         tree_edges=frozenset(i + 1 for i, t in enumerate(in_tree) if t),
         per_edge_stretch=tuple(stretch),
         total_stretch=total,
-        avg_stretch=Fraction(total, m) if m else Fraction(0),
-        fcb_weight=fcb,
+        avg_stretch=_avg(total, len(stretch)),
+        fcb_weight=_fcb_weight(in_tree, stretch),
     )
 
 
@@ -91,6 +107,26 @@ def build_tree_padded(g: Graph, padded: PaddedArrangement) -> StretchReport:
     eu, ev = _kernel_edges(g)
     in_tree, stretch = kernel.tree_stretch(g.n, eu, ev, heights, spreads)
     return _make_report(in_tree, stretch)
+
+
+def padded_stretch_rows(g: Graph, a: LinearArrangement, shifts: Iterable[int]) -> Iterator[ShiftRow]:
+    """Per-edge stretches, total and average stretch of the padded tree of
+    each shift in turn, in the order given.
+
+    The trees are those of ``build_tree_padded``, without the rest of its
+    report.  Endpoints and spreads do not depend on the shift, so they are set
+    up once; each shift costs its split heights and one kernel call.  Every
+    shift's tree is held to the cycle-basis identity, as a report is.
+    Shifts must lie in ``range(shift_count(g.n))``.
+    """
+    n, m = g.n, g.m
+    eu, ev = _kernel_edges(g)
+    spreads = edge_spreads(g, a)
+    for shift in shifts:
+        in_tree, stretch = kernel.tree_stretch(n, eu, ev, padded_split_heights(g, a, shift), spreads)
+        total = sum(stretch)
+        _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
+        yield stretch, total, _avg(total, m)
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

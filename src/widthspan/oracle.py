@@ -188,7 +188,8 @@ def enumerate_min_stretch(g: Graph, cap: int = 10**6, histogram: bool = False) -
 def _naive_shift_tree(g: Graph, a: LinearArrangement, shift: int) -> frozenset[int]:
     """From-scratch Kruskal under padded split heights; no shared kernel code."""
     n_prime = padded_size(g.n)
-    assert shift + g.n <= n_prime
+    if not 0 <= shift <= n_prime - g.n:
+        raise ValueError(f"shift {shift} out of range for n={g.n}")
     weighted = []
     for eid, (u, v) in enumerate(g.edges, start=1):
         i = shift + a.position_of[u] - 1

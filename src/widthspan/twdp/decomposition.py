@@ -80,6 +80,7 @@ class TreeDecomposition:
 def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
     """Parse PACE-2017 .td format; validates against g when provided."""
     header = None
+    header_line = 0
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -96,6 +97,7 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise TreeDecompositionError(f"line {lineno}: non-integer 's td' fields") from None
+            header_line = lineno
         elif parts[0] == "b":
             if header is None:
                 raise TreeDecompositionError(f"line {lineno}: bag line before solution line")
@@ -116,9 +118,16 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
             edges.append((i, j))
     if header is None:
         raise TreeDecompositionError("missing 's td' line")
-    n_bags, _, _ = header
+    n_bags, width_plus_1, n = header
     for i in range(1, n_bags + 1):
         bags.setdefault(i, frozenset())
+    largest = max((len(b) for b in bags.values()), default=0)
+    if width_plus_1 != largest:
+        raise TreeDecompositionError(
+            f"line {header_line}: 's td' gives width+1 = {width_plus_1}, the largest bag has {largest} vertices"
+        )
+    if g is not None and n != g.n:
+        raise TreeDecompositionError(f"line {header_line}: 's td' gives n = {n}, the graph has {g.n} vertices")
     td = TreeDecomposition(bags=bags, edges=tuple(edges))
     if g is not None:
         td.validate(g)

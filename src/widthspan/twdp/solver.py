@@ -103,7 +103,8 @@ def _canon(bag: frozenset[int], edges: EdgeMap) -> tuple:
 
 def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
     tags = {realized for _, _, realized in adj[s]}
-    assert len(tags) == 1, "Steiner vertex with mixed realized/promised edges"
+    if len(tags) != 1:
+        raise RuntimeError("Steiner vertex with mixed realized/promised edges")
     return BELOW if tags.pop() else ABOVE
 
 
@@ -193,7 +194,8 @@ def contract_to_configuration(tree_edges, bag, below_set) -> Configuration:
 
     out = []
     for (a, b), (cost, below_int, above_int) in sorted(attrs.items()):
-        assert not (below_int and above_int), "trace edge mixes below and above internals"
+        if below_int and above_int:
+            raise RuntimeError("trace edge mixes below and above internals")
         endpoint_above = any(x not in bag and x not in below_set for x in (a, b))
         realized = above_int == 0 and not endpoint_above
         out.append((a, b, cost, realized))
@@ -399,7 +401,8 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     out = []
     for members in groups.values():
         tags = {edges[k][1] for k in members}
-        assert len(tags) == 1, "join block with mixed realized/promised edges"
+        if len(tags) != 1:
+            raise RuntimeError("join block with mixed realized/promised edges")
         out.append((frozenset(members), tags.pop()))
     return out
 

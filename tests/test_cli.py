@@ -166,6 +166,8 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     ("s td x 2 4\nb 1 1 2 3 4\n", "line 1: non-integer 's td' fields"),
     ("s td 1 4 4\nb x 1 2 3 4\n", "line 2: non-integer bag id or vertex"),
     ("s td 1 4 4\nb\n", "line 2: bag line must be"),
+    ("s td 1 2 9\nb 1 1 2 3 4\n", "line 1: 's td' gives width+1 = 2, the largest bag has 4"),
+    ("s td 1 4 9\nb 1 1 2 3 4\n", "line 1: 's td' gives n = 9, the graph has 4"),
 ])
 def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     graph = tmp_path / "k4.gr"

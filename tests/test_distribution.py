@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthspan import distribution, kernel
 from widthspan.arrangement import LinearArrangement, shift_count
 from widthspan.distribution import (
+    _shift_rows,
     build_shift_tree,
     cutwidth_tree,
     explicit_distribution,
@@ -104,12 +106,62 @@ def test_cutwidth_tree_best_shift_is_minimal():
     assert shift == totals.index(min(totals))
 
 
+FAMILIES = {
+    "path": {},
+    "cycle": {},
+    "grid": {},
+    "caterpillar": {},
+    "random_bandwidth": {"seed": 5, "b": 3, "p": 0.6},
+    "random_cutwidth": {"seed": 5, "c": 2},
+}
+
+
+def _row_cases():
+    for family, kwargs in FAMILIES.items():
+        g, _ = generate(family, 13, **kwargs)
+        identity = list(range(1, g.n + 1))
+        shuffled = identity.copy()
+        random.Random(11).shuffle(shuffled)
+        yield pytest.param(g, identity, id=f"{family}-identity")
+        yield pytest.param(g, shuffled, id=f"{family}-shuffled")
+    yield pytest.param(make_graph(1, []), [1], id="p 1 0")
+    yield pytest.param(make_graph(2, [(1, 2)]), [2, 1], id="n=2")
+
+
+@pytest.mark.parametrize("g,order", _row_cases())
+def test_shift_rows_match_shift_trees(g, order):
+    a = LinearArrangement.from_order(order)
+    rows = list(_shift_rows(g, a))
+    assert len(rows) == shift_count(g.n)
+    for shift, (per_edge, total, avg) in enumerate(rows):
+        rep = build_shift_tree(g, a, shift)
+        assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
+
+
+def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
+    # a tree edge whose stretch is not 1 breaks FCB(T) = stretch(T) + m - 2n + 2;
+    # the check is a raise, so it also holds under python -O
+    real = kernel.tree_stretch
+
+    def inconsistent(*args):
+        in_tree, stretch = real(*args)
+        stretch[in_tree.index(1)] = 2
+        return in_tree, stretch
+
+    monkeypatch.setattr(kernel, "tree_stretch", inconsistent)
+    g, order = generate("grid", 9)
+    with pytest.raises(ValueError, match="cycle-basis identity violated"):
+        explicit_distribution(g, LinearArrangement.from_order(order))
+
+
 def test_worker_processes_give_the_same_results():
-    # 88 shifts, several pool chunks of 16, whose totals differ: a shift-order
-    # mix-up changes the per-shift averages and the best shift
+    # 88 shifts, several pool chunks and a partial last one, whose totals
+    # differ: a shift-order mix-up changes the per-shift averages and the
+    # best shift
     g, order = generate("grid", 40)
     random.Random(3).shuffle(order)
     a = LinearArrangement.from_order(order)
+    assert shift_count(g.n) % distribution._CHUNK and shift_count(g.n) > 2 * distribution._CHUNK
     assert explicit_distribution(g, a, jobs=2) == explicit_distribution(g, a)
 
 

@@ -77,6 +77,17 @@ def test_load_td_validation_errors(doc, pattern):
         load_td(doc, p3())
 
 
+def test_load_td_checks_the_header():
+    # the header's width+1 must match the largest bag, with or without a graph
+    with pytest.raises(TreeDecompositionError, match="line 2: 's td' gives width[+]1 = 3, the largest bag has 2"):
+        load_td("c two bags\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    # its n is checked only against a given graph
+    doc = "s td 2 2 9\nb 1 1 2\nb 2 2 3\n1 2\n"
+    assert load_td(doc).width == 1
+    with pytest.raises(TreeDecompositionError, match="line 1: 's td' gives n = 9, the graph has 3"):
+        load_td(doc, p3())
+
+
 def test_td_round_trip():
     td = load_td(P3_TD, p3())
     assert load_td(dump_td(td, 3), p3()) == td
@@ -229,6 +240,26 @@ def test_witness_mismatch_raises(monkeypatch):
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
         _dp(g)
+
+
+# The trace invariants below must survive python -O, so they cannot be asserts.
+def test_mixed_steiner_vertex_raises():
+    adj = {-1: [(1, 1, True), (2, 1, False), (3, 1, True)]}
+    with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
+        solver._steiner_tag(adj, -1)
+
+
+def test_trace_edge_mixing_below_and_above_raises():
+    # 1 - 3 - 4 - 2 with only 3 processed: the contracted edge 1-2 runs
+    # through one forgotten and one future vertex
+    with pytest.raises(RuntimeError, match="mixes below and above"):
+        contract_to_configuration([(1, 3), (3, 4), (4, 2)], {1, 2}, {3})
+
+
+def test_mixed_join_block_raises():
+    edges = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
+    with pytest.raises(RuntimeError, match="join block with mixed"):
+        solver._blocks(edges)
 
 
 @pytest.mark.parametrize("family,n", [("cycle", 8), ("grid", 6), ("caterpillar", 9), ("path", 10)])
