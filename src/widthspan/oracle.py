@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import LinearArrangement, padded_size, shift_count
+from .arrangement import LinearArrangement, shift_count
 from .graph import Graph
 
 
@@ -187,8 +187,7 @@ def enumerate_min_stretch(g: Graph, cap: int = 10**6, histogram: bool = False) -
 
 def _naive_shift_tree(g: Graph, a: LinearArrangement, shift: int) -> frozenset[int]:
     """From-scratch Kruskal under padded split heights; no shared kernel code."""
-    n_prime = padded_size(g.n)
-    if not 0 <= shift <= n_prime - g.n:
+    if not 0 <= shift < shift_count(g.n):
         raise ValueError(f"shift {shift} out of range for n={g.n}")
     weighted = []
     for eid, (u, v) in enumerate(g.edges, start=1):

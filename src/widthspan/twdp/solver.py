@@ -18,6 +18,14 @@ where its second endpoint appears -- with its cost-weighted trace distance.
 Joins pair complementary tables: every promised block of one child may be the
 realized work of the other, and the bag-internal edge charges counted by both
 children are subtracted once.
+
+Branch and bound: UB is the least total stretch over the n BFS spanning trees
+of the graph, one per root.  Each graph edge outside D(node) is still to be
+charged at least 1, so introduce and join steps drop every entry that costs
+more than UB - unch(node).  cost + unch never decreases towards the root, so
+every entry of an optimal tree survives and the optimum is unchanged.  When
+optimal trees tie, the witness is the one whose entries entered the tables
+first, and the pruned entries can change that order.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .. import kernel
 from ..graph import Graph
 from ..lowstretch import stretch_of
 from .decomposition import NiceTreeDecomposition, TreeDecomposition, make_nice
@@ -68,25 +77,32 @@ def _adjacency(edges: EdgeMap) -> dict[int, list[tuple[int, int, bool]]]:
 
 def _dist(edges: EdgeMap, s: int, t: int) -> int:
     """Cost-weighted path length between two trace vertices."""
-    if s == t:
-        return 0
-    adj = _adjacency(edges)
-    stack = [(s, 0, None)]
+    d = _distances(_adjacency(edges), s)
+    if t not in d:
+        raise ValueError(f"vertices {s} and {t} are not connected in the trace")
+    return d[t]
+
+
+def _distances(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> dict[int, int]:
+    """Cost-weighted path length from s to every trace vertex it reaches."""
+    dist = {s: 0}
+    stack = [s]
     while stack:
-        x, d, parent = stack.pop()
+        x = stack.pop()
+        d = dist[x]
         for y, cost, _ in adj.get(x, ()):
-            if y == parent:
-                continue
-            if y == t:
-                return d + cost
-            stack.append((y, d + cost, x))
-    raise ValueError(f"vertices {s} and {t} are not connected in the trace")
+            if y not in dist:
+                dist[y] = d + cost
+                stack.append(y)
+    return dist
 
 
-def _canon(bag: frozenset[int], edges: EdgeMap) -> tuple:
+def _canon(bag: frozenset[int], edges: EdgeMap, adj: dict | None = None) -> tuple:
     """Canonical encoding: rooted at the least bag vertex, Steiner vertices
-    anonymous, children ordered by (cost, realized, encoding)."""
-    adj = _adjacency(edges)
+    anonymous, children ordered by (cost, realized, encoding).  ``adj`` is
+    ``_adjacency(edges)`` when the caller already has it."""
+    if adj is None:
+        adj = _adjacency(edges)
     root = min(bag)
 
     def enc(v: int, parent: int | None) -> tuple:
@@ -108,11 +124,11 @@ def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
     return BELOW if tags.pop() else ABOVE
 
 
-def _future_need(bag: frozenset[int], edges: EdgeMap) -> int:
+def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
     """Vertices still to be introduced that this trace commits to: internal
-    vertices of promised edges plus the Above Steiner vertices themselves."""
+    vertices of promised edges plus the Above Steiner vertices themselves.
+    ``adj`` is ``_adjacency(edges)``."""
     need = sum(cost - 1 for cost, realized in edges.values() if not realized)
-    adj = _adjacency(edges)
     for v in adj:
         if v not in bag and _steiner_tag(adj, v) == ABOVE:
             need += 1
@@ -215,8 +231,9 @@ class _Entry:
         self.back = back
 
 
-def _merge(table: dict, bag: frozenset[int], edges: EdgeMap, cost: int, back: tuple) -> None:
-    key = _canon(bag, edges)
+def _merge(table: dict, bag: frozenset[int], edges: EdgeMap, cost: int, back: tuple,
+           adj: dict | None = None) -> None:
+    key = _canon(bag, edges, adj)
     old = table.get(key)
     if old is None or cost < old.cost:
         table[key] = _Entry(cost, edges, back)
@@ -311,9 +328,11 @@ def introduce_step(
     g: Graph,
     *,
     future_budget: int | None = None,
+    limit: int | None = None,
 ) -> dict:
     """All parent entries for introducing v above bag_j; charges each graph
-    edge between v and the bag with its trace distance."""
+    edge between v and the bag with its trace distance.  Entries that cost
+    more than ``limit`` are dropped."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
@@ -323,12 +342,18 @@ def introduce_step(
         existing = sum(cost for cost, _ in entry.edges.values())
         max_extra = (n - 1) - existing
         for edges_i, pairs in _intro_candidates(entry.edges, bag_j, v, g, max_extra):
-            if future_budget is not None and _future_need(bag_i, edges_i) > future_budget:
+            adj = _adjacency(edges_i)
+            if future_budget is not None and _future_need(bag_i, edges_i, adj) > future_budget:
                 continue
-            if len(_vertices(bag_i, edges_i)) > cap:
+            if len(bag_i | adj.keys()) > cap:
                 continue
-            charge = sum(_dist(edges_i, v, u) for u in nbrs)
-            _merge(table_i, bag_i, edges_i, entry.cost + charge, ("intro", key_j, pairs))
+            cost = entry.cost
+            if nbrs:
+                dist = _distances(adj, v)
+                cost += sum(dist[u] for u in nbrs)
+            if limit is not None and cost > limit:
+                continue
+            _merge(table_i, bag_i, edges_i, cost, ("intro", key_j, pairs), adj)
     return table_i
 
 
@@ -366,7 +391,7 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
                 x = k[0] if k[1] == v else k[1]
                 edges[_ekey(fresh, x)] = cv
         else:  # isolated v: impossible, the trace is connected and spans the bag
-            raise AssertionError("forgetting an isolated vertex")
+            raise RuntimeError("forgetting an isolated vertex")
         _merge(table_i, bag_i, edges, entry.cost, ("forget", key_j))
     return table_i
 
@@ -407,12 +432,25 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     return out
 
 
-def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph) -> dict:
+def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
+              *, limit: int | None = None) -> dict:
     """Combine complementary children: each block realized below exactly one
-    child (or promised in both), bag-internal charges subtracted once."""
-    bag_pairs = [(u, w) for u, w in g.edges if u in bag and w in bag]
+    child (or promised in both), bag-internal charges subtracted once.
+    Entries that cost more than ``limit`` are dropped."""
+    # the bag-internal graph edges, grouped by their first endpoint
+    bag_pairs: dict[int, list[int]] = {}
+    for u, w in g.edges:
+        if u in bag and w in bag:
+            bag_pairs.setdefault(u, []).append(w)
     table_i: dict = {}
     for key_j, entry_j in table_j.items():
+        # the charges both children made for bag-internal edges; every merged
+        # trace has entry_j's edges and costs, so it has the same distances
+        adj_j = _adjacency(entry_j.edges)
+        dup = 0
+        for u, ws in bag_pairs.items():
+            dist = _distances(adj_j, u)
+            dup += sum(dist[w] for w in ws)
         promised_blocks = [ks for ks, realized in _blocks(entry_j.edges) if not realized]
         for r in range(len(promised_blocks) + 1):
             for chosen in itertools.combinations(promised_blocks, r):
@@ -427,13 +465,14 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph) -> di
                 entry_k = table_k.get(key_k)
                 if entry_k is None:
                     continue
+                cost_i = entry_j.cost + entry_k.cost - dup
+                if limit is not None and cost_i > limit:
+                    continue
                 # parent tag: realized below either child
                 merged: EdgeMap = {
                     k: (cost, realized or partner[k][1])
                     for k, (cost, realized) in entry_j.edges.items()
                 }
-                dup = sum(_dist(merged, u, w) for u, w in bag_pairs)
-                cost_i = entry_j.cost + entry_k.cost - dup
                 _merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
     return table_i
 
@@ -441,6 +480,30 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph) -> di
 # ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
+
+def _upper_bound(g: Graph) -> int:
+    """Least total stretch over the n BFS spanning trees of g, one per root:
+    the cost of a known spanning tree, so no less than the optimum."""
+    eu = [u - 1 for u, _ in g.edges]
+    ev = [v - 1 for _, v in g.edges]
+    best = None
+    for root in range(1, g.n + 1):
+        in_tree = [0] * g.m
+        seen = {root}
+        queue = [root]
+        for x in queue:
+            for eid in g.incident[x]:
+                a, b = g.edges[eid - 1]
+                y = b if a == x else a
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    in_tree[eid - 1] = 1
+        total = sum(kernel.distances_in_tree(g.n, eu, ev, in_tree))
+        if best is None or total < best:
+            best = total
+    return best
+
 
 @dataclass
 class DPResult:
@@ -485,24 +548,29 @@ def dp_min_stretch(
             )
 
     n = g.n
+    upper = _upper_bound(g)
     tables: list[dict | None] = [None] * len(ntd.nodes)
     for node_id in ntd.postorder():
         nd = ntd.nodes[node_id]
         if nd.kind == "leaf":
             (v,) = nd.bag
             tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",))}
-        elif nd.kind == "introduce":
-            child = nd.children[0]
-            budget = n - len(nd.below) if prune_future else None
-            tables[node_id] = introduce_step(
-                tables[child], nd.vertex, ntd.nodes[child].bag, g,
-                future_budget=budget,
-            )
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
         else:
-            j, k = nd.children
-            tables[node_id] = join_step(tables[j], tables[k], nd.bag, g)
+            # every graph edge outside D(node) is still to be charged, at least 1
+            below = nd.below
+            limit = upper - sum(1 for u, w in g.edges if u not in below or w not in below)
+            if nd.kind == "introduce":
+                child = nd.children[0]
+                budget = n - len(below) if prune_future else None
+                tables[node_id] = introduce_step(
+                    tables[child], nd.vertex, ntd.nodes[child].bag, g,
+                    future_budget=budget, limit=limit,
+                )
+            else:
+                j, k = nd.children
+                tables[node_id] = join_step(tables[j], tables[k], nd.bag, g, limit=limit)
         if not tables[node_id]:
             raise RuntimeError(
                 f"empty DP table at node {node_id} ({nd.kind}); this is a bug: "

@@ -219,6 +219,14 @@ def test_forget_step_rejects_promised_arms():
     assert list(out.values())[0].edges == {}
 
 
+def test_forget_isolated_vertex_raises():
+    # the check must survive python -O, so it cannot be an assert
+    bag_j = frozenset({1})
+    table = {_canon(bag_j, {}): _Entry(0, {}, ("leaf",))}
+    with pytest.raises(RuntimeError, match="forgetting an isolated vertex"):
+        forget_step(table, 1, frozenset())
+
+
 def _dp(g, **kwargs):
     return dp_min_stretch(g, min_fill_td(g), **kwargs)
 
@@ -240,6 +248,108 @@ def test_witness_mismatch_raises(monkeypatch):
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
         _dp(g)
+
+
+def test_bound_below_optimum_raises(monkeypatch):
+    # a bound below the optimum prunes every complete tree: the DP must fail
+    # loudly (under python -O too), never answer with a worse tree
+    g, _ = generate("complete", 4)
+    monkeypatch.setattr(solver, "_upper_bound", lambda g: 9 - 1)
+    with pytest.raises(RuntimeError, match="empty DP table|no complete configuration at the root"):
+        _dp(g)
+
+
+def test_upper_bound_is_the_best_bfs_tree():
+    # the 4-cycle: every spanning tree is a path, total stretch 3 + 3
+    assert solver._upper_bound(make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) == 6
+    # K4: a BFS tree is a star, 3 + 3 * 2; the optimum is 9 as well
+    assert solver._upper_bound(generate("complete", 4)[0]) == 9
+    assert solver._upper_bound(make_graph(1, [])) == 0
+
+
+# The 4 x 3 grid (vertex r*3 + c + 1 at row r, column c) and its min-fill
+# decomposition of width 3, as the benchmark's dp_exact workload runs it.
+GRID_4X3_EDGES = sorted(
+    [(v, v + 1) for v in range(1, 13) if v % 3 != 0] + [(v, v + 3) for v in range(1, 10)]
+)
+GRID_4X3_TD = """\
+s td 12 4 12
+b 1 1 2 4
+b 2 2 3 6
+b 3 2 4 5 6
+b 4 7 10 11
+b 5 9 11 12
+b 6 7 8 9 11
+b 7 4 5 6 7
+b 8 5 6 7 8
+b 9 6 7 8 9
+b 10 7 8 9
+b 11 8 9
+b 12 9
+1 3
+2 3
+3 7
+4 6
+5 6
+6 10
+7 8
+8 9
+9 10
+10 11
+11 12
+"""
+
+
+def _bounded_and_unbounded(monkeypatch, g, td):
+    """The DP as it runs, and with a bound that prunes nothing: m * n is more
+    than any spanning tree's total stretch, as every stretch is below n."""
+    upper = solver._upper_bound(g)
+    bounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
+        unbounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    limits = []
+    for nd in bounded.ntd.nodes:
+        uncharged = sum(1 for u, w in g.edges if u not in nd.below or w not in nd.below)
+        limits.append(upper - uncharged)
+    return bounded, unbounded, limits
+
+
+@pytest.mark.parametrize("name", ["cycle 8", "grid 9", "caterpillar 9", "grid 4x3"])
+def test_bound_only_removes_entries(monkeypatch, name):
+    # on these inputs the bound removes exactly the entries that cost more
+    # than UB - unch(node), and every survivor is the unbounded entry itself,
+    # so the witness is the same tree
+    if name == "grid 4x3":
+        g = make_graph(12, GRID_4X3_EDGES)
+        td = load_td(GRID_4X3_TD, g)
+    else:
+        family, n = name.split()
+        g, _ = generate(family, int(n))
+        td = min_fill_td(g)
+    bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, td)
+    assert bounded.min_total_stretch == unbounded.min_total_stretch
+    assert bounded.tree_edges == unbounded.tree_edges
+    assert sum(bounded.table_sizes) < sum(unbounded.table_sizes)
+    for a, b, limit in zip(bounded.tables, unbounded.tables, limits):
+        assert {k: (e.cost, e.edges, e.back) for k, e in a.items()} == {
+            k: (e.cost, e.edges, e.back) for k, e in b.items() if e.cost <= limit
+        }
+
+
+def test_bound_only_removes_keys_on_the_atlas(monkeypatch, atlas_corpus):
+    # each table keeps exactly the keys whose least cost is within the limit,
+    # at that cost.  When optimal trees tie, the first-found entry of a key
+    # can differ: the pruned candidates change the order in which keys first
+    # enter a table, so the witness may be another optimal tree.
+    for g in atlas_corpus[::5]:
+        bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, min_fill_td(g))
+        assert bounded.min_total_stretch == unbounded.min_total_stretch
+        assert stretch_of(g, bounded.tree_edges).total_stretch == bounded.min_total_stretch
+        for a, b, limit in zip(bounded.tables, unbounded.tables, limits):
+            assert {k: e.cost for k, e in a.items()} == {
+                k: e.cost for k, e in b.items() if e.cost <= limit
+            }
 
 
 # The trace invariants below must survive python -O, so they cannot be asserts.
