@@ -7,17 +7,16 @@ distribution (sampled or explicit), the cutwidth variant, the exact
 treewidth DP, and brute-force oracles for validation.
 """
 from .arrangement import (
-    ArrangementNode,
     LinearArrangement,
     PaddedArrangement,
-    build_arrangement_tree,
     dump_arrangement,
     edge_spreads,
     load_arrangement,
     padded_size,
     shift_count,
-    split_height,
     split_heights,
+    split_nodes,
+    tree_intervals,
     widths,
 )
 from .distribution import (
@@ -65,17 +64,16 @@ from .twdp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrangementNode",
     "LinearArrangement",
     "PaddedArrangement",
-    "build_arrangement_tree",
     "dump_arrangement",
     "edge_spreads",
     "load_arrangement",
     "padded_size",
     "shift_count",
-    "split_height",
     "split_heights",
+    "split_nodes",
+    "tree_intervals",
     "widths",
     "DistributionReport",
     "build_shift_tree",

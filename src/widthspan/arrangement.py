@@ -13,13 +13,16 @@ height is arithmetic on 0-based positions x < y: with
 dx = (x ^ n).bit_length() and dy = (y ^ n).bit_length() (the block of each
 endpoint), it is (x ^ y).bit_length() when dx == dy, and otherwise the
 height of the spine node whose left child is x's block,
-((n & ((1 << max(dx, dy)) - 1)) - 1).bit_length().  ``split_heights`` uses
-this closed form; the explicit ``ArrangementNode`` tree serves the
-split-set statistics and charging diagnostics.
+((n & ((1 << max(dx, dy)) - 1)) - 1).bit_length().  A node of height h
+starts at a multiple of 2**h and only spine nodes run on to position n, so
+the split node itself is fixed by its height and x (``split_nodes``).  The
+tree is never built: ``tree_intervals`` enumerates its node intervals,
+children first, for the split-set statistics and charging diagnostics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -108,80 +111,10 @@ def edge_spreads(g: Graph, a: LinearArrangement) -> list[int]:
     return [abs(a.position_of[u] - a.position_of[v]) for u, v in g.edges]
 
 
-@dataclass
-class ArrangementNode:
-    """One node of the arrangement tree, covering positions [lo, hi]."""
-
-    lo: int
-    hi: int
-    height: int
-    left: "ArrangementNode | None" = None
-    right: "ArrangementNode | None" = None
-    split_edges: list[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def walk(self):
-        """Yield all nodes of the subtree, leaves included."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left is not None:
-                stack.append(node.left)
-                stack.append(node.right)
-
-
-def _largest_pow2_below(s: int) -> int:
-    # largest power of two strictly less than s (s >= 2)
-    return 1 << (s - 1).bit_length() - 1
-
-
-def _build_interval(lo: int, hi: int) -> ArrangementNode:
-    if lo == hi:
-        return ArrangementNode(lo, hi, height=0)
-    p = _largest_pow2_below(hi - lo + 1)
-    left = _build_interval(lo, lo + p - 1)
-    right = _build_interval(lo + p, hi)
-    return ArrangementNode(lo, hi, height=1 + max(left.height, right.height), left=left, right=right)
-
-
-def build_arrangement_tree(g: Graph, a: LinearArrangement) -> ArrangementNode:
-    """Build the tree and assign every edge to the node that splits it."""
-    if a.n != g.n:
-        raise ArrangementError("arrangement size does not match graph")
-    root = _build_interval(1, g.n)
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        node = _descend_to_split(root, a.position_of[u], a.position_of[v])
-        node.split_edges.append(eid)
-    return root
-
-
-def _descend_to_split(root: ArrangementNode, pu: int, pv: int) -> ArrangementNode:
-    if pu > pv:
-        pu, pv = pv, pu
-    node = root
-    while not node.is_leaf:
-        if pv <= node.left.hi:
-            node = node.left
-        elif pu >= node.right.lo:
-            node = node.right
-        else:
-            break
-    return node
-
-
 def split_heights(g: Graph, a: LinearArrangement) -> list[int]:
     """Arrangement-tree height of the node splitting each edge (by ID - 1).
 
-    Closed form from the module docstring; equals the height of the node
-    ``build_arrangement_tree`` assigns the edge to.
+    Closed form from the module docstring.
     """
     if a.n != g.n:
         raise ArrangementError("arrangement size does not match graph")
@@ -200,20 +133,32 @@ def split_heights(g: Graph, a: LinearArrangement) -> list[int]:
     return out
 
 
-def split_height(i: int, j: int, n_total: int) -> tuple[int, int]:
-    """Split height and power for a padded power-of-two arrangement.
+def split_nodes(g: Graph, a: LinearArrangement) -> list[tuple[int, int]]:
+    """Interval (lo, hi) of 1-based positions of the node splitting each edge
+    (by ID - 1): the aligned block of 2**h positions around the smaller
+    endpoint, h the edge's split height, cut off at position n."""
+    n = g.n
+    pos = a.position_of
+    out = []
+    for (u, v), h in zip(g.edges, split_heights(g, a)):
+        lo = (min(pos[u], pos[v]) - 1) >> h << h  # 0-based
+        out.append((lo + 1, min(lo + (1 << h), n)))
+    return out
 
-    For endpoint positions 1 <= i < j <= n_total with n_total a power of two,
-    returns (height, p) where p is the largest power of two dividing an
-    integer in the half-open interval [i, j) and height = log2(2p) is the
-    height of the splitting node (whose size is 2p).
-    """
-    if not (1 <= i < j <= n_total):
-        raise ValueError("need 1 <= i < j <= n_total")
-    if n_total & (n_total - 1):
-        raise ValueError("n_total must be a power of two")
-    height = ((i - 1) ^ (j - 1)).bit_length()
-    return height, 1 << (height - 1)
+
+def right_child_start(lo: int, hi: int) -> int:
+    """First position of the right child of the node [lo, hi], lo < hi."""
+    return lo + (1 << (hi - lo).bit_length() - 1)
+
+
+def tree_intervals(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Every node interval of the arrangement tree over positions lo..hi,
+    children before their parent."""
+    if lo < hi:
+        mid = right_child_start(lo, hi)
+        yield from tree_intervals(lo, mid - 1)
+        yield from tree_intervals(mid, hi)
+    yield lo, hi
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -20,11 +21,12 @@ from .arrangement import (
     ArrangementError,
     LinearArrangement,
     PaddedArrangement,
-    build_arrangement_tree,
     dump_arrangement,
     edge_spreads,
     load_arrangement,
+    right_child_start,
     shift_count,
+    split_nodes,
     widths,
 )
 from .distribution import build_shift_tree, cutwidth_tree, explicit_distribution, sample_tree
@@ -82,6 +84,14 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 class _Run:
     """Collects input/output digests and writes the manifest per output."""
 
@@ -100,8 +110,7 @@ class _Run:
         if out is None:
             sys.stdout.write(text)
             return
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
         manifest = {
             "command": self.argv,
             "inputs": self.inputs,
@@ -110,8 +119,7 @@ class _Run:
             "version": __version__,
             "wall_clock_s": round(time.monotonic() - self.started, 6),
         }
-        with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write(out + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _load_graph_file(run: _Run, path: str) -> Graph:
@@ -169,8 +177,7 @@ def _cmd_stats(args, run: _Run) -> int:
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     bandwidth, cut = widths(g, a)
-    root = build_arrangement_tree(g, a)
-    max_split = max((len(node.split_edges) for node in root.walk()), default=0)
+    max_split = max(Counter(split_nodes(g, a)).values(), default=0)
     report = {
         "n": g.n,
         "m": g.m,
@@ -199,6 +206,10 @@ def _cmd_build_tree(args, run: _Run) -> int:
 
 
 def _cmd_distribution(args, run: _Run) -> int:
+    if args.sample is not None and args.sample < 0:
+        raise CliError(f"--sample must be at least 0, got {args.sample}")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.explicit:
@@ -318,12 +329,16 @@ def _suite_bandwidth(seed: int) -> list[tuple[str, bool, str]]:
 
     split_ok = degree_ok = fcb_ok = lemma_ok = bound_ok = charge_ok = cycle_ok = True
     tight_split_ok = True
-    detail = []
     for b_cap, g, a in corpus:
         b, _ = widths(g, a)
-        root = build_arrangement_tree(g, a)
-        counts = [len(node.split_edges) for node in root.walk()]
-        if sum(counts) != g.m or any(c > b * (b + 1) // 2 for c in counts):
+        nodes = split_nodes(g, a)
+        for (u, v), (lo, hi) in zip(g.edges, nodes):
+            pu, pv = sorted((a.position_of[u], a.position_of[v]))
+            # the lowest node holding both ends: they straddle its children
+            if not (lo <= pu < right_child_start(lo, hi) <= pv <= hi):
+                split_ok = False
+        counts = Counter(nodes).values()
+        if any(c > b * (b + 1) // 2 for c in counts):
             split_ok = False
         if any(c > max(0, (b - 1) * (b - 2) // 2) for c in counts):
             tight_split_ok = False
@@ -344,13 +359,13 @@ def _suite_bandwidth(seed: int) -> list[tuple[str, bool, str]]:
         if charges.total_charge > b * g.n:
             charge_ok = False
         by_iv = {(nc.lo, nc.hi): nc.long_components for nc in charges.nodes}
-        for node in root.walk():
-            if node.is_leaf:
+        for nc in charges.nodes:
+            if nc.lo == nc.hi:
                 continue
-            lx = by_iv[(node.lo, node.hi)]
-            for child in (node.left, node.right):
+            mid = right_child_start(nc.lo, nc.hi)
+            for lo, hi in ((nc.lo, mid - 1), (mid, nc.hi)):
                 # intervals of <= b positions can lose long components upward
-                if child.size > b and lx > by_iv[(child.lo, child.hi)]:
+                if hi - lo + 1 > b and nc.long_components > by_iv[(lo, hi)]:
                     charge_ok = False
         for _, span, length in fundamental_cycle_spans(g, a, report):
             if not (2 * span <= length * b and length <= span + 1):

@@ -22,11 +22,12 @@ from . import kernel
 from .arrangement import (
     LinearArrangement,
     PaddedArrangement,
-    build_arrangement_tree,
     edge_spreads,
     padded_split_heights,
-    split_height,
+    right_child_start,
     split_heights,
+    split_nodes,
+    tree_intervals,
     widths,
 )
 from .graph import Graph
@@ -148,14 +149,9 @@ def lemma31_check(g: Graph, padded: PaddedArrangement, report: StretchReport) ->
     (edge_id, p, bound_ok) triples.
     """
     out = []
-    n_prime = padded.n_prime
-    for eid, (u, v) in enumerate(g.edges, start=1):
-        i = padded.padded_position(u)
-        j = padded.padded_position(v)
-        if i > j:
-            i, j = j, i
-        _, p = split_height(i, j, n_prime)
-        s = report.per_edge_stretch[eid - 1]
+    heights = padded_split_heights(g, padded.base, padded.shift)
+    for eid, (h, s) in enumerate(zip(heights, report.per_edge_stretch), start=1):
+        p = 1 << (h - 1)
         out.append((eid, p, s <= 2 * p - 1))
     return out
 
@@ -190,13 +186,15 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
     A long component of the induced interval [lo, hi] is a connected
     component containing a vertex within b positions of each interval end,
     where b is the arrangement's bandwidth.  Components are maintained by a
-    single union-find processed leaf-to-root: sibling intervals are vertex
-    disjoint, so one global structure is sound.
+    single union-find over the node intervals, children first: sibling
+    intervals are vertex disjoint, so one global structure is sound.  A
+    node's charge compares its count with its children's, already known.
     """
     b, _ = widths(g, a)
-    root = build_arrangement_tree(g, a)
-    n = g.n
-    parent = list(range(n + 1))
+    split_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for edge, node in zip(g.edges, split_nodes(g, a)):
+        split_at.setdefault(node, []).append(edge)
+    parent = list(range(g.n + 1))
 
     def find(x: int) -> int:
         r = x
@@ -207,36 +205,28 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
         return r
 
     long_of: dict[tuple[int, int], int] = {}
-    order = sorted(root.walk(), key=lambda node: node.size)
-    for node in order:
-        for eid in node.split_edges:
-            u, v = g.edges[eid - 1]
+    nodes: list[NodeCharge] = []
+    total = 0
+    for lo, hi in tree_intervals(1, g.n):
+        for u, v in split_at.get((lo, hi), ()):
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
-        left_zone = range(node.lo, min(node.lo + b, node.hi + 1))
-        right_zone = range(max(node.hi - b + 1, node.lo), node.hi + 1)
-        left_roots = {find(a.vertex_at[k]) for k in left_zone}
-        right_roots = {find(a.vertex_at[k]) for k in right_zone}
-        long_of[(node.lo, node.hi)] = len(left_roots & right_roots)
-
-    nodes: list[NodeCharge] = []
-    total = 0
-    for node in root.walk():
-        lx = long_of[(node.lo, node.hi)]
+        left_roots = {find(a.vertex_at[k]) for k in range(lo, min(lo + b, hi + 1))}
+        right_roots = {find(a.vertex_at[k]) for k in range(max(hi - b + 1, lo), hi + 1)}
+        lx = long_of[(lo, hi)] = len(left_roots & right_roots)
         charge = 0
-        if not node.is_leaf:
-            y, z = node.left, node.right
-            ly = long_of[(y.lo, y.hi)]
-            lz = long_of[(z.lo, z.hi)]
-            ny, nz = y.size, z.size
+        if lo < hi:
+            mid = right_child_start(lo, hi)
+            ly, lz = long_of[(lo, mid - 1)], long_of[(mid, hi)]
+            ny, nz = mid - lo, hi - mid + 1
             if lx < ly and lx < lz:
                 charge = ny + nz
             elif lx < ly and lx == lz:
                 charge = ny
             elif lx < lz and lx == ly:
                 charge = nz
-        nodes.append(NodeCharge(node.lo, node.hi, node.size, lx, charge))
+        nodes.append(NodeCharge(lo, hi, hi - lo + 1, lx, charge))
         total += charge
     return ChargeReport(bandwidth=b, nodes=tuple(nodes), total_charge=total)
 

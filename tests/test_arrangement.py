@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -8,22 +10,136 @@ from widthspan.arrangement import (
     ArrangementError,
     LinearArrangement,
     PaddedArrangement,
-    build_arrangement_tree,
     dump_arrangement,
     edge_spreads,
     load_arrangement,
     padded_size,
     padded_split_heights,
+    right_child_start,
     shift_count,
-    split_height,
     split_heights,
+    split_nodes,
+    tree_intervals,
     widths,
 )
 from widthspan.graph import generate
+from widthspan.lowstretch import NodeCharge, charge_diagnostics
 
 from conftest import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+
+# ---------------------------------------------------------------------------
+# Independent references: the arrangement tree built as node objects by
+# recursion and descent, and the divisibility form of the padded split height.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Node:
+    lo: int
+    hi: int
+    height: int
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    split_edges: list = field(default_factory=list)
+
+    @property
+    def size(self):
+        return self.hi - self.lo + 1
+
+    def walk(self):
+        yield self
+        if self.left is not None:
+            yield from self.left.walk()
+            yield from self.right.walk()
+
+
+def _build_interval(lo, hi):
+    if lo == hi:
+        return _Node(lo, hi, height=0)
+    size = hi - lo + 1
+    p = 1 << (size - 1).bit_length() - 1  # largest power of two strictly below size
+    left = _build_interval(lo, lo + p - 1)
+    right = _build_interval(lo + p, hi)
+    return _Node(lo, hi, 1 + max(left.height, right.height), left, right)
+
+
+def _reference_tree(g, a):
+    """The tree with every edge assigned, by descent, to the node that splits it."""
+    root = _build_interval(1, g.n)
+    for eid, (u, v) in enumerate(g.edges, start=1):
+        pu, pv = sorted((a.position_of[u], a.position_of[v]))
+        node = root
+        while node.left is not None:
+            if pv <= node.left.hi:
+                node = node.left
+            elif pu >= node.right.lo:
+                node = node.right
+            else:
+                break
+        node.split_edges.append(eid)
+    return root
+
+
+def _reference_split_nodes(g, a):
+    nodes = [None] * g.m
+    for node in _reference_tree(g, a).walk():
+        for eid in node.split_edges:
+            nodes[eid - 1] = (node.lo, node.hi)
+    return nodes
+
+
+def _reference_charges(g, a):
+    """Long components and charges per node, computed on the reference tree."""
+    b, _ = widths(g, a)
+    root = _reference_tree(g, a)
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    long_of = {}
+    for node in sorted(root.walk(), key=lambda node: node.size):
+        for eid in node.split_edges:
+            u, v = g.edges[eid - 1]
+            parent[find(u)] = find(v)
+        left = {find(a.vertex_at[k]) for k in range(node.lo, min(node.lo + b, node.hi + 1))}
+        right = {find(a.vertex_at[k]) for k in range(max(node.hi - b + 1, node.lo), node.hi + 1)}
+        long_of[node.lo, node.hi] = len(left & right)
+    charges = []
+    for node in root.walk():
+        lx = long_of[node.lo, node.hi]
+        charge = 0
+        if node.left is not None:
+            y, z = node.left, node.right
+            ly, lz = long_of[y.lo, y.hi], long_of[z.lo, z.hi]
+            if lx < ly and lx < lz:
+                charge = y.size + z.size
+            elif lx < ly and lx == lz:
+                charge = y.size
+            elif lx < lz and lx == ly:
+                charge = z.size
+        charges.append(NodeCharge(node.lo, node.hi, node.size, lx, charge))
+    return b, charges
+
+
+def split_height(i, j, n_total):
+    """Split height and power for a padded power-of-two arrangement.
+
+    For endpoint positions 1 <= i < j <= n_total with n_total a power of two,
+    returns (height, p) where p is the largest power of two dividing an
+    integer in the half-open interval [i, j) and height = log2(2p) is the
+    height of the splitting node (whose size is 2p).
+    """
+    if not (1 <= i < j <= n_total):
+        raise ValueError("need 1 <= i < j <= n_total")
+    if n_total & (n_total - 1):
+        raise ValueError("n_total must be a power of two")
+    height = ((i - 1) ^ (j - 1)).bit_length()
+    return height, 1 << (height - 1)
 
 
 def test_widths_examples():
@@ -48,45 +164,43 @@ def test_arrangement_bijection_and_io():
 
 
 def test_tree_shape_n4():
-    g = make_graph(4, C4_EDGES)
-    root = build_arrangement_tree(g, LinearArrangement.identity(4))
-    assert (root.lo, root.hi) == (1, 4)
-    assert (root.left.lo, root.left.hi) == (1, 2)
-    assert (root.right.lo, root.right.hi) == (3, 4)
+    assert list(tree_intervals(1, 4)) == [(1, 1), (2, 2), (1, 2), (3, 3), (4, 4), (3, 4), (1, 4)]
+    assert right_child_start(1, 4) == 3
 
 
 def test_tree_shape_n5():
-    g, order = generate("path", 5)
-    root = build_arrangement_tree(g, LinearArrangement.from_order(order))
-    assert (root.left.lo, root.left.hi) == (1, 4)
-    assert (root.right.lo, root.right.hi) == (5, 5)
+    intervals = list(tree_intervals(1, 5))
+    assert intervals[-1] == (1, 5)
+    assert right_child_start(1, 5) == 5
+    assert (1, 4) in intervals and (5, 5) in intervals
 
 
 def test_c4_root_split_set():
     g = make_graph(4, C4_EDGES)
     a = LinearArrangement.from_order([1, 2, 4, 3])
-    root = build_arrangement_tree(g, a)
     # edges (2,3) and (1,4) straddle positions 2|3
-    assert sorted(root.split_edges) == [2, 4]
+    nodes = split_nodes(g, a)
+    assert [eid for eid, node in enumerate(nodes, start=1) if node == (1, 4)] == [2, 4]
+    assert nodes == _reference_split_nodes(g, a)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=2, max_value=200))
 def test_tree_structure_invariants(n):
-    g, order = generate("path", n)
-    root = build_arrangement_tree(g, LinearArrangement.from_order(order))
-    leaves = 0
-    for node in root.walk():
-        if node.is_leaf:
-            leaves += 1
-            assert node.lo == node.hi and node.height == 0
-        else:
-            left_size = node.left.size
+    intervals = list(tree_intervals(1, n))
+    assert sorted(intervals) == sorted((nd.lo, nd.hi) for nd in _build_interval(1, n).walk())
+    assert intervals[-1] == (1, n)
+    seen = set()
+    for lo, hi in intervals:
+        if lo < hi:
+            mid = right_child_start(lo, hi)
+            left_size = mid - lo
             assert left_size & (left_size - 1) == 0  # power of two
-            assert left_size == 1 << (node.size - 1).bit_length() - 1
-            assert node.left.lo == node.lo and node.right.hi == node.hi
-            assert node.left.hi + 1 == node.right.lo
-    assert leaves == n
+            assert left_size < hi - lo + 1 <= 2 * left_size
+            assert (lo, mid - 1) in seen and (mid, hi) in seen  # children first
+        seen.add((lo, hi))
+    assert len(seen) == len(intervals) == 2 * n - 1
+    assert sum(lo == hi for lo, hi in intervals) == n
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,17 +211,15 @@ def test_tree_structure_invariants(n):
 def test_every_edge_split_once(n, seed):
     g, order = generate("random_bandwidth", n, seed=seed, b=3, p=0.5)
     a = LinearArrangement.from_order(order)
-    root = build_arrangement_tree(g, a)
-    seen = []
-    for node in root.walk():
-        seen.extend(node.split_edges)
-        for eid in node.split_edges:
-            u, v = g.edges[eid - 1]
-            pu, pv = sorted((a.position_of[u], a.position_of[v]))
-            assert node.lo <= pu and pv <= node.hi
-            if not node.is_leaf:
-                assert not (pv <= node.left.hi or pu >= node.right.lo)
-    assert sorted(seen) == list(range(1, g.m + 1))
+    intervals = set(tree_intervals(1, n))
+    nodes = split_nodes(g, a)
+    assert len(nodes) == g.m
+    for (u, v), (lo, hi) in zip(g.edges, nodes):
+        pu, pv = sorted((a.position_of[u], a.position_of[v]))
+        assert (lo, hi) in intervals
+        # the lowest node holding both ends: they straddle its children
+        assert lo <= pu < right_child_start(lo, hi) <= pv <= hi
+    assert nodes == _reference_split_nodes(g, a)
 
 
 def test_split_height_examples():
@@ -206,17 +318,9 @@ def test_split_set_size_bound():
         g, order = generate("random_bandwidth", 60, seed=b, b=b, p=0.9)
         a = LinearArrangement.from_order(order)
         bw, _ = widths(g, a)
-        root = build_arrangement_tree(g, a)
+        assert max(Counter(split_nodes(g, a)).values()) <= bw * (bw + 1) // 2
+        root = _reference_tree(g, a)
         assert all(len(nd.split_edges) <= bw * (bw + 1) // 2 for nd in root.walk())
-
-
-def _tree_split_heights(g, a):
-    """Reference: height of the node build_arrangement_tree assigns each edge to."""
-    heights = [None] * g.m
-    for node in build_arrangement_tree(g, a).walk():
-        for eid in node.split_edges:
-            heights[eid - 1] = node.height
-    return heights
 
 
 def _random_connected_edges(rng, n):
@@ -239,4 +343,43 @@ def test_closed_form_split_heights_match_tree():
         order = list(range(1, n + 1))
         rng.shuffle(order)
         a = LinearArrangement.from_order(order)
-        assert split_heights(g, a) == _tree_split_heights(g, a), n
+        heights = [None] * g.m
+        nodes = [None] * g.m
+        for node in _reference_tree(g, a).walk():
+            for eid in node.split_edges:
+                heights[eid - 1] = node.height
+                nodes[eid - 1] = (node.lo, node.hi)
+        assert split_heights(g, a) == heights, n
+        assert split_nodes(g, a) == nodes, n
+
+
+def _near_powers_of_two(limit):
+    return sorted({n for k in range(1, limit.bit_length())
+                   for n in (2**k - 1, 2**k, 2**k + 1) if 2 <= n <= limit})
+
+
+def test_charge_diagnostics_match_reference_tree():
+    # random_bandwidth contains the path 1..n, so under its own (identity)
+    # order every interval is connected and nothing is charged.  Folding the
+    # order (1, n, 2, n - 1, ...) keeps the bandwidth at most 2b but splits
+    # intervals into two long components; a shuffled order reaches every
+    # charge case.
+    rng = random.Random(6)
+    charged = 0
+    for b in (1, 2, 3, 4):
+        for n in _near_powers_of_two(300):
+            if n <= b:
+                continue
+            g, order = generate("random_bandwidth", n, seed=7 * b + n, b=b, p=0.7)
+            folded = [v for k in range(n // 2) for v in (k + 1, n - k)] + [n // 2 + 1] * (n % 2)
+            rng.shuffle(order)
+            for a in (LinearArrangement.identity(n), LinearArrangement.from_order(folded),
+                      LinearArrangement.from_order(order)):
+                bw, expected = _reference_charges(g, a)
+                rep = charge_diagnostics(g, a)
+                assert rep.bandwidth == bw
+                assert sorted(rep.nodes, key=lambda nc: (nc.lo, nc.hi)) == \
+                    sorted(expected, key=lambda nc: (nc.lo, nc.hi)), (b, n)
+                assert rep.total_charge == sum(nc.charge for nc in expected)
+                charged += rep.total_charge > 0
+    assert charged > 20

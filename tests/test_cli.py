@@ -264,6 +264,37 @@ def test_padded_shift_out_of_range_is_cli_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "cycle", "--n", "4", "--out", "{missing}/g.gr"],
+    ["stats", "--graph", "{graph}", "--out", "{missing}/x.json"],
+    ["distribution", "--graph", "{graph}", "--explicit", "--csv", "{missing}/c.csv"],
+])
+def test_unwritable_output_is_cli_error(c4_files, tmp_path, capsys, command):
+    missing = tmp_path / "no-such-dir"
+    argv = [arg.format(graph=c4_files[0], missing=missing) for arg in command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {missing}/")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sample", "-2"], "--sample must be at least 0, got -2"),
+    (["--explicit", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--explicit", "--jobs", "-4"], "--jobs must be at least 1, got -4"),
+])
+def test_bad_sample_or_jobs_is_cli_error(c4_files, capsys, args, message):
+    assert main(["distribution", "--graph", c4_files[0], *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_zero_samples_is_an_empty_report(c4_files, capsys):
+    assert main(["distribution", "--graph", c4_files[0], "--sample", "0"]) == 0
+    assert _json_out(capsys) == {"mode": "sample", "samples": []}
+
+
 def _jsonable(value):
     """The recursive pre-pass ``_dumps`` replaced; kept as the reference."""
     if isinstance(value, Fraction):

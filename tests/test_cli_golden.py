@@ -86,6 +86,8 @@ def golden_digests(work: Path) -> dict[str, str]:
             _run(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]))
         digests[f"{label}: oracle --histogram"] = _digest(
             _run(["oracle", "--graph", str(graph), "--histogram"]))
+    digests["verify --suite all --seed 0"] = _digest(
+        _run(["verify", "--suite", "all", "--seed", "0"]))
     return digests
 
 
@@ -178,6 +180,7 @@ GOLDEN: dict[str, str] = {
     'K4: oracle --histogram': 'efd2e3d85ca3b296598eb0ad34a39d3c6cac988b6536debf6773627ad3e27807',
     'grid 2x3: dp-min-stretch': '06b87a5d6e83f25a362bf1ad645953285dba13cd795bfe7b5b3afc822c63a555',
     'grid 2x3: oracle --histogram': '74993b2ae25358107a2f2061a810406120ee6b26f9f361c8af354963d953e2a1',
+    'verify --suite all --seed 0': '7961d70f8696f70986ebddd3862511e90c125b807a9457c01fb2c1195ada8bc8',
 }
 
 
