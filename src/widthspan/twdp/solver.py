@@ -20,10 +20,23 @@ realized work of the other, and the bag-internal edge charges counted by both
 children are subtracted once.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
-of the graph, one per root.  Each graph edge outside D(node) is still to be
-charged at least 1, so introduce and join steps drop every entry that costs
-more than UB - unch(node).  cost + unch never decreases towards the root, so
-every entry of an optimal tree survives and the optimum is unchanged.  When
+of the graph, one per root.  At an introduce or join node with bag B and
+D = D(node), the unch graph edges not inside D are still to be charged, and
+an entry is dropped once its cost exceeds the least those charges can add on
+top of it within UB (``_limit``):
+
+- B separates the vertices of D outside B from the rest of the graph, so
+  every component of the tree restricted to D contains a bag vertex, and at
+  least |D| - |B| tree edges lie inside D.
+- So at most f = (n - 1) - (|D| - |B|) of the uncharged edges are tree
+  edges, each of stretch 1; the other unch - f or more are non-tree edges.
+- A non-tree edge of stretch s closes a fundamental cycle of length s + 1,
+  which is at least the girth, so s >= girth - 1.
+- So every completion costs at least unch + (girth - 2) * max(0, unch - f)
+  more, and an entry above UB minus that is on no tree within UB.  A forest
+  has no non-tree edge; ``_girth`` gives it 2, so the extra term vanishes.
+
+Every entry of an optimal tree survives, so the optimum is unchanged.  When
 optimal trees tie, the witness is the one whose entries entered the tables
 first, and the pruned entries can change that order.
 """
@@ -505,6 +518,38 @@ def _upper_bound(g: Graph) -> int:
     return best
 
 
+def _girth(g: Graph) -> int:
+    """Length of the shortest cycle of g, by one BFS per root; 2 for a forest,
+    so that the girth term of ``_limit`` vanishes."""
+    best = None
+    for root in range(1, g.n + 1):
+        depth = {root: 0}
+        via = {root: 0}
+        queue = [root]
+        for x in queue:
+            for eid in g.incident[x]:
+                if eid == via[x]:
+                    continue
+                a, b = g.edges[eid - 1]
+                y = b if a == x else a
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    via[y] = eid
+                    queue.append(y)
+                elif best is None or depth[x] + depth[y] + 1 < best:
+                    best = depth[x] + depth[y] + 1
+    return 2 if best is None else best
+
+
+def _limit(g: Graph, upper: int, girth: int, below: frozenset[int], bag: frozenset[int]) -> int:
+    """The most an entry of an introduce or join node with D(node) = ``below``
+    may cost: ``upper`` less the least the uncharged edges can still add, one
+    per edge plus girth - 2 per edge that must be a non-tree edge."""
+    unch = sum(1 for u, w in g.edges if u not in below or w not in below)
+    free = (g.n - 1) - (len(below) - len(bag))
+    return upper - unch - (girth - 2) * max(0, unch - free)
+
+
 @dataclass
 class DPResult:
     min_total_stretch: int
@@ -549,6 +594,7 @@ def dp_min_stretch(
 
     n = g.n
     upper = _upper_bound(g)
+    girth = _girth(g)
     tables: list[dict | None] = [None] * len(ntd.nodes)
     for node_id in ntd.postorder():
         nd = ntd.nodes[node_id]
@@ -558,9 +604,8 @@ def dp_min_stretch(
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
         else:
-            # every graph edge outside D(node) is still to be charged, at least 1
             below = nd.below
-            limit = upper - sum(1 for u, w in g.edges if u not in below or w not in below)
+            limit = _limit(g, upper, girth, below, nd.bag)
             if nd.kind == "introduce":
                 child = nd.children[0]
                 budget = n - len(below) if prune_future else None

@@ -6,6 +6,39 @@ import pytest
 from widthspan.graph import Graph, _build_graph
 
 
+# The 4 x 3 grid (vertex r*3 + c + 1 at row r, column c) and its min-fill
+# decomposition of width 3, as the benchmark's dp_exact workload runs it.
+GRID_4X3_EDGES = sorted(
+    [(v, v + 1) for v in range(1, 13) if v % 3 != 0] + [(v, v + 3) for v in range(1, 10)]
+)
+GRID_4X3_TD = """\
+s td 12 4 12
+b 1 1 2 4
+b 2 2 3 6
+b 3 2 4 5 6
+b 4 7 10 11
+b 5 9 11 12
+b 6 7 8 9 11
+b 7 4 5 6 7
+b 8 5 6 7 8
+b 9 6 7 8 9
+b 10 7 8 9
+b 11 8 9
+b 12 9
+1 3
+2 3
+3 7
+4 6
+5 6
+6 10
+7 8
+8 9
+9 10
+10 11
+11 12
+"""
+
+
 def make_graph(n: int, edges) -> Graph:
     """Build a validated graph from explicit (u, v) pairs in ID order."""
     return _build_graph(n, list(edges))

@@ -17,7 +17,11 @@ import random
 import tempfile
 from pathlib import Path
 
+from conftest import GRID_4X3_EDGES, GRID_4X3_TD
 from widthspan.cli import main
+from widthspan.graph import dump_graph, generate
+from widthspan.twdp import dump_td
+from widthspan.twdp.decomposition import min_fill_td
 
 FAMILIES = {
     "path": [],
@@ -42,6 +46,23 @@ K4 = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 K4_TD = "s td 1 4 4\nb 1 1 2 3 4\n"
 GRID_2X3 = "p 6 7\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 3 5\ne 4 6\ne 5 6\n"
 GRID_2X3_TD = "s td 4 3 6\nb 1 1 2 3\nb 2 2 3 4\nb 3 3 4 5\nb 4 4 5 6\n1 2\n2 3\n3 4\n"
+GRID_4X3 = f"p 12 {len(GRID_4X3_EDGES)}\n" + "".join(f"e {u} {v}\n" for u, v in GRID_4X3_EDGES)
+
+
+def dp_corpus() -> list[tuple[str, str, str]]:
+    """(label, graph, decomposition) of every ``dp-min-stretch`` case.  A bound
+    that prunes more can change which of several optimal trees the DP reports,
+    so the witnesses are pinned on more inputs than the oracle runs on."""
+    generated = [("grid 3x3", "grid", 9)] + [
+        (f"{family} {n}", family, n)
+        for family in ("cycle", "caterpillar", "path") for n in range(3, 13)
+    ]
+    cases = [("K4", K4, K4_TD), ("grid 2x3", GRID_2X3, GRID_2X3_TD),
+             ("grid 4x3", GRID_4X3, GRID_4X3_TD)]
+    for label, family, n in generated:
+        g, _ = generate(family, n)
+        cases.append((label, dump_graph(g), dump_td(min_fill_td(g), g.n)))
+    return cases
 
 
 def _run(argv: list[str]) -> str:
@@ -77,15 +98,16 @@ def golden_digests(work: Path) -> dict[str, str]:
                 if "--csv" in command:
                     text += "--- csv ---\n" + csv.read_text()
                 digests[f"{family}/{arr_name}: {name}"] = _digest(text)
-    for label, graph_text, td_text in (("K4", K4, K4_TD), ("grid 2x3", GRID_2X3, GRID_2X3_TD)):
+    for label, graph_text, td_text in dp_corpus():
         graph = work / "dp.gr"
         graph.write_text(graph_text)
         td = work / "dp.td"
         td.write_text(td_text)
         digests[f"{label}: dp-min-stretch"] = _digest(
             _run(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]))
-        digests[f"{label}: oracle --histogram"] = _digest(
-            _run(["oracle", "--graph", str(graph), "--histogram"]))
+        if label in ("K4", "grid 2x3"):
+            digests[f"{label}: oracle --histogram"] = _digest(
+                _run(["oracle", "--graph", str(graph), "--histogram"]))
     digests["verify --suite all --seed 0"] = _digest(
         _run(["verify", "--suite", "all", "--seed", "0"]))
     return digests
@@ -180,6 +202,38 @@ GOLDEN: dict[str, str] = {
     'K4: oracle --histogram': 'efd2e3d85ca3b296598eb0ad34a39d3c6cac988b6536debf6773627ad3e27807',
     'grid 2x3: dp-min-stretch': '06b87a5d6e83f25a362bf1ad645953285dba13cd795bfe7b5b3afc822c63a555',
     'grid 2x3: oracle --histogram': '74993b2ae25358107a2f2061a810406120ee6b26f9f361c8af354963d953e2a1',
+    'grid 4x3: dp-min-stretch': '852154e3300411952fa4c728f5935ea6f2f714e7cba6a1c29f04fd6e3f32c5e7',
+    'grid 3x3: dp-min-stretch': 'e6c945f90767635efa2e4dacc4649a4a6e7a045838570298ffc6c6adfe7b1e59',
+    'cycle 3: dp-min-stretch': '86679ad393e4de06fca614b90f27ee86b39302084650626eb183684ab617ebb1',
+    'cycle 4: dp-min-stretch': 'eada9488efb7560d591101a934477fd22d2b189d4412b90df179c7f9d47a8d32',
+    'cycle 5: dp-min-stretch': 'e940bf7b046f4919b076b3b28cc1f120ad753515a8ffcfdca4b71073c56d9426',
+    'cycle 6: dp-min-stretch': '0ab27cde4441ffab931b128fe2f2250e3073e374dc23f60d9d4686c41669b1d6',
+    'cycle 7: dp-min-stretch': 'e851191ca8a3bd36f914523abcc96f99ac8753ee4b84c8e6a5cfbd113e90f815',
+    'cycle 8: dp-min-stretch': '5fb93cc02cab939f1dc15deb36ecfd6314eb5237161f7cd3c34e29454e14c815',
+    'cycle 9: dp-min-stretch': '8ad8953360f5820cfb58f1c005f51d3244faaa43b148b8a010c884404c5cd1b1',
+    'cycle 10: dp-min-stretch': '305df8d2f5ae35bacfe4299392eadb7a3c4d5af97f516d4bf2a3cf888e287d72',
+    'cycle 11: dp-min-stretch': 'f77ec7aed9d8260d631c7e669e2e8942a206022e8be9c29b8725fa76058edd1e',
+    'cycle 12: dp-min-stretch': '33e2428a15f763f5f8762ade3f8d5cdc84e93a1b1e007733b999fb52e94d0564',
+    'caterpillar 3: dp-min-stretch': '2cedd7d4031f3193ddaaba50519b2351f260f717ece78a4fdcf08944a721dc2c',
+    'caterpillar 4: dp-min-stretch': '1733a1c8d302443b24123c6567cf74888d44bb7dcef0bc20dfc0845d73797ebb',
+    'caterpillar 5: dp-min-stretch': 'd52058a7ea9623251f34ef7a6a2d714bb51de71a5aa2fe8b2915a598ccadb496',
+    'caterpillar 6: dp-min-stretch': 'a83f84c48315ee4459cabf228ded3bcd545604dc1433b6d62955fd175b6688c5',
+    'caterpillar 7: dp-min-stretch': 'c8aab4ff5ec3a236e3d8f7a5e1ca34563689fd695f0cce9c5898201589da1208',
+    'caterpillar 8: dp-min-stretch': '77e81dd4dec0971f4efa6ec58ce8dec232a1866344a09714b8a21d1b5217fc19',
+    'caterpillar 9: dp-min-stretch': 'efab1210e0719619ab042174298dd458e652fb6139b6abef3b49c467c00a1175',
+    'caterpillar 10: dp-min-stretch': 'f8df05d712b00652ebb8a97c1b13fd1f9c5923a4ac681a2ae9a89618a0c241e2',
+    'caterpillar 11: dp-min-stretch': '451bea4e30ee15fbc06a43c7519eefaf2a4e726c0e20d188d5d27a66796df009',
+    'caterpillar 12: dp-min-stretch': 'fdb057bf4eb68a4e6f87e7f4041a698dccd16157639189016b7686c08b9c5b5b',
+    'path 3: dp-min-stretch': '2cedd7d4031f3193ddaaba50519b2351f260f717ece78a4fdcf08944a721dc2c',
+    'path 4: dp-min-stretch': '1733a1c8d302443b24123c6567cf74888d44bb7dcef0bc20dfc0845d73797ebb',
+    'path 5: dp-min-stretch': 'd52058a7ea9623251f34ef7a6a2d714bb51de71a5aa2fe8b2915a598ccadb496',
+    'path 6: dp-min-stretch': 'a83f84c48315ee4459cabf228ded3bcd545604dc1433b6d62955fd175b6688c5',
+    'path 7: dp-min-stretch': 'c8aab4ff5ec3a236e3d8f7a5e1ca34563689fd695f0cce9c5898201589da1208',
+    'path 8: dp-min-stretch': '77e81dd4dec0971f4efa6ec58ce8dec232a1866344a09714b8a21d1b5217fc19',
+    'path 9: dp-min-stretch': 'efab1210e0719619ab042174298dd458e652fb6139b6abef3b49c467c00a1175',
+    'path 10: dp-min-stretch': 'f8df05d712b00652ebb8a97c1b13fd1f9c5923a4ac681a2ae9a89618a0c241e2',
+    'path 11: dp-min-stretch': '451bea4e30ee15fbc06a43c7519eefaf2a4e726c0e20d188d5d27a66796df009',
+    'path 12: dp-min-stretch': 'fdb057bf4eb68a4e6f87e7f4041a698dccd16157639189016b7686c08b9c5b5b',
     'verify --suite all --seed 0': '7961d70f8696f70986ebddd3862511e90c125b807a9457c01fb2c1195ada8bc8',
 }
 

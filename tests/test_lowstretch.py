@@ -162,13 +162,30 @@ def test_charges_vanish_on_paths():
 )
 def test_charge_bounds(b, n, seed):
     g, order = generate("random_bandwidth", n, seed=seed, b=b, p=0.7)
-    a = LinearArrangement.from_order(order)
+    _check_charge_bounds(g, LinearArrangement.from_order(order))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_charge_bounds_folded(b):
+    # the generator's own order keeps the path 1..n contiguous, so no node is
+    # charged under it; the folded order (1, n, 2, n - 1, ...) charges every
+    # one of these graphs, so the bound is tested above 0
+    for n in (6, 7, 16, 31, 64):
+        folded = [v for k in range(n // 2) for v in (k + 1, n - k)] + [n // 2 + 1] * (n % 2)
+        for seed in range(3):
+            g, _ = generate("random_bandwidth", n, seed=seed, b=b, p=0.7)
+            rep = _check_charge_bounds(g, LinearArrangement.from_order(folded))
+            assert rep.total_charge > 0
+
+
+def _check_charge_bounds(g, a):
     bw, _ = widths(g, a)
     rep = charge_diagnostics(g, a)
     assert rep.bandwidth == bw
     assert all(1 <= nc.long_components <= max(bw, 1) for nc in rep.nodes)
     assert rep.root.long_components == 1
-    assert rep.total_charge <= bw * n
+    assert rep.total_charge <= bw * g.n
+    return rep
 
 
 def test_long_components_not_monotone_for_tiny_children():

@@ -26,7 +26,7 @@ from widthspan.twdp.solver import (
     _Entry,
 )
 
-from conftest import make_graph
+from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
 
 P3_TD = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
 
@@ -267,89 +267,108 @@ def test_upper_bound_is_the_best_bfs_tree():
     assert solver._upper_bound(make_graph(1, [])) == 0
 
 
-# The 4 x 3 grid (vertex r*3 + c + 1 at row r, column c) and its min-fill
-# decomposition of width 3, as the benchmark's dp_exact workload runs it.
-GRID_4X3_EDGES = sorted(
-    [(v, v + 1) for v in range(1, 13) if v % 3 != 0] + [(v, v + 3) for v in range(1, 10)]
-)
-GRID_4X3_TD = """\
-s td 12 4 12
-b 1 1 2 4
-b 2 2 3 6
-b 3 2 4 5 6
-b 4 7 10 11
-b 5 9 11 12
-b 6 7 8 9 11
-b 7 4 5 6 7
-b 8 5 6 7 8
-b 9 6 7 8 9
-b 10 7 8 9
-b 11 8 9
-b 12 9
-1 3
-2 3
-3 7
-4 6
-5 6
-6 10
-7 8
-8 9
-9 10
-10 11
-11 12
-"""
-
-
 def _bounded_and_unbounded(monkeypatch, g, td):
-    """The DP as it runs, and with a bound that prunes nothing: m * n is more
-    than any spanning tree's total stretch, as every stretch is below n."""
-    upper = solver._upper_bound(g)
+    """The DP as it runs, and with a bound that prunes nothing: every trace
+    distance is below n, so an entry costs less than n per charged edge, and
+    as the girth is at most n, m * n exceeds each entry's cost plus the least
+    charge ``_limit`` reserves for the edges still to come."""
+    upper, girth = solver._upper_bound(g), solver._girth(g)
     bounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
     with monkeypatch.context() as m:
         m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
         unbounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
-    limits = []
-    for nd in bounded.ntd.nodes:
-        uncharged = sum(1 for u, w in g.edges if u not in nd.below or w not in nd.below)
-        limits.append(upper - uncharged)
+    limits = [
+        solver._limit(g, upper, girth, nd.below, nd.bag)
+        if nd.kind in ("introduce", "join") else None
+        for nd in bounded.ntd.nodes
+    ]
     return bounded, unbounded, limits
+
+
+def _chain_keys(unbounded, limits):
+    """Per node, the unbounded keys whose entry, and every entry its back
+    pointers reach, costs no more than its node's limit.  Forget and leaf
+    nodes have no limit."""
+    ntd = unbounded.ntd
+    chain: list[set | None] = [None] * len(ntd.nodes)
+    for node_id in ntd.postorder():
+        children = ntd.nodes[node_id].children
+        limit = limits[node_id]
+        chain[node_id] = {
+            k for k, e in unbounded.tables[node_id].items()
+            if (limit is None or e.cost <= limit)
+            # back[1:] starts with one key per child
+            and all(key in chain[child] for child, key in zip(children, e.back[1:]))
+        }
+    return chain
+
+
+def _pinned(name):
+    if name == "grid 4x3":
+        g = make_graph(12, GRID_4X3_EDGES)
+        return g, load_td(GRID_4X3_TD, g)
+    family, n = name.split()
+    g, _ = generate(family, int(n))
+    return g, min_fill_td(g)
 
 
 @pytest.mark.parametrize("name", ["cycle 8", "grid 9", "caterpillar 9", "grid 4x3"])
 def test_bound_only_removes_entries(monkeypatch, name):
-    # on these inputs the bound removes exactly the entries that cost more
-    # than UB - unch(node), and every survivor is the unbounded entry itself,
-    # so the witness is the same tree
-    if name == "grid 4x3":
-        g = make_graph(12, GRID_4X3_EDGES)
-        td = load_td(GRID_4X3_TD, g)
-    else:
-        family, n = name.split()
-        g, _ = generate(family, int(n))
-        td = min_fill_td(g)
+    # The limit is not monotone along a path to the root: an introduce step
+    # can raise it by more than the charge it adds, so a child may prune an
+    # entry whose descendant the parent's limit would keep.  On these inputs
+    # the bounded tables are exactly the unbounded entries whose whole
+    # back-pointer chain is within its nodes' limits, so the witness is the
+    # same tree.
+    g, td = _pinned(name)
     bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, td)
     assert bounded.min_total_stretch == unbounded.min_total_stretch
     assert bounded.tree_edges == unbounded.tree_edges
     assert sum(bounded.table_sizes) < sum(unbounded.table_sizes)
-    for a, b, limit in zip(bounded.tables, unbounded.tables, limits):
+    chain = _chain_keys(unbounded, limits)
+    for a, b, keys in zip(bounded.tables, unbounded.tables, chain):
         assert {k: (e.cost, e.edges, e.back) for k, e in a.items()} == {
-            k: (e.cost, e.edges, e.back) for k, e in b.items() if e.cost <= limit
+            k: (b[k].cost, b[k].edges, b[k].back) for k in keys
         }
 
 
 def test_bound_only_removes_keys_on_the_atlas(monkeypatch, atlas_corpus):
-    # each table keeps exactly the keys whose least cost is within the limit,
-    # at that cost.  When optimal trees tie, the first-found entry of a key
-    # can differ: the pruned candidates change the order in which keys first
-    # enter a table, so the witness may be another optimal tree.
+    # Each table keeps every key whose chain is within the limits, at its
+    # least cost, and no key above its own node's limit.  A key can also
+    # survive through a costlier entry whose chain is within the limits; and
+    # when optimal trees tie, the first-found entry of a key can differ, as
+    # the pruned candidates change the order in which keys first enter a
+    # table, so the witness may be another optimal tree.
     for g in atlas_corpus[::5]:
         bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, min_fill_td(g))
         assert bounded.min_total_stretch == unbounded.min_total_stretch
         assert stretch_of(g, bounded.tree_edges).total_stretch == bounded.min_total_stretch
-        for a, b, limit in zip(bounded.tables, unbounded.tables, limits):
-            assert {k: e.cost for k, e in a.items()} == {
-                k: e.cost for k, e in b.items() if e.cost <= limit
-            }
+        chain = _chain_keys(unbounded, limits)
+        for a, b, keys, limit in zip(bounded.tables, unbounded.tables, chain, limits):
+            cut = {k for k, e in b.items() if limit is None or e.cost <= limit}
+            assert keys <= a.keys() <= cut
+            assert all(a[k].cost == b[k].cost for k in keys)
+            assert all(a[k].cost >= b[k].cost for k in a)
+
+
+def test_girth():
+    assert solver._girth(generate("cycle", 8)[0]) == 8
+    assert solver._girth(make_graph(12, GRID_4X3_EDGES)) == 4
+    assert solver._girth(generate("complete", 4)[0]) == 3
+    # a forest has no cycle: 2 makes the girth term vanish
+    assert solver._girth(generate("path", 5)[0]) == 2
+    assert solver._girth(make_graph(1, [])) == 2
+
+
+def test_limit_on_the_4x3_grid():
+    # D = the first two rows, B = the second row: 7 of the 17 edges lie in D,
+    # so unch = 10; f = 11 - (6 - 3) = 8 tree edges may still come, so at
+    # least 2 of the 10 are non-tree edges of stretch >= girth - 1 = 3
+    g = make_graph(12, GRID_4X3_EDGES)
+    below, bag = frozenset(range(1, 7)), frozenset({4, 5, 6})
+    assert solver._limit(g, 100, 4, below, bag) == 100 - 10 - 2 * 2
+    # with every vertex in D no edge is left to charge
+    assert solver._limit(g, 100, 4, frozenset(range(1, 13)), bag) == 100
 
 
 # The trace invariants below must survive python -O, so they cannot be asserts.
