@@ -9,6 +9,7 @@ seed, and wall-clock time.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -563,11 +564,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     run = _Run(["widthspan"] + argv, seed=getattr(args, "seed", None))
+    # A command builds up to millions of tuples and lists and none of them
+    # forms a reference cycle, so reference counting frees all of it; the
+    # cyclic collector's passes over the growing heap find nothing.  Left on,
+    # it takes about a tenth of a large build-tree run.  tests/test_cli.py
+    # checks that each command leaves little cyclic garbage.  An in-process
+    # caller gets its collector back as it was.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, run)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -8,12 +8,24 @@ Edge-list file format (line oriented):
     c <comment>
     p <n> <m>
     e <u> <v>        (m lines, 1 <= u, v <= n)
+
+``load_graph`` has a fast path for the document ``dump_graph`` writes: a
+header line, then only edge lines, each field ASCII digits, separated by one
+space, every line ended by ``\n``.  It splits the whole text once, converts
+the fields with ``map(int, ...)`` and validates in bulk: min/max for the
+vertex range, pairwise comparison for self-loops, a set for duplicates and a
+union-find for connectivity.  Any other document, and any document the bulk
+checks reject, goes through the line-by-line parser and the per-edge checks,
+which raise the error with its line number; so the fast path changes no
+result and no message.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphFormatError(ValueError):
@@ -41,16 +53,25 @@ class Graph:
     """Immutable simple connected graph.
 
     edges[i] is the endpoint pair of the edge with ID i+1.  ``incident[v]``
-    lists the IDs of edges touching vertex v.
+    lists the IDs of edges touching vertex v; it is built on first use (by
+    ``degree``, ``neighbors``, the exact DP, the oracle and ``verify``), so a
+    run that never asks for it never pays for it.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    incident: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        incident: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for eid, (u, v) in enumerate(self.edges, start=1):
+            incident[u].append(eid)
+            incident[v].append(eid)
+        return tuple(tuple(ids) for ids in incident)
 
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self.edges[edge_id - 1]
@@ -68,18 +89,47 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._edge_set()
+        return (u, v) in self._edge_set
 
+    @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+        return frozenset(self.edges)
 
 
-def _build_graph(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = None) -> Graph:
-    """Validate and assemble a Graph.  ``lines`` maps edge index -> source line."""
+def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:
+    """The edges as (u, v) pairs with u < v when every edge is in range, not a
+    loop, not a duplicate, and the graph on 1..n is connected; else None."""
+    if len(us) < n - 1:
+        return None
+    if all(map(int.__lt__, us, vs)):
+        if us and (min(us) < 1 or max(vs) > n):
+            return None
+        edges = tuple(zip(us, vs))
+    else:
+        if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+            return None
+        if not all(map(int.__ne__, us, vs)):
+            return None
+        edges = tuple((u, v) if u < v else (v, u) for u, v in zip(us, vs))
+    if len(set(edges)) != len(edges):
+        return None
+    # connected iff a union-find (path halving) merges n - 1 times
+    parent = list(range(n + 1))
+    merges = 0
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            merges += 1
+    return edges if merges == n - 1 else None
+
+
+def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None) -> tuple[tuple[int, int], ...]:
+    """Validate edge by edge, raising the first error with its source line;
+    then check connectivity by a DFS from vertex 1."""
 
     def where(i: int) -> int | None:
         return lines[i] if lines is not None else None
@@ -119,12 +169,48 @@ def _build_graph(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | No
                     stack.append(y)
         if count != n:
             raise GraphValidationError(f"graph is disconnected ({count} of {n} vertices reachable)")
+    return tuple(edges)
 
-    return Graph(n=n, edges=tuple(edges), incident=tuple(tuple(ids) for ids in incident))
+
+def _build_graph(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None = None) -> Graph:
+    """Validate and assemble a Graph.  ``lines`` maps edge index -> source line.
+
+    The bulk checks decide almost every graph; the per-edge checks run only
+    when the bulk checks reject it, to raise the error they would raise."""
+    us = [u for u, _ in raw_edges]
+    vs = [v for _, v in raw_edges]
+    edges = _bulk_edges(n, us, vs)
+    if edges is None:
+        edges = _checked_edges(n, raw_edges, lines)
+    return Graph(n=n, edges=edges)
+
+
+# A plain document starts with a header line, and every newline in it is
+# followed by an edge line or by the end of the text.  Both patterns are
+# bounded per line, so the check keeps no state across lines.
+_PLAIN_HEADER = re.compile(r"p [0-9]+ [0-9]+\n")
+_NOT_PLAIN = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 
 
 def load_graph(text: str) -> Graph:
     """Parse an edge-list document into a validated Graph."""
+    header = _PLAIN_HEADER.match(text)
+    if header and _NOT_PLAIN.search(text, header.end() - 1) is None:
+        fields = text.split()
+        try:
+            n, m = int(fields[1]), int(fields[2])
+            us = list(map(int, fields[4::3]))
+            vs = list(map(int, fields[5::3]))
+        except ValueError:  # a field with more digits than int() converts
+            pass
+        else:
+            if len(us) == m and (edges := _bulk_edges(n, us, vs)) is not None:
+                return Graph(n=n, edges=edges)
+    return _load_graph_lines(text)
+
+
+def _load_graph_lines(text: str) -> Graph:
+    """The line-by-line parser: every format error with its line number."""
     n = m = None
     raw_edges: list[tuple[int, int]] = []
     lines: list[int] = []

@@ -189,7 +189,8 @@ class NiceTreeDecomposition:
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Transform a valid decomposition into nice form of equal width."""
+    """Transform a valid decomposition into nice form of equal width.  Empty
+    bags are left out."""
     td.validate(g)
     ntd = NiceTreeDecomposition()
 
@@ -217,12 +218,18 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             node = add("introduce", frozenset(current), (node,), v)
         return node
 
-    # root the bag tree at the smallest bag id
-    adj: dict[int, list[int]] = {i: [] for i in td.bags}
+    # Empty bags (the PACE format allows them) hold no vertex to start or end
+    # a chain with.  Drop them: the non-empty bags are the union of the
+    # subtrees of bags holding each vertex, and for a connected graph the
+    # subtrees of an edge's ends meet, so the union is still a tree.
+    bags = {i: b for i, b in td.bags.items() if b}
+    # root the bag tree at the smallest non-empty bag id
+    adj: dict[int, list[int]] = {i: [] for i in bags}
     for i, j in td.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    root_bag = min(td.bags)
+        if i in bags and j in bags:
+            adj[i].append(j)
+            adj[j].append(i)
+    root_bag = min(bags)
     parent: dict[int, int | None] = {root_bag: None}
     order = [root_bag]
     stack = [root_bag]
@@ -233,24 +240,39 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
                 parent[y] = x
                 order.append(y)
                 stack.append(y)
-    children_of: dict[int, list[int]] = {i: [] for i in td.bags}
+    children_of: dict[int, list[int]] = {i: [] for i in bags}
     for x in order[1:]:
         children_of[parent[x]].append(x)
+    for kids in children_of.values():
+        kids.sort()
 
-    def build(bag_id: int) -> int:
-        bag = td.bags[bag_id]
-        kids = sorted(children_of[bag_id])
-        if not kids:
-            return leaf_chain(bag)
-        tops = [morph(build(k), td.bags[k], bag) for k in kids]
-        node = tops[0]
-        for other in tops[1:]:
-            node = add("join", bag, (node, other))
-        return node
+    # Bags in depth-first order, children by id.  A bag's nice node is made
+    # once all its children's are: a leaf chain, or the join of the children's
+    # nodes morphed to its bag; then it is morphed to its parent's bag at once.
+    # A loop, not recursion: a bag tree can be deeper than Python's recursion
+    # limit, and a recursive closure is a reference cycle.
+    top_of: dict[int, int] = {}
+    walk: list[tuple[int, bool]] = [(root_bag, False)]
+    while walk:
+        bag_id, expanded = walk.pop()
+        kids = children_of[bag_id]
+        if not expanded:
+            walk.append((bag_id, True))
+            walk.extend((k, False) for k in reversed(kids))
+            continue
+        bag = bags[bag_id]
+        if kids:
+            node = top_of[kids[0]]
+            for k in kids[1:]:
+                node = add("join", bag, (node, top_of[k]))
+        else:
+            node = leaf_chain(bag)
+        up = parent[bag_id]
+        top_of[bag_id] = node if up is None else morph(node, bag, bags[up])
 
-    top = build(root_bag)
+    top = top_of[root_bag]
     # reduce the root to a single vertex by forgetting
-    bag = set(td.bags[root_bag])
+    bag = set(bags[root_bag])
     for v in sorted(bag)[:-1]:
         bag.remove(v)
         top = add("forget", frozenset(bag), (top,), v)

@@ -116,18 +116,20 @@ def _canon(bag: frozenset[int], edges: EdgeMap, adj: dict | None = None) -> tupl
     ``_adjacency(edges)`` when the caller already has it."""
     if adj is None:
         adj = _adjacency(edges)
-    root = min(bag)
+    return _enc(bag, adj, min(bag), None)
 
-    def enc(v: int, parent: int | None) -> tuple:
-        label = v if v in bag else 0
-        kids = sorted(
-            (cost, realized, enc(w, v))
-            for w, cost, realized in adj.get(v, ())
-            if w != parent
-        )
-        return (label, tuple(kids))
 
-    return enc(root, None)
+def _enc(bag: frozenset[int], adj: dict, v: int, parent: int | None) -> tuple:
+    """``_canon``'s encoding of the subtree at v, entered from parent.  A
+    module-level function, not a closure: a recursive closure refers to
+    itself through its cell, a cycle only the cyclic collector frees."""
+    label = v if v in bag else 0
+    kids = sorted(
+        (cost, realized, _enc(bag, adj, w, v))
+        for w, cost, realized in adj.get(v, ())
+        if w != parent
+    )
+    return (label, tuple(kids))
 
 
 def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import hashlib
 import random
@@ -5,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from widthspan import cli
 from widthspan.cli import _dumps, main
+from widthspan.graph import dump_graph, generate
+from widthspan.twdp import dump_td
+from widthspan.twdp.decomposition import min_fill_td
+
+from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 C4_ORDER = "1\n2\n4\n3\n"
@@ -327,3 +334,119 @@ def _jsonable(value):
 def test_dumps_matches_recursive_prepass(report):
     expected = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     assert _dumps(report) == expected
+
+
+@pytest.mark.parametrize("td_text", [
+    "s td 3 3 3\nb 1 1 2 3\nb 2\nb 3\n1 2\n1 3\n",
+    "s td 2 3 3\nb 1\nb 2 1 2 3\n1 2\n",
+])
+def test_dp_min_stretch_with_empty_bags(tmp_path, capsys, td_text):
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    td = tmp_path / "p3.td"
+    td.write_text(td_text)
+    assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
+                 "--check-oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "2 = 2" in out
+    assert json.loads(out[out.index("{"):])["total_stretch"] == 2
+
+
+# ---------------------------------------------------------------------------
+# main runs each command with the cyclic collector off.  That is safe only
+# while a command leaves (almost) no reference cycles behind: argparse leaves
+# a few hundred objects, and nothing that grows with the input may add more.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def gc_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("gc")
+    paths = {}
+
+    def write(name, text):
+        paths[name] = str(root / name)
+        (root / name).write_text(text)
+
+    for name, n in (("small", 32), ("large", 2000)):
+        g, order = generate("random_bandwidth", n, seed=1, b=3, p=0.5)
+        write(f"{name}.gr", dump_graph(g))
+        write(f"{name}.arr", "".join(f"{v}\n" for v in order))
+    cycle, _ = generate("cycle", 8)
+    write("cycle.gr", dump_graph(cycle))
+    write("cycle.td", dump_td(min_fill_td(cycle), 8))
+    write("grid.gr", dump_graph(make_graph(12, GRID_4X3_EDGES)))
+    write("grid.td", GRID_4X3_TD)
+    return paths
+
+
+def _gc_argv(paths, command, size="small"):
+    arrangement = ["--graph", paths[f"{size}.gr"], "--arrangement", paths[f"{size}.arr"]]
+    return {
+        "build-tree": ["build-tree", *arrangement],
+        "distribution --explicit": ["distribution", *arrangement, "--explicit"],
+        "cutwidth-tree": ["cutwidth-tree", *arrangement, "--best-shift"],
+        "dp-min-stretch": (
+            ["dp-min-stretch", "--graph", paths["cycle.gr"], "--td", paths["cycle.td"]]
+            if size == "small"
+            else ["dp-min-stretch", "--graph", paths["grid.gr"], "--td", paths["grid.td"]]
+        ),
+        "oracle": ["oracle", "--graph", paths["cycle.gr"]],
+        "stats": ["stats", *arrangement],
+        "verify": ["verify", "--suite", "dp"],
+    }[command]
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects the cyclic collector finds after one in-process run of main."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert not gc.isenabled()
+        return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", [
+    "build-tree", "distribution --explicit", "cutwidth-tree", "dp-min-stretch",
+    "oracle", "stats", "verify",
+])
+def test_commands_leave_little_cyclic_garbage(gc_inputs, capsys, command):
+    assert _cyclic_garbage(_gc_argv(gc_inputs, command)) < 2000
+
+
+@pytest.mark.parametrize("command", ["build-tree", "dp-min-stretch"])
+def test_cyclic_garbage_does_not_grow_with_the_input(gc_inputs, capsys, command):
+    small = _cyclic_garbage(_gc_argv(gc_inputs, command, "small"))
+    large = _cyclic_garbage(_gc_argv(gc_inputs, command, "large"))
+    assert large <= small
+
+
+def test_main_restores_the_collector(c4_files, capsys, monkeypatch):
+    graph, _ = c4_files
+    seen = []
+    stats = cli._cmd_stats
+
+    def spy(args, run):
+        seen.append(gc.isenabled())
+        return stats(args, run)
+
+    monkeypatch.setattr(cli, "_cmd_stats", spy)
+    assert gc.isenabled()
+    assert main(["stats", "--graph", graph]) == 0
+    assert gc.isenabled()
+    assert main(["stats", "--graph", graph + ".missing"]) == 1  # CliError
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["stats", "--graph", graph]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False, False]

@@ -1,8 +1,12 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthspan import graph as graph_module
 from widthspan.graph import (
+    Graph,
     GraphFormatError,
     GraphValidationError,
     dump_graph,
@@ -147,3 +151,172 @@ def test_generate_invalid_params(family, kwargs):
 def test_generate_rejects_tiny_n():
     with pytest.raises(ValueError):
         generate("path", 1)
+
+
+# ---------------------------------------------------------------------------
+# The fast path of load_graph against the line parser with per-edge checks.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _plain_documents(draw):
+    """A connected graph as ``dump_graph`` writes it, with edges in random
+    order and orientation: a random spanning tree plus extra edges."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    if n >= 2:
+        extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])
+        pairs |= set(draw(st.lists(extra, max_size=8)))
+    edges = draw(st.permutations(sorted(pairs)))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    lines = [f"p {n} {len(edges)}"]
+    lines += [f"e {v} {u}" if flip else f"e {u} {v}" for (u, v), flip in zip(edges, flips)]
+    return "\n".join(lines) + "\n"
+
+
+_FIELD_VALUES = [
+    "1", "2", "3", "0", "-1", "10", "99", "x", "1.5", "01", "007", "+1", "1_0", "١", "9" * 5000,
+]
+
+
+# Mutations that keep a document plain, so only the bulk checks see them.
+_PLAIN_KINDS = ["loop", "relabel", "repeat-edge", "extra-edge", "drop-edge", "header-count"]
+_ALL_KINDS = _PLAIN_KINDS + [
+    "truncate", "duplicate", "swap", "field", "crlf", "tab", "comment", "no-final-newline",
+    "blank", "p00",
+]
+
+
+@st.composite
+def _mutated_documents(draw, kinds):
+    text = draw(_plain_documents())
+    for _ in range(draw(st.integers(1, 3))):
+        end = "\n" if text.endswith("\n") else ""
+        body = text[: len(text) - len(end)].split("\n")
+        i = draw(st.integers(0, len(body) - 1))
+        j = draw(st.integers(0, len(body) - 1))
+        kind = draw(st.sampled_from(kinds))
+        header = body[0].split(" ")
+        counted = len(header) == 3 and header[1].isdigit() and header[2].isdigit()
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+            continue
+        if kind == "duplicate":
+            body.insert(j, body[i])
+        elif kind == "swap":
+            body[i], body[j] = body[j], body[i]
+        elif kind == "field":
+            parts = body[i].split(" ")
+            k = draw(st.integers(min(1, len(parts) - 1), len(parts) - 1))
+            parts[k] = draw(st.sampled_from(_FIELD_VALUES) | st.integers(0, 12).map(str))
+            body[i] = " ".join(parts)
+        elif kind == "loop":
+            parts = body[i].split(" ")
+            if len(parts) == 3:
+                parts[2] = parts[1]
+            body[i] = " ".join(parts)
+        elif kind == "relabel" and counted:  # one vertex label becomes 0 or n + 1
+            n = int(header[1])
+            old, new = str(draw(st.integers(1, max(n, 1)))), draw(st.sampled_from(["0", str(n + 1)]))
+            body[1:] = [" ".join(new if f == old else f for f in line.split(" ")) for line in body[1:]]
+        elif kind == "repeat-edge":
+            if body[i].startswith("e") and body[j].startswith("e"):
+                body[i] = body[j]
+        elif kind in ("extra-edge", "drop-edge") and counted and i > 0:
+            # keep the header count right: a duplicate, a loop, or a cut edge
+            if kind == "drop-edge":
+                del body[i]
+                m = int(header[2]) - 1
+            else:
+                u = body[i].split(" ")[1:2] * 2
+                body.insert(max(j, 1), draw(st.sampled_from([body[i], " ".join(["e", *u])])))
+                m = int(header[2]) + 1
+            body[0] = f"{header[0]} {header[1]} {m}"
+        elif kind == "crlf":
+            body = [line + "\r" for line in body]
+        elif kind == "tab":
+            body[i] = body[i].replace(" ", "\t", 1)
+        elif kind == "comment":
+            body.insert(j, "c a comment")
+        elif kind == "no-final-newline":
+            end = ""
+        elif kind == "blank":
+            body.insert(j, draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == "header-count" and len(header) == 3:
+            header[draw(st.integers(1, 2))] = str(draw(st.integers(0, 12)))
+            body[0] = " ".join(header)
+        elif kind == "p00":
+            body[0] = "p 0 0"
+        text = "\n".join(body) + end
+    return text
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except (GraphFormatError, GraphValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_same_outcome(text):
+    """The public loader and the line parser with only the per-edge checks
+    give equal graphs, or the same exception type and message."""
+    got = _outcome(load_graph, text)
+    with patch.object(graph_module, "_bulk_edges", lambda n, us, vs: None):
+        reference = _outcome(graph_module._load_graph_lines, text)
+    assert got == reference
+    if isinstance(reference, Graph):
+        assert got.incident == reference.incident
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.one_of(
+    _plain_documents(), _mutated_documents(_PLAIN_KINDS), _mutated_documents(_ALL_KINDS),
+))
+def test_fast_path_matches_line_parser(text):
+    _check_same_outcome(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p 0 0\n",
+    "p 1 0\n",
+    "p 2 0\n",
+    "p 2 1\ne 0 1\n",
+    "p 2 1\ne 1 0\n",
+    "p 2 1\ne 1 3\n",
+    "p 2 1\ne 3 1\n",
+    "p 2 1\ne 2 2\n",
+    "p 3 3\ne 1 2\ne 2 3\ne 3 2\n",
+    "p 3 2\ne 1 2\ne 1 2\n",
+    "p 4 3\ne 1 2\ne 3 4\ne 2 1\n",
+    "p 4 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "p 4 2\ne 1 2\ne 3 4\n",
+    "p 3 2\ne 1 2\ne 2 3\ne 1 3\n",
+    "p 3 2\ne 1 2\ne 2 01\n",
+    "p 2 2\ne 1 2\ne 2 2\n",
+    "p 3 2\ne 1 2\ne 0 1\n",
+    "p 3 2\ne 2 1\ne 0 1\n",
+    "p 3 2\ne 1 2\ne 3 4\n",
+    "p 3 2\ne 2 1\ne 4 3\n",
+])
+def test_fast_path_matches_line_parser_examples(text):
+    _check_same_outcome(text)
+
+
+def test_fast_path_takes_plain_documents():
+    """A plain valid document is decided without the line parser, and a
+    document with a comment goes through it."""
+    text = "p 4 4\ne 1 2\ne 3 2\ne 3 4\ne 1 4\n"
+    with patch.object(graph_module, "_load_graph_lines", side_effect=AssertionError):
+        g = load_graph(text)
+    assert g.edges == ((1, 2), (2, 3), (3, 4), (1, 4))
+    with patch.object(graph_module, "_load_graph_lines", wraps=graph_module._load_graph_lines) as lines:
+        assert load_graph("c x\n" + text) == g
+    assert lines.call_count == 1
+
+
+def test_incident_is_lazy():
+    g = load_graph(C4)
+    assert "incident" not in vars(g)
+    assert g.incident == ((), (1, 4), (1, 2), (2, 3), (3, 4))
+    assert g.degree(1) == 2 and sorted(g.neighbors(1)) == [2, 4]
+    assert g == load_graph(C4)  # not part of equality

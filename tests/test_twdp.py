@@ -138,6 +138,51 @@ def test_make_nice_preserves_width_on_min_fill():
         _check_nice(ntd, g)
 
 
+@pytest.mark.parametrize("td_text", [
+    "s td 3 3 3\nb 1 1 2 3\nb 2\nb 3\n1 2\n1 3\n",  # empty leaf bags
+    "s td 2 3 3\nb 1\nb 2 1 2 3\n1 2\n",  # an empty root bag
+])
+def test_empty_bags_are_dropped(td_text):
+    g = p3()
+    td = load_td(td_text, g)
+    ntd = make_nice(td, g)
+    _check_nice(ntd, g)
+    assert ntd.width == 2
+    res = dp_min_stretch(g, td)
+    assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch == 2
+    assert stretch_of(g, res.tree_edges).total_stretch == 2
+
+
+def test_make_nice_deep_bag_tree():
+    """A bag tree deeper than the interpreter's recursion limit: the path
+    decomposition of a 700-vertex path."""
+    n = 700
+    g, _ = generate("path", n)
+    td = TreeDecomposition(
+        bags={i: frozenset({i, i + 1}) for i in range(1, n)},
+        edges=tuple((i, i + 1) for i in range(1, n - 1)),
+    )
+    ntd = make_nice(td, g)
+    assert len(ntd.nodes) == 2 * n - 1
+    _check_nice(ntd, g)
+
+
+def test_empty_bags_change_nothing_on_the_4x3_grid():
+    """Empty bags hung off the smallest bag (so one becomes the least id)
+    and off a leaf give the same nice form and the same answer."""
+    g = make_graph(12, GRID_4X3_EDGES)
+    td = load_td(GRID_4X3_TD, g)
+    padded = TreeDecomposition(
+        bags={**td.bags, 0: frozenset(), 13: frozenset()},
+        edges=td.edges + ((0, 1), (12, 13)),
+    )
+    padded.validate(g)
+    assert make_nice(padded, g) == make_nice(td, g)
+    res = dp_min_stretch(g, padded)
+    assert res == dp_min_stretch(g, td)
+    assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch
+
+
 def test_contract_path_trace():
     edges = [(1, 2), (2, 3)]
     conf = contract_to_configuration(edges, {1, 3}, {1, 2, 3})
