@@ -31,7 +31,7 @@ from .arrangement import (
     widths,
 )
 from .distribution import build_shift_tree, cutwidth_tree, explicit_distribution, sample_tree
-from .graph import Graph, GraphFormatError, GraphValidationError, dump_graph, generate, load_graph
+from .graph import FAMILIES, Graph, GraphFormatError, GraphValidationError, dump_graph, generate, load_graph
 from .lowstretch import (
     StretchReport,
     build_tree,
@@ -211,6 +211,8 @@ def _cmd_distribution(args, run: _Run) -> int:
         raise CliError(f"--sample must be at least 0, got {args.sample}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.csv is not None and not args.explicit:
+        raise CliError("--csv needs --explicit")
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.explicit:
@@ -492,9 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output JSON path (default: stdout)")
 
     p = sub.add_parser("gen", help="generate a graph family with a witness arrangement")
-    p.add_argument("--family", required=True,
-                   choices=["path", "cycle", "grid", "complete", "caterpillar",
-                            "random_bandwidth", "random_cutwidth"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--b", type=int, help="bandwidth parameter (random_bandwidth)")

@@ -129,7 +129,8 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
 
 def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None) -> tuple[tuple[int, int], ...]:
     """Validate edge by edge, raising the first error with its source line;
-    then check connectivity by a DFS from vertex 1."""
+    then check connectivity by a DFS from vertex 1 over the edges alone, so
+    that memory follows the edge list and not the declared n."""
 
     def where(i: int) -> int | None:
         return lines[i] if lines is not None else None
@@ -147,28 +148,20 @@ def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | 
         seen.add(key)
         edges.append(key)
 
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for eid, (u, v) in enumerate(edges, start=1):
-        incident[u].append(eid)
-        incident[v].append(eid)
-
-    # connectivity
     if n >= 1:
+        adj: dict[int, list[int]] = {}
+        for u, v in edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        reached = {1}
         stack = [1]
-        visited = [False] * (n + 1)
-        visited[1] = True
-        count = 1
         while stack:
-            x = stack.pop()
-            for eid in incident[x]:
-                a, b = edges[eid - 1]
-                y = b if a == x else a
-                if not visited[y]:
-                    visited[y] = True
-                    count += 1
+            for y in adj.get(stack.pop(), ()):
+                if y not in reached:
+                    reached.add(y)
                     stack.append(y)
-        if count != n:
-            raise GraphValidationError(f"graph is disconnected ({count} of {n} vertices reachable)")
+        if len(reached) != n:
+            raise GraphValidationError(f"graph is disconnected ({len(reached)} of {n} vertices reachable)")
     return tuple(edges)
 
 

@@ -1,12 +1,121 @@
-"""Kernel selection: the compiled extension when it imports, else its pure-Python
-twin.  ``IMPLEMENTATION`` names the one in use."""
+"""The hot loop: greedy spanning tree (union-find Kruskal) and tree-path
+stretch queries (Tarjan's offline LCA), both O(n + m) memory.
+
+Vertices here are 0-based; ``lowstretch`` translates from the 1-based public
+API and is the only caller.  ``IMPLEMENTATION`` names the kernel in run
+records.
+"""
 from __future__ import annotations
 
-try:
-    from . import _kernel as _impl  # type: ignore[attr-defined]
-except ImportError:
-    from . import _kernel_py as _impl
+IMPLEMENTATION = "python"
 
-IMPLEMENTATION: str = _impl.IMPLEMENTATION
-tree_stretch = _impl.tree_stretch
-distances_in_tree = _impl.distances_in_tree
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, with path compression.  The hot loops of
+    ``tree_stretch`` and ``_stretches`` inline a path-halving find instead."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _stretches(n: int, eu, ev, in_tree) -> list[int]:
+    """Tree-path length between the endpoints of every edge.
+
+    Tarjan's offline LCA: one iterative DFS from vertex 0 gives parents,
+    depths and a preorder.  Reversed, the preorder is a postorder; when a
+    vertex finishes, every query edge whose other endpoint finished earlier
+    is answered by a union-find find on that endpoint, which climbs the
+    finished vertices (each linked to its tree parent) to the lowest
+    unfinished ancestor: the LCA.  Memory is O(n + m).
+    """
+    m = len(eu)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    queries: list[list[int]] = [[] for _ in range(n)]
+    out = [0] * m
+    for i in range(m):
+        u, v = eu[i], ev[i]
+        if in_tree[i]:
+            adj[u].append(v)
+            adj[v].append(u)
+            out[i] = 1
+        else:
+            queries[u].append(i)
+            queries[v].append(i)
+    parent = [0] * n
+    depth = [0] * n
+    preorder = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        p, d = parent[v], depth[v] + 1
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                depth[w] = d
+                stack.append(w)
+    uf = list(range(n))
+    for v in reversed(preorder):
+        for i in queries[v]:
+            if out[i]:  # the other endpoint has finished
+                u = eu[i] if ev[i] == v else ev[i]
+                r = u
+                while uf[r] != r:  # find, with path halving
+                    uf[r] = r = uf[uf[r]]
+                out[i] = depth[u] + depth[v] - 2 * depth[r]
+            else:
+                out[i] = -1  # first endpoint to finish; answered at the second
+        uf[v] = parent[v]
+    return out
+
+
+def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread: list[int]):
+    """Greedy spanning tree under (height, spread, edge index) order.
+
+    Returns (in_tree, stretch): a 0/1 list marking tree edges and the exact
+    tree-path length between every edge's endpoints.
+    """
+    m = len(eu)
+    # (height, spread, index) order: two stable sorts, minor key first
+    order = sorted(range(m), key=spread.__getitem__)
+    order.sort(key=height.__getitem__)
+    parent = list(range(n))
+    in_tree = [0] * m
+    picked = 0
+    for i in order:
+        ru = eu[i]
+        while parent[ru] != ru:  # find, with path halving
+            parent[ru] = ru = parent[parent[ru]]
+        rv = ev[i]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru != rv:
+            parent[ru] = rv
+            in_tree[i] = 1
+            picked += 1
+            if picked == n - 1:
+                break
+    if picked != n - 1:
+        raise ValueError("graph is not connected")
+    return in_tree, _stretches(n, eu, ev, in_tree)
+
+
+def distances_in_tree(n: int, eu: list[int], ev: list[int], in_tree: list[int]):
+    """Tree-path length between the endpoints of every edge.
+
+    ``in_tree`` must mark exactly the n-1 edges of a spanning tree.
+    """
+    if sum(1 for x in in_tree if x) != n - 1:
+        raise ValueError("edge set does not have n - 1 tree edges")
+    # acyclicity/connectivity check
+    parent = list(range(n))
+    for i in range(len(eu)):
+        if in_tree[i]:
+            ru, rv = _find(parent, eu[i]), _find(parent, ev[i])
+            if ru == rv:
+                raise ValueError("edge set contains a cycle")
+            parent[ru] = rv
+    return _stretches(n, eu, ev, in_tree)

@@ -46,7 +46,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .. import kernel
 from ..graph import Graph
 from ..lowstretch import stretch_of
 from .decomposition import NiceTreeDecomposition, TreeDecomposition, make_nice
@@ -499,11 +498,9 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
 def _upper_bound(g: Graph) -> int:
     """Least total stretch over the n BFS spanning trees of g, one per root:
     the cost of a known spanning tree, so no less than the optimum."""
-    eu = [u - 1 for u, _ in g.edges]
-    ev = [v - 1 for _, v in g.edges]
     best = None
     for root in range(1, g.n + 1):
-        in_tree = [0] * g.m
+        tree = set()
         seen = {root}
         queue = [root]
         for x in queue:
@@ -513,8 +510,8 @@ def _upper_bound(g: Graph) -> int:
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-                    in_tree[eid - 1] = 1
-        total = sum(kernel.distances_in_tree(g.n, eu, ev, in_tree))
+                    tree.add(eid)
+        total = stretch_of(g, tree).total_stretch
         if best is None or total < best:
             best = total
     return best

@@ -289,6 +289,7 @@ def test_unwritable_output_is_cli_error(c4_files, tmp_path, capsys, command):
     (["--sample", "-2"], "--sample must be at least 0, got -2"),
     (["--explicit", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["--explicit", "--jobs", "-4"], "--jobs must be at least 1, got -4"),
+    (["--sample", "3", "--csv", "out.csv"], "--csv needs --explicit"),
 ])
 def test_bad_sample_or_jobs_is_cli_error(c4_files, capsys, args, message):
     assert main(["distribution", "--graph", c4_files[0], *args]) == 1

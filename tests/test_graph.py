@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -50,6 +51,20 @@ def test_out_of_range_vertex_rejected():
 def test_disconnected_rejected():
     with pytest.raises(GraphValidationError, match="disconnected"):
         load_graph("p 4 2\ne 1 2\ne 3 4\n")
+
+
+def test_disconnected_check_memory_follows_the_edges():
+    # A 12-byte document declaring a million vertices must not cost a
+    # million of anything before it is rejected.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphValidationError) as exc:
+            load_graph("p 1000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "graph is disconnected (1 of 1000000 vertices reachable)"
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from widthspan import _kernel_py
 from widthspan.kernel import IMPLEMENTATION, distances_in_tree, tree_stretch
-
-try:
-    from widthspan import _kernel
-except ImportError:  # pragma: no cover - compiled extension absent
-    _kernel = None
-
-compiled = pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
 
 
 def _random_instance(rng, n):
@@ -33,35 +25,18 @@ def _random_instance(rng, n):
 
 
 def test_active_implementation_reported():
-    assert IMPLEMENTATION in ("cython", "python")
+    assert IMPLEMENTATION == "python"
 
 
-def test_tiny_example_both_kernels():
+def test_tiny_example():
     # square with a chord; the path edges win on height, the rest stretch
     eu = [0, 1, 2, 0, 0]
     ev = [1, 2, 3, 3, 2]
     height = [1, 1, 1, 2, 3]
     spread = [1, 1, 1, 3, 2]
-    for impl in filter(None, (_kernel_py, _kernel)):
-        in_tree, stretch = impl.tree_stretch(4, eu, ev, height, spread)
-        assert list(in_tree) == [1, 1, 1, 0, 0]
-        assert list(stretch) == [1, 1, 1, 3, 2]
-
-
-@compiled
-def test_kernels_agree_on_random_instances():
-    rng = random.Random(20240817)
-    for _ in range(60):
-        n = rng.randrange(2, 40)
-        eu, ev, height, spread = _random_instance(rng, n)
-        got_py = _kernel_py.tree_stretch(n, eu, ev, height, spread)
-        got_c = _kernel.tree_stretch(n, eu, ev, height, spread)
-        assert list(got_c[0]) == got_py[0]
-        assert list(got_c[1]) == got_py[1]
-        in_tree = got_py[0]
-        assert list(_kernel.distances_in_tree(n, eu, ev, in_tree)) == list(
-            _kernel_py.distances_in_tree(n, eu, ev, in_tree)
-        )
+    in_tree, stretch = tree_stretch(4, eu, ev, height, spread)
+    assert in_tree == [1, 1, 1, 0, 0]
+    assert stretch == [1, 1, 1, 3, 2]
 
 
 def test_stretch_matches_bfs_walk():
@@ -168,4 +143,4 @@ def test_offline_lca_matches_parent_walk():
     for n, tree_edges in trees:
         eu, ev, in_tree = _tree_with_chords(rng, tree_edges, n)
         expected = _parent_walk_distances(n, eu, ev, in_tree)
-        assert _kernel_py.distances_in_tree(n, eu, ev, in_tree) == expected
+        assert distances_in_tree(n, eu, ev, in_tree) == expected

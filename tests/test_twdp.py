@@ -290,6 +290,8 @@ def test_dp_small_exact_values():
 def test_witness_mismatch_raises(monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     g, _ = generate("complete", 4)
+    # the upper bound goes through stretch_of too; keep it at its true value
+    monkeypatch.setattr(solver, "_upper_bound", lambda g: 9)
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
         _dp(g)
