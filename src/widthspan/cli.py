@@ -192,11 +192,13 @@ def _cmd_stats(args, run: _Run) -> int:
 
 
 def _cmd_build_tree(args, run: _Run) -> int:
+    if args.shift is not None and not args.padded:
+        raise CliError("--shift needs --padded")
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.padded:
         try:
-            padded = PaddedArrangement(a, args.shift)
+            padded = PaddedArrangement(a, args.shift or 0)
         except ArrangementError as exc:
             raise CliError(str(exc)) from exc
         report = build_tree_padded(g, padded)
@@ -209,14 +211,16 @@ def _cmd_build_tree(args, run: _Run) -> int:
 def _cmd_distribution(args, run: _Run) -> int:
     if args.sample is not None and args.sample < 0:
         raise CliError(f"--sample must be at least 0, got {args.sample}")
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     if args.csv is not None and not args.explicit:
         raise CliError("--csv needs --explicit")
+    if args.jobs is not None and not args.explicit:
+        raise CliError("--jobs needs --explicit")
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.explicit:
-        dist = explicit_distribution(g, a, jobs=args.jobs)
+        dist = explicit_distribution(g, a, jobs=args.jobs or 1)
         report = {
             "mode": "explicit",
             "shifts": dist.shifts,
@@ -513,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", help="arrangement file (default: identity)")
     p.add_argument("--report", help="output JSON path (default: stdout)")
     p.add_argument("--padded", action="store_true", help="use the padded power-of-two tree")
-    p.add_argument("--shift", type=int, default=0, help="padding shift (with --padded)")
+    p.add_argument("--shift", type=int, help="padding shift (with --padded; default: 0)")
     p.set_defaults(func=_cmd_build_tree)
 
     p = sub.add_parser("distribution", help="shifted-padding tree distribution")
@@ -523,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", type=int, metavar="N", help="draw N trees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="CSV export (explicit mode)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=int,
                    help="worker processes for --explicit (default: 1)")
     p.set_defaults(func=_cmd_distribution)
 

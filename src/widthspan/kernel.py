@@ -12,7 +12,7 @@ IMPLEMENTATION = "python"
 
 def _find(parent: list[int], x: int) -> int:
     """Union-find root of x, with path compression.  The hot loops of
-    ``tree_stretch`` and ``_stretches`` inline a path-halving find instead."""
+    ``spanning_tree`` and ``_stretches`` inline a path-halving find instead."""
     root = x
     while parent[root] != root:
         root = parent[root]
@@ -72,18 +72,11 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     return out
 
 
-def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread: list[int]):
-    """Greedy spanning tree under (height, spread, edge index) order.
-
-    Returns (in_tree, stretch): a 0/1 list marking tree edges and the exact
-    tree-path length between every edge's endpoints.
-    """
-    m = len(eu)
-    # (height, spread, index) order: two stable sorts, minor key first
-    order = sorted(range(m), key=spread.__getitem__)
-    order.sort(key=height.__getitem__)
+def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> list[int]:
+    """Greedy spanning tree: scan the edge indices in ``order`` and keep each
+    edge that joins two components.  Returns a 0/1 list marking tree edges."""
     parent = list(range(n))
-    in_tree = [0] * m
+    in_tree = [0] * len(eu)
     picked = 0
     for i in order:
         ru = eu[i]
@@ -100,6 +93,19 @@ def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread
                 break
     if picked != n - 1:
         raise ValueError("graph is not connected")
+    return in_tree
+
+
+def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread: list[int]):
+    """Greedy spanning tree under (height, spread, edge index) order.
+
+    Returns (in_tree, stretch): a 0/1 list marking tree edges and the exact
+    tree-path length between every edge's endpoints.
+    """
+    # (height, spread, index) order: two stable sorts, minor key first
+    order = sorted(range(len(eu)), key=spread.__getitem__)
+    order.sort(key=height.__getitem__)
+    in_tree = spanning_tree(n, eu, ev, order)
     return in_tree, _stretches(n, eu, ev, in_tree)
 
 

@@ -110,24 +110,44 @@ def build_tree_padded(g: Graph, padded: PaddedArrangement) -> StretchReport:
     return _make_report(in_tree, stretch)
 
 
+# Distinct trees whose rows ``padded_stretch_rows`` keeps.
+_MEMO_TREES = 64
+
+
 def padded_stretch_rows(g: Graph, a: LinearArrangement, shifts: Iterable[int]) -> Iterator[ShiftRow]:
     """Per-edge stretches, total and average stretch of the padded tree of
     each shift in turn, in the order given.
 
     The trees are those of ``build_tree_padded``, without the rest of its
-    report.  Endpoints and spreads do not depend on the shift, so they are set
-    up once; each shift costs its split heights and one kernel call.  Every
-    shift's tree is held to the cycle-basis identity, as a report is.
+    report.  Endpoints and the (spread, edge ID) order do not depend on the
+    shift, so they are set up once; each shift costs its split heights, one
+    stable sort by height and a Kruskal scan.  Many shifts give the same
+    tree, and a row depends only on the tree, so the rows of the last
+    ``_MEMO_TREES`` distinct trees are kept, keyed by the tree's edge set and
+    evicted oldest first: only a tree not among them costs the stretch
+    queries and the cycle-basis identity check, which every tree is held to
+    on its first sight, as a report is.  A repeated tree's row is the same
+    object each time, so callers must not mutate rows.
     Shifts must lie in ``range(shift_count(g.n))``.
     """
     n, m = g.n, g.m
     eu, ev = _kernel_edges(g)
-    spreads = edge_spreads(g, a)
+    by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
+    rows: dict[bytes, ShiftRow] = {}
     for shift in shifts:
-        in_tree, stretch = kernel.tree_stretch(n, eu, ev, padded_split_heights(g, a, shift), spreads)
-        total = sum(stretch)
-        _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
-        yield stretch, total, _avg(total, m)
+        order = sorted(by_spread, key=padded_split_heights(g, a, shift).__getitem__)
+        in_tree = kernel.spanning_tree(n, eu, ev, order)
+        key = bytes(in_tree)
+        row = rows.get(key)
+        if row is None:
+            stretch = kernel._stretches(n, eu, ev, in_tree)
+            total = sum(stretch)
+            _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
+            row = stretch, total, _avg(total, m)
+            if len(rows) == _MEMO_TREES:
+                del rows[next(iter(rows))]
+            rows[key] = row
+        yield row
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

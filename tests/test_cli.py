@@ -73,6 +73,24 @@ def test_build_tree_padded_shift(c4_files, capsys):
     assert sorted(report["tree_edges"]) == [1, 3, 4]
 
 
+@pytest.mark.parametrize("shift", ["0", "3", "-1"])
+def test_build_tree_shift_needs_padded(c4_files, capsys, shift):
+    graph, arr = c4_files
+    assert main(["build-tree", "--graph", graph, "--arrangement", arr, "--shift", shift]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --shift needs --padded\n"
+
+
+def test_build_tree_padded_shift_defaults_to_zero(c4_files, capsys):
+    graph, arr = c4_files
+    assert main(["build-tree", "--graph", graph, "--arrangement", arr, "--padded"]) == 0
+    default = capsys.readouterr().out
+    assert main(["build-tree", "--graph", graph, "--arrangement", arr,
+                 "--padded", "--shift", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_distribution_explicit_json_and_csv(c4_files, tmp_path, capsys):
     graph, arr = c4_files
     csv_path = tmp_path / "dist.csv"
@@ -290,6 +308,8 @@ def test_unwritable_output_is_cli_error(c4_files, tmp_path, capsys, command):
     (["--explicit", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     (["--explicit", "--jobs", "-4"], "--jobs must be at least 1, got -4"),
     (["--sample", "3", "--csv", "out.csv"], "--csv needs --explicit"),
+    (["--sample", "1", "--jobs", "4"], "--jobs needs --explicit"),
+    (["--sample", "1", "--jobs", "1"], "--jobs needs --explicit"),
 ])
 def test_bad_sample_or_jobs_is_cli_error(c4_files, capsys, args, message):
     assert main(["distribution", "--graph", c4_files[0], *args]) == 1

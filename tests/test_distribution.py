@@ -1,11 +1,12 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthspan import distribution, kernel
+from widthspan import distribution, kernel, lowstretch
 from widthspan.arrangement import LinearArrangement, shift_count
 from widthspan.distribution import (
     _shift_rows,
@@ -141,17 +142,103 @@ def test_shift_rows_match_shift_trees(g, order):
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
     # a tree edge whose stretch is not 1 breaks FCB(T) = stretch(T) + m - 2n + 2;
     # the check is a raise, so it also holds under python -O
-    real = kernel.tree_stretch
+    real = kernel._stretches
 
-    def inconsistent(*args):
-        in_tree, stretch = real(*args)
+    def inconsistent(n, eu, ev, in_tree):
+        stretch = real(n, eu, ev, in_tree)
         stretch[in_tree.index(1)] = 2
-        return in_tree, stretch
+        return stretch
 
-    monkeypatch.setattr(kernel, "tree_stretch", inconsistent)
+    monkeypatch.setattr(kernel, "_stretches", inconsistent)
     g, order = generate("grid", 9)
     with pytest.raises(ValueError, match="cycle-basis identity violated"):
         explicit_distribution(g, LinearArrangement.from_order(order))
+
+
+def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
+    # the rows are memoized by tree, so only a tree's first sight is checked:
+    # corrupt one tree that recurs and the loop must stop exactly there
+    g, order = generate("grid", 200)
+    a = LinearArrangement.from_order(order)
+    trees = [build_shift_tree(g, a, s).tree_edges for s in range(shift_count(g.n))]
+    target = next(t for t in trees if trees.index(t) > 0 and trees.count(t) > 1)
+    first = trees.index(target)
+    real = kernel._stretches
+
+    def inconsistent(n, eu, ev, in_tree):
+        stretch = real(n, eu, ev, in_tree)
+        if {i + 1 for i, t in enumerate(in_tree) if t} == target:
+            stretch[in_tree.index(1)] = 2
+        return stretch
+
+    monkeypatch.setattr(kernel, "_stretches", inconsistent)
+    rows = _shift_rows(g, a)
+    for _ in range(first):
+        next(rows)
+    with pytest.raises(ValueError, match="cycle-basis identity violated"):
+        next(rows)
+
+
+def _distinct_trees(g, a):
+    return len({build_shift_tree(g, a, s).tree_edges for s in range(shift_count(g.n))})
+
+
+def test_memo_runs_the_distances_once_per_tree(monkeypatch):
+    calls = []
+    real = kernel._stretches
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "_stretches", counted)
+    g, order = generate("random_bandwidth", 64, seed=1, b=3, p=0.6)
+    rows = list(_shift_rows(g, LinearArrangement.from_order(order)))
+    assert len(rows) == shift_count(64) and len(calls) == 1
+    assert all(row is rows[0] for row in rows)
+
+    g, order = generate("grid", 200)
+    a = LinearArrangement.from_order(order)
+    distinct = _distinct_trees(g, a)
+    calls.clear()
+    assert len(list(_shift_rows(g, a))) == shift_count(200)
+    assert 1 < distinct <= lowstretch._MEMO_TREES and len(calls) == distinct
+
+
+def test_memo_eviction_keeps_rows_exact():
+    # the folded cycle has more distinct trees than the memo holds
+    g, order = generate("cycle", 200)
+    a = LinearArrangement.from_order(order)
+    assert _distinct_trees(g, a) > lowstretch._MEMO_TREES
+    rows = list(_shift_rows(g, a))
+    assert len(rows) == shift_count(g.n)
+    for shift, (per_edge, total, avg) in enumerate(rows):
+        rep = build_shift_tree(g, a, shift)
+        assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
+    assert list(_shift_rows(g, a, jobs=2)) == rows
+
+
+def test_memo_holds_at_most_its_cap(monkeypatch):
+    # every row's stretch list is tracked by a weak reference; the lists
+    # alive while a row is in hand are those the memo holds
+    class Stretches(list):
+        pass
+
+    alive = []
+    real = kernel._stretches
+
+    def tracked(*args):
+        stretch = Stretches(real(*args))
+        alive.append(weakref.ref(stretch))
+        return stretch
+
+    monkeypatch.setattr(kernel, "_stretches", tracked)
+    g, order = generate("cycle", 200)
+    most = 0
+    for _ in _shift_rows(g, LinearArrangement.from_order(order)):
+        most = max(most, sum(ref() is not None for ref in alive))
+    assert len(alive) > lowstretch._MEMO_TREES
+    assert most == lowstretch._MEMO_TREES == 64
 
 
 def test_worker_processes_give_the_same_results():
