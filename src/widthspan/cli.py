@@ -211,16 +211,12 @@ def _cmd_build_tree(args, run: _Run) -> int:
 def _cmd_distribution(args, run: _Run) -> int:
     if args.sample is not None and args.sample < 0:
         raise CliError(f"--sample must be at least 0, got {args.sample}")
-    if args.jobs is not None and args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     if args.csv is not None and not args.explicit:
         raise CliError("--csv needs --explicit")
-    if args.jobs is not None and not args.explicit:
-        raise CliError("--jobs needs --explicit")
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.explicit:
-        dist = explicit_distribution(g, a, jobs=args.jobs or 1)
+        dist = explicit_distribution(g, a)
         report = {
             "mode": "explicit",
             "shifts": dist.shifts,
@@ -527,8 +523,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--sample", type=int, metavar="N", help="draw N trees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="CSV export (explicit mode)")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes for --explicit (default: 1)")
     p.set_defaults(func=_cmd_distribution)
 
     p = sub.add_parser("cutwidth-tree", help="cutwidth-witness spanning tree")

@@ -3,7 +3,10 @@
 The base arrangement is embedded in a power-of-two total of padded positions
 (smallest power of two >= 2n); each admissible shift yields one tree via the
 arrangement-tree MST.  Sampling draws a shift uniformly; explicit mode builds
-every shift and reports exact per-edge expected stretches as rationals.
+every shift's tree and reports exact per-edge expected stretches as
+rationals.  All shifts come from one serial walk over the shift bits
+(``lowstretch.padded_stretch_rows``), in walk order, so the per-shift lists
+are filled by index.
 
 The same machinery, keyed on a cutwidth witness instead of a bandwidth one,
 gives the cutwidth construction: one sampled shift in expected-linear mode,
@@ -12,18 +15,14 @@ or the best shift by exhaustion.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add
+from itertools import groupby
+from operator import itemgetter
 
 from .arrangement import LinearArrangement, PaddedArrangement, shift_count
 from .graph import Graph
-from .lowstretch import ShiftRow, StretchReport, build_tree_padded, padded_stretch_rows
-
-# Shifts per task of the worker pool; each task sets up the graph once.
-_CHUNK = 16
+from .lowstretch import StretchReport, build_tree_padded, padded_stretch_rows
 
 
 @dataclass(frozen=True)
@@ -50,50 +49,28 @@ def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, Stretch
     return shift, build_shift_tree(g, a, shift)
 
 
-def _chunk_rows(g: Graph, a: LinearArrangement, shifts: range) -> list[ShiftRow]:
-    """The rows of a run of shifts: one worker task."""
-    return list(padded_stretch_rows(g, a, shifts))
-
-
-def _shift_rows(g: Graph, a: LinearArrangement, jobs: int = 1) -> Iterator[ShiftRow]:
-    """Yield the per-edge stretches, total and average stretch of every
-    shift's tree, in shift order: all the shift loop's callers read, and all
-    a worker process sends back.
-
-    With ``jobs > 1`` runs of ``_CHUNK`` shifts are fanned out over that many
-    worker processes; ``map`` returns them in order, so results do not depend
-    on ``jobs``.  Serially, only one tree is alive at a time.
-    """
-    count = shift_count(g.n)
-    if jobs <= 1:
-        yield from padded_stretch_rows(g, a, range(count))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [range(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(_chunk_rows, repeat(g), repeat(a), chunks):
-            yield from rows
-
-
 def _best_shift(totals: list[int]) -> int:
     """The shift of minimum total stretch; ties go to the lowest shift."""
     return min(range(len(totals)), key=totals.__getitem__)
 
 
-def explicit_distribution(g: Graph, a: LinearArrangement, jobs: int = 1) -> DistributionReport:
+def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
     """Build the tree of every shift; exact expectations, no sampling error.
 
-    ``jobs > 1`` builds the shift trees in that many worker processes.
+    The walk yields a run of shifts with one tree as one row object, so each
+    run's per-edge stretches are added into the sums once, times its length.
     """
     count = shift_count(g.n)
     sums = [0] * g.m
-    per_shift: list[Fraction] = []
-    totals: list[int] = []
-    for per_edge, total, avg in _shift_rows(g, a, jobs):
-        sums = list(map(add, sums, per_edge))
-        per_shift.append(avg)
-        totals.append(total)
+    per_shift: list[Fraction] = [Fraction(0)] * count
+    totals = [0] * count
+    for (per_edge, total, avg), run in groupby(padded_stretch_rows(g, a), key=itemgetter(1)):
+        length = 0
+        for shift, _ in run:
+            per_shift[shift] = avg
+            totals[shift] = total
+            length += 1
+        sums = [s + length * x for s, x in zip(sums, per_edge)]
     return DistributionReport(
         shifts=count,
         per_edge_expected_stretch=tuple(Fraction(s, count) for s in sums),
@@ -119,5 +96,8 @@ def cutwidth_tree(
     if seed is not None:
         return sample_tree(g, a, seed)
     # only the totals are kept, so the winning tree is built once more
-    shift = _best_shift([total for _, total, _ in _shift_rows(g, a)])
+    totals = [0] * shift_count(g.n)
+    for shift, (_, total, _) in padded_stretch_rows(g, a):
+        totals[shift] = total
+    shift = _best_shift(totals)
     return shift, build_shift_tree(g, a, shift)

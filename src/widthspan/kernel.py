@@ -10,17 +10,6 @@ from __future__ import annotations
 IMPLEMENTATION = "python"
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x, with path compression.  The hot loops of
-    ``spanning_tree`` and ``_stretches`` inline a path-halving find instead."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
 def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     """Tree-path length between the endpoints of every edge.
 
@@ -72,11 +61,10 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     return out
 
 
-def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> list[int]:
-    """Greedy spanning tree: scan the edge indices in ``order`` and keep each
-    edge that joins two components.  Returns a 0/1 list marking tree edges."""
-    parent = list(range(n))
-    in_tree = [0] * len(eu)
+def kruskal_step(parent: list[int], in_tree, eu, ev, order, wanted: int) -> int:
+    """Scan the edge indices in ``order`` and keep each edge that joins two
+    components of the union-find ``parent``: link them and mark the edge in
+    ``in_tree``.  Stops once ``wanted`` edges are kept; returns how many were."""
     picked = 0
     for i in order:
         ru = eu[i]
@@ -89,9 +77,16 @@ def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> lis
             parent[ru] = rv
             in_tree[i] = 1
             picked += 1
-            if picked == n - 1:
+            if picked == wanted:
                 break
-    if picked != n - 1:
+    return picked
+
+
+def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> list[int]:
+    """Greedy spanning tree: scan the edge indices in ``order`` and keep each
+    edge that joins two components.  Returns a 0/1 list marking tree edges."""
+    in_tree = [0] * len(eu)
+    if kruskal_step(list(range(n)), in_tree, eu, ev, order, n - 1) != n - 1:
         raise ValueError("graph is not connected")
     return in_tree
 
@@ -114,14 +109,10 @@ def distances_in_tree(n: int, eu: list[int], ev: list[int], in_tree: list[int]):
 
     ``in_tree`` must mark exactly the n-1 edges of a spanning tree.
     """
-    if sum(1 for x in in_tree if x) != n - 1:
+    marked = [i for i, t in enumerate(in_tree) if t]
+    if len(marked) != n - 1:
         raise ValueError("edge set does not have n - 1 tree edges")
-    # acyclicity/connectivity check
-    parent = list(range(n))
-    for i in range(len(eu)):
-        if in_tree[i]:
-            ru, rv = _find(parent, eu[i]), _find(parent, ev[i])
-            if ru == rv:
-                raise ValueError("edge set contains a cycle")
-            parent[ru] = rv
+    # n - 1 edges are acyclic, so a spanning tree, when the scan keeps them all
+    if kruskal_step(list(range(n)), [0] * len(eu), eu, ev, marked, n - 1) != n - 1:
+        raise ValueError("edge set contains a cycle")
     return _stretches(n, eu, ev, in_tree)

@@ -12,7 +12,7 @@ node and the node charges they induce.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -25,6 +25,7 @@ from .arrangement import (
     edge_spreads,
     padded_split_heights,
     right_child_start,
+    shift_count,
     split_heights,
     split_nodes,
     tree_intervals,
@@ -110,44 +111,63 @@ def build_tree_padded(g: Graph, padded: PaddedArrangement) -> StretchReport:
     return _make_report(in_tree, stretch)
 
 
-# Distinct trees whose rows ``padded_stretch_rows`` keeps.
-_MEMO_TREES = 64
+def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, ShiftRow]]:
+    """``(shift, row)`` for every shift in ``range(shift_count(g.n))``: the
+    per-edge stretches, total and average stretch of the padded tree of
+    ``build_tree_padded``, without the rest of its report.
 
+    An edge's padded split height is at most h exactly when its endpoints lie
+    in one aligned block of 2**h padded positions, and that depends only on
+    the shift mod 2**h.  So shifts that agree in their low h bits share the
+    Kruskal forest of the edges of height at most h, and one walk over a
+    binary trie of shift bits, lowest bit first, builds every shift's tree.
+    A node at depth h holds one residue's forest (a union-find and a
+    bytearray marking its edges) and the pending edges, those of greater
+    height, in (spread, edge ID) order.  Each child residue
+    copies the forest, adds in that order the pending edges whose endpoints
+    lie in one block of 2**(h + 1) positions under it, and passes the rest
+    down.  A node whose forest spans is a leaf: every shift of its residue
+    has that tree.  One forest is alive per level, and none is changed once
+    passed down.  Shifts come in walk order, not in increasing order.
 
-def padded_stretch_rows(g: Graph, a: LinearArrangement, shifts: Iterable[int]) -> Iterator[ShiftRow]:
-    """Per-edge stretches, total and average stretch of the padded tree of
-    each shift in turn, in the order given.
-
-    The trees are those of ``build_tree_padded``, without the rest of its
-    report.  Endpoints and the (spread, edge ID) order do not depend on the
-    shift, so they are set up once; each shift costs its split heights, one
-    stable sort by height and a Kruskal scan.  Many shifts give the same
-    tree, and a row depends only on the tree, so the rows of the last
-    ``_MEMO_TREES`` distinct trees are kept, keyed by the tree's edge set and
-    evicted oldest first: only a tree not among them costs the stretch
-    queries and the cycle-basis identity check, which every tree is held to
-    on its first sight, as a report is.  A repeated tree's row is the same
-    object each time, so callers must not mutate rows.
-    Shifts must lie in ``range(shift_count(g.n))``.
+    Consecutive leaves often hold the same tree, and a row depends only on
+    the tree, so a leaf whose tree equals the previous leaf's reuses its
+    row, the same object (callers must not mutate rows).  Only a new tree
+    costs the stretch queries and the cycle-basis identity check, which
+    every tree is held to, as a report is.
     """
     n, m = g.n, g.m
     eu, ev = _kernel_edges(g)
+    zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
+    xu = [zero[u] for u, _ in g.edges]
+    xv = [zero[v] for _, v in g.edges]
+    count = shift_count(n)
+
+    def walk(depth, residue, parent, in_tree, picked, pending) -> Iterator[tuple[range, bytearray]]:
+        if picked == n - 1:
+            yield range(residue, count, 1 << depth), in_tree
+            return
+        if not pending:
+            raise ValueError("graph is not connected")
+        level = depth + 1
+        for r in range(residue, min(count, residue + (2 << depth)), 1 << depth):
+            joined, rest = [], []
+            for i in pending:
+                (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
+            forest, tree = parent.copy(), in_tree.copy()
+            added = kernel.kruskal_step(forest, tree, eu, ev, joined, n - 1 - picked)
+            yield from walk(level, r, forest, tree, picked + added, rest)
+
     by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
-    rows: dict[bytes, ShiftRow] = {}
-    for shift in shifts:
-        order = sorted(by_spread, key=padded_split_heights(g, a, shift).__getitem__)
-        in_tree = kernel.spanning_tree(n, eu, ev, order)
-        key = bytes(in_tree)
-        row = rows.get(key)
-        if row is None:
+    last = row = None
+    for shifts, in_tree in walk(0, 0, list(range(n)), bytearray(m), 0, by_spread):
+        if in_tree != last:
             stretch = kernel._stretches(n, eu, ev, in_tree)
             total = sum(stretch)
             _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
-            row = stretch, total, _avg(total, m)
-            if len(rows) == _MEMO_TREES:
-                del rows[next(iter(rows))]
-            rows[key] = row
-        yield row
+            last, row = in_tree, (stretch, total, _avg(total, m))
+        for shift in shifts:
+            yield shift, row
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

@@ -42,6 +42,17 @@ ARRANGEMENT_COMMANDS = {
     "cutwidth-tree --best-shift": ["cutwidth-tree", "--best-shift"],
     "cutwidth-tree --seed 2": ["cutwidth-tree", "--seed", "2"],
 }
+# The all-shifts commands at n = 33: 95 shifts, so the shift bits take seven
+# levels and the top level holds only residues 0..30.  The folded cycle has a
+# different tree on many shifts; under a shuffled arrangement most edges are
+# long.
+SHIFT_WALK_N = 33
+SHIFT_WALK_COMMANDS = ("distribution --explicit --csv", "cutwidth-tree --best-shift")
+SHIFT_WALK_CASES = (
+    ("cycle", [], "folded"),
+    ("grid", [], "shuffled"),
+    ("random_bandwidth", ["--b", "3", "--p", "0.6"], "shuffled"),
+)
 K4 = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 K4_TD = "s td 1 4 4\nb 1 1 2 3 4\n"
 GRID_2X3 = "p 6 7\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 3 5\ne 4 6\ne 5 6\n"
@@ -78,6 +89,16 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _arrangement_case(work: Path, name: str, graph: str, arr_args: list[str]) -> str:
+    """Digest of one ``ARRANGEMENT_COMMANDS`` entry on one graph."""
+    csv = work / "out.csv"
+    command = ARRANGEMENT_COMMANDS[name]
+    text = _run([*[arg.format(csv=csv) for arg in command], "--graph", graph, *arr_args])
+    if "--csv" in command:
+        text += "--- csv ---\n" + csv.read_text()
+    return _digest(text)
+
+
 def golden_digests(work: Path) -> dict[str, str]:
     """Run the whole corpus inside ``work``; map each case to its digest."""
     digests = {}
@@ -91,13 +112,21 @@ def golden_digests(work: Path) -> dict[str, str]:
         arrangement.write_text("".join(f"{v}\n" for v in shuffled))
         for arr_name, arr_args in (("identity", []),
                                    ("shuffled", ["--arrangement", str(arrangement)])):
-            for name, command in ARRANGEMENT_COMMANDS.items():
-                csv = work / "out.csv"
-                argv = [arg.format(csv=csv) for arg in command]
-                text = _run([*argv, "--graph", graph, *arr_args])
-                if "--csv" in command:
-                    text += "--- csv ---\n" + csv.read_text()
-                digests[f"{family}/{arr_name}: {name}"] = _digest(text)
+            for name in ARRANGEMENT_COMMANDS:
+                digests[f"{family}/{arr_name}: {name}"] = _arrangement_case(
+                    work, name, graph, arr_args)
+    for family, params, arr_name in SHIFT_WALK_CASES:
+        graph = str(work / f"{family}-{SHIFT_WALK_N}.gr")
+        arrangement = work / f"{family}-{SHIFT_WALK_N}.arr"
+        _run(["gen", "--family", family, "--n", str(SHIFT_WALK_N), "--seed", "1",
+              *params, "--out", graph, "--arrangement-out", str(arrangement)])
+        if arr_name == "shuffled":
+            shuffled = list(range(1, SHIFT_WALK_N + 1))
+            random.Random(SHUFFLE_SEED).shuffle(shuffled)
+            arrangement.write_text("".join(f"{v}\n" for v in shuffled))
+        for name in SHIFT_WALK_COMMANDS:
+            digests[f"{family} {SHIFT_WALK_N}/{arr_name}: {name}"] = _arrangement_case(
+                work, name, graph, ["--arrangement", str(arrangement)])
     for label, graph_text, td_text in dp_corpus():
         graph = work / "dp.gr"
         graph.write_text(graph_text)
@@ -198,6 +227,12 @@ GOLDEN: dict[str, str] = {
     'random_cutwidth/shuffled: distribution --sample 3 --seed 5': '635289e145e712593ae940bb4720b706e1afb259ba47bf7005859e0c88da7d68',
     'random_cutwidth/shuffled: cutwidth-tree --best-shift': '13ac26d9fc9d5bcde7d0199ab4f1e694bc154976574cdeb78e378d3c3ec98b4e',
     'random_cutwidth/shuffled: cutwidth-tree --seed 2': '872960e66e2d2f2cc04620bfc9c50bb512c59de55bb1f9af073437b1298f3c59',
+    'cycle 33/folded: distribution --explicit --csv': '0d10f2596e5d5bc993ac6636a5d0f6ed9a0e25aa59f26e8f3d0538e39cde0d76',
+    'cycle 33/folded: cutwidth-tree --best-shift': '12a4b0d684819122ce262f089e74d63007afcbe429b42d918714bd8422364c56',
+    'grid 33/shuffled: distribution --explicit --csv': '03290f41c9cbc058b377a7e1b75209ce4accceb595f424fe1dd40a3f8b428e7b',
+    'grid 33/shuffled: cutwidth-tree --best-shift': '1bbd84760168f19c974a091bd42be2c4182f045836a162509ee684bf5fe98f02',
+    'random_bandwidth 33/shuffled: distribution --explicit --csv': '9a30f90d942c930d3de3ff99548c06f42c879d628eeb64c4696d310f4a7f5032',
+    'random_bandwidth 33/shuffled: cutwidth-tree --best-shift': 'f0f73db4fae61eef94ca28570510393937fec8f899ca70a814fefde91497172b',
     'K4: dp-min-stretch': '052e12f0843d54981605634f15d2611cf6021c6422d27a2cd2b9eccefa11a7e8',
     'K4: oracle --histogram': 'efd2e3d85ca3b296598eb0ad34a39d3c6cac988b6536debf6773627ad3e27807',
     'grid 2x3: dp-min-stretch': '06b87a5d6e83f25a362bf1ad645953285dba13cd795bfe7b5b3afc822c63a555',

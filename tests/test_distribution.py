@@ -3,24 +3,35 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from widthspan import distribution, kernel, lowstretch
+from widthspan import kernel
 from widthspan.arrangement import LinearArrangement, shift_count
 from widthspan.distribution import (
-    _shift_rows,
     build_shift_tree,
     cutwidth_tree,
     explicit_distribution,
     sample_tree,
 )
-from widthspan.graph import generate
+from widthspan.graph import Graph, generate
+from widthspan.lowstretch import padded_stretch_rows
 from widthspan.oracle import expected_stretch_oracle
 
 from conftest import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+
+def _rows_by_shift(g, a):
+    """The walk's rows, put in shift order; every shift exactly once."""
+    rows = dict(padded_stretch_rows(g, a))
+    assert sorted(rows) == list(range(shift_count(g.n)))
+    return [rows[shift] for shift in range(len(rows))]
+
+
+def _walk_order(g, a):
+    return [shift for shift, _ in padded_stretch_rows(g, a)]
 
 
 def test_trees_have_expectation_one():
@@ -132,11 +143,20 @@ def _row_cases():
 @pytest.mark.parametrize("g,order", _row_cases())
 def test_shift_rows_match_shift_trees(g, order):
     a = LinearArrangement.from_order(order)
-    rows = list(_shift_rows(g, a))
-    assert len(rows) == shift_count(g.n)
-    for shift, (per_edge, total, avg) in enumerate(rows):
+    for shift, (per_edge, total, avg) in enumerate(_rows_by_shift(g, a)):
         rep = build_shift_tree(g, a, shift)
         assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
+
+
+def test_disconnected_graph_is_an_error():
+    # a Graph built without load_graph's validation can be disconnected; the
+    # walk runs out of pending edges with the forest unfinished
+    g = Graph(n=4, edges=((1, 2), (3, 4)))
+    a = LinearArrangement.identity(4)
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        explicit_distribution(g, a)
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        cutwidth_tree(g, a, best_shift=True)
 
 
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
@@ -156,11 +176,12 @@ def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
 
 
 def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
-    # the rows are memoized by tree, so only a tree's first sight is checked:
-    # corrupt one tree that recurs and the loop must stop exactly there
+    # a leaf that repeats the previous leaf's tree reuses its row unchecked:
+    # corrupt one tree that recurs and the walk must stop exactly at its
+    # first sight in walk order
     g, order = generate("grid", 200)
     a = LinearArrangement.from_order(order)
-    trees = [build_shift_tree(g, a, s).tree_edges for s in range(shift_count(g.n))]
+    trees = [build_shift_tree(g, a, s).tree_edges for s in _walk_order(g, a)]
     target = next(t for t in trees if trees.index(t) > 0 and trees.count(t) > 1)
     first = trees.index(target)
     real = kernel._stretches
@@ -172,7 +193,7 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
         return stretch
 
     monkeypatch.setattr(kernel, "_stretches", inconsistent)
-    rows = _shift_rows(g, a)
+    rows = padded_stretch_rows(g, a)
     for _ in range(first):
         next(rows)
     with pytest.raises(ValueError, match="cycle-basis identity violated"):
@@ -193,34 +214,32 @@ def test_memo_runs_the_distances_once_per_tree(monkeypatch):
 
     monkeypatch.setattr(kernel, "_stretches", counted)
     g, order = generate("random_bandwidth", 64, seed=1, b=3, p=0.6)
-    rows = list(_shift_rows(g, LinearArrangement.from_order(order)))
-    assert len(rows) == shift_count(64) and len(calls) == 1
+    rows = _rows_by_shift(g, LinearArrangement.from_order(order))
+    assert len(calls) == 1
     assert all(row is rows[0] for row in rows)
 
+    # the grid's shifts with one tree are consecutive in walk order
     g, order = generate("grid", 200)
     a = LinearArrangement.from_order(order)
-    distinct = _distinct_trees(g, a)
     calls.clear()
-    assert len(list(_shift_rows(g, a))) == shift_count(200)
-    assert 1 < distinct <= lowstretch._MEMO_TREES and len(calls) == distinct
+    _rows_by_shift(g, a)
+    assert len(calls) == _distinct_trees(g, a) == 16
 
 
 def test_memo_eviction_keeps_rows_exact():
-    # the folded cycle has more distinct trees than the memo holds
+    # the folded cycle has 100 distinct trees, most of them met again after
+    # another tree has replaced them in the one-row memo
     g, order = generate("cycle", 200)
     a = LinearArrangement.from_order(order)
-    assert _distinct_trees(g, a) > lowstretch._MEMO_TREES
-    rows = list(_shift_rows(g, a))
-    assert len(rows) == shift_count(g.n)
-    for shift, (per_edge, total, avg) in enumerate(rows):
+    assert _distinct_trees(g, a) == 100
+    for shift, (per_edge, total, avg) in enumerate(_rows_by_shift(g, a)):
         rep = build_shift_tree(g, a, shift)
         assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
-    assert list(_shift_rows(g, a, jobs=2)) == rows
 
 
 def test_memo_holds_at_most_its_cap(monkeypatch):
-    # every row's stretch list is tracked by a weak reference; the lists
-    # alive while a row is in hand are those the memo holds
+    # every row's stretch list is tracked by a weak reference; while a row
+    # is in hand, the memo holds that row and no other
     class Stretches(list):
         pass
 
@@ -235,21 +254,29 @@ def test_memo_holds_at_most_its_cap(monkeypatch):
     monkeypatch.setattr(kernel, "_stretches", tracked)
     g, order = generate("cycle", 200)
     most = 0
-    for _ in _shift_rows(g, LinearArrangement.from_order(order)):
+    for _ in padded_stretch_rows(g, LinearArrangement.from_order(order)):
         most = max(most, sum(ref() is not None for ref in alive))
-    assert len(alive) > lowstretch._MEMO_TREES
-    assert most == lowstretch._MEMO_TREES == 64
+    assert len(alive) > 100
+    assert most == 1
 
 
 def test_worker_processes_give_the_same_results():
-    # 88 shifts, several pool chunks and a partial last one, whose totals
-    # differ: a shift-order mix-up changes the per-shift averages and the
-    # best shift
+    # 88 shifts whose totals differ, in walk order: a shift-order mix-up
+    # changes the per-shift averages and the best shift.  (The worker pool
+    # is gone; the name is kept.)
     g, order = generate("grid", 40)
     random.Random(3).shuffle(order)
     a = LinearArrangement.from_order(order)
-    assert shift_count(g.n) % distribution._CHUNK and shift_count(g.n) > 2 * distribution._CHUNK
-    assert explicit_distribution(g, a, jobs=2) == explicit_distribution(g, a)
+    count = shift_count(g.n)
+    reports = [build_shift_tree(g, a, s) for s in range(count)]
+    assert count == 88 and len({r.total_stretch for r in reports}) > 1
+    rep = explicit_distribution(g, a)
+    assert rep.per_shift_avg_stretch == tuple(r.avg_stretch for r in reports)
+    assert rep.per_edge_expected_stretch == tuple(
+        Fraction(sum(stretches), count) for stretches in zip(*(r.per_edge_stretch for r in reports)))
+    totals = [r.total_stretch for r in reports]
+    assert rep.best_shift == totals.index(min(totals))
+    assert cutwidth_tree(g, a, best_shift=True) == (rep.best_shift, reports[rep.best_shift])
 
 
 def test_cutwidth_tree_seeded_mode():
@@ -260,13 +287,24 @@ def test_cutwidth_tree_seeded_mode():
     assert rep.avg_stretch == Fraction(3, 2)
 
 
-@settings(max_examples=15, deadline=None)
+# n at and next to the powers of two, where the shift count and the number
+# of levels of shift bits change
+POWER_NS = sorted({m for k in range(1, 7) for m in (2**k - 1, 2**k, 2**k + 1)} - {1})
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(min_value=3, max_value=32),
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.sampled_from(POWER_NS),
+    shuffled=st.booleans(),
     seed=st.integers(min_value=0, max_value=10**6),
 )
-def test_expectations_are_shift_averages(n, seed):
-    g, order = generate("random_bandwidth", n, seed=seed, b=2, p=0.8)
+def test_expectations_are_shift_averages(family, n, shuffled, seed):
+    assume(n >= 3 or family not in ("cycle", "random_cutwidth"))
+    kwargs = FAMILIES[family]
+    g, order = generate(family, n, **(kwargs and {**kwargs, "seed": seed}))
+    if shuffled:
+        random.Random(seed).shuffle(order)
     a = LinearArrangement.from_order(order)
     rep = explicit_distribution(g, a)
     count = shift_count(n)
