@@ -7,17 +7,16 @@ child covers the rest.  Every graph edge is "split" by exactly one node (the
 lowest node whose interval contains both endpoint positions), and the height
 of that node is the primary MST weight used by the tree construction.
 
-The tree is a spine of perfect blocks, one per set bit of n from the highest
-down, and a node of size s has height (s - 1).bit_length().  So the split
-height is arithmetic on 0-based positions x < y: with
-dx = (x ^ n).bit_length() and dy = (y ^ n).bit_length() (the block of each
-endpoint), it is (x ^ y).bit_length() when dx == dy, and otherwise the
-height of the spine node whose left child is x's block,
-((n & ((1 << max(dx, dy)) - 1)) - 1).bit_length().  A node of height h
-starts at a multiple of 2**h and only spine nodes run on to position n, so
-the split node itself is fixed by its height and x (``split_nodes``).  The
-tree is never built: ``tree_intervals`` enumerates its node intervals,
-children first, for the split-set statistics and charging diagnostics.
+Every node of height h starts at a multiple of 2**h and holds at most 2**h
+positions: its left child is the perfect block of 2**(h - 1) positions, and
+its right child starts at a multiple of 2**(h - 1) and holds at most that
+many.  So the node splitting 0-based positions x < y is the lowest aligned
+block of 2**h positions holding both, cut off at position n, as in the
+padded tree at shift 0, and its height is (x ^ y).bit_length()
+(``padded_split_heights`` at shift 0).  The split node itself is fixed by
+its height and x (``split_nodes``).  The tree is never built:
+``tree_intervals`` enumerates its node intervals, children first, for the
+split-set statistics and charging diagnostics.
 """
 from __future__ import annotations
 
@@ -60,9 +59,6 @@ class LinearArrangement:
     @classmethod
     def identity(cls, n: int) -> "LinearArrangement":
         return cls.from_order(list(range(1, n + 1)))
-
-    def spread(self, u: int, v: int) -> int:
-        return abs(self.position_of[u] - self.position_of[v])
 
 
 def load_arrangement(text: str, n: int) -> LinearArrangement:
@@ -114,23 +110,11 @@ def edge_spreads(g: Graph, a: LinearArrangement) -> list[int]:
 def split_heights(g: Graph, a: LinearArrangement) -> list[int]:
     """Arrangement-tree height of the node splitting each edge (by ID - 1).
 
-    Closed form from the module docstring.
+    The padded tree at shift 0; see the module docstring.
     """
     if a.n != g.n:
         raise ArrangementError("arrangement size does not match graph")
-    n = g.n
-    zero = [p - 1 for p in a.position_of]  # 0-based position per vertex
-    block = [(x ^ n).bit_length() for x in zero]
-    spine = [((n & ((1 << d) - 1)) - 1).bit_length() for d in range(n.bit_length() + 1)]
-    out = []
-    append = out.append
-    for u, v in g.edges:
-        du, dv = block[u], block[v]
-        if du == dv:
-            append((zero[u] ^ zero[v]).bit_length())
-        else:
-            append(spine[du if du > dv else dv])
-    return out
+    return padded_split_heights(g, a, 0)
 
 
 def split_nodes(g: Graph, a: LinearArrangement) -> list[tuple[int, int]]:

@@ -120,7 +120,7 @@ class _Run:
             "version": __version__,
             "wall_clock_s": round(time.monotonic() - self.started, 6),
         }
-        _write(out + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write(out + ".manifest.json", _dumps(manifest))
 
 
 def _load_graph_file(run: _Run, path: str) -> Graph:
@@ -156,15 +156,8 @@ def _stretch_report_dict(g: Graph, report: StretchReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args, run: _Run) -> int:
-    kwargs = {}
-    if args.b is not None:
-        kwargs["b"] = args.b
-    if args.p is not None:
-        kwargs["p"] = args.p
-    if args.c is not None:
-        kwargs["c"] = args.c
     try:
-        g, order = generate(args.family, args.n, seed=args.seed, **kwargs)
+        g, order = generate(args.family, args.n, seed=args.seed, b=args.b, p=args.p, c=args.c)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     run.emit(dump_graph(g), args.out)
@@ -533,19 +526,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cutwidth_tree)
 
     p = sub.add_parser("dp-min-stretch", help="exact optimum via tree-decomposition DP")
-    p.add_argument("--graph", required=True)
+    common(p, arrangement=False)
     p.add_argument("--td", required=True, help="PACE-format tree decomposition")
     p.add_argument("--check-oracle", action="store_true")
     p.add_argument("--allow-large", action="store_true",
                    help="lift the width/size practical limits")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_dp_min_stretch)
 
     p = sub.add_parser("oracle", help="exhaustive spanning-tree enumeration")
-    p.add_argument("--graph", required=True)
+    common(p, arrangement=False)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--histogram", action="store_true")
-    p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run invariant suites")

@@ -94,20 +94,18 @@ def _kernel_edges(g: Graph) -> tuple[list[int], list[int]]:
 
 def build_tree(g: Graph, a: LinearArrangement) -> StretchReport:
     """MST under (split height, spread, edge ID) order for the raw (unpadded)
-    arrangement tree."""
-    heights = split_heights(g, a)
-    spreads = edge_spreads(g, a)
-    eu, ev = _kernel_edges(g)
-    in_tree, stretch = kernel.tree_stretch(g.n, eu, ev, heights, spreads)
-    return _make_report(in_tree, stretch)
+    arrangement tree, which is the padded tree at shift 0."""
+    return _build(g, a, split_heights(g, a))
 
 
 def build_tree_padded(g: Graph, padded: PaddedArrangement) -> StretchReport:
     """MST under the padded, shifted arrangement's split heights."""
-    heights = padded_split_heights(g, padded.base, padded.shift)
-    spreads = edge_spreads(g, padded.base)
+    return _build(g, padded.base, padded_split_heights(g, padded.base, padded.shift))
+
+
+def _build(g: Graph, a: LinearArrangement, heights: list[int]) -> StretchReport:
     eu, ev = _kernel_edges(g)
-    in_tree, stretch = kernel.tree_stretch(g.n, eu, ev, heights, spreads)
+    in_tree, stretch = kernel.tree_stretch(g.n, eu, ev, heights, edge_spreads(g, a))
     return _make_report(in_tree, stretch)
 
 

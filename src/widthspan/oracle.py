@@ -63,9 +63,18 @@ def spanning_tree_count(g: Graph) -> int:
     return sign * a[size - 1][size - 1]
 
 
-def _tree_total_stretch(g: Graph, tree_edges: frozenset[int]) -> int:
+def _find(parent: dict[int, int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _tree_distances(g: Graph, tree: frozenset[int]) -> list[int]:
+    """Tree-path length between the endpoints of every edge, by walking up
+    parent pointers from both ends."""
     adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    for eid in tree_edges:
+    for eid in tree:
         u, v = g.edges[eid - 1]
         adj[u].append(v)
         adj[v].append(u)
@@ -79,7 +88,7 @@ def _tree_total_stretch(g: Graph, tree_edges: frozenset[int]) -> int:
                 par[y] = x
                 depth[y] = depth[x] + 1
                 stack.append(y)
-    total = 0
+    out = []
     for u, v in g.edges:
         x, y = u, v
         d = 0
@@ -89,8 +98,8 @@ def _tree_total_stretch(g: Graph, tree_edges: frozenset[int]) -> int:
             else:
                 y = par[y]
             d += 1
-        total += d
-    return total
+        out.append(d)
+    return out
 
 
 def enumerate_spanning_trees(g: Graph, cap: int = 10**6):
@@ -124,12 +133,6 @@ def enumerate_spanning_trees(g: Graph, cap: int = 10**6):
     chosen: list[int] = []
     excluded: set[int] = set()
 
-    def find(parent: dict[int, int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def rec(next_eid: int, parent: dict[int, int], picked: int):
         if picked == n - 1:
             yield frozenset(chosen)
@@ -138,7 +141,7 @@ def enumerate_spanning_trees(g: Graph, cap: int = 10**6):
             return
         eid = next_eid
         u, v = g.edges[eid - 1]
-        ru, rv = find(parent, u), find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             child = dict(parent)
             child[ru] = rv
@@ -162,7 +165,7 @@ def enumerate_min_stretch(g: Graph, cap: int = 10**6, histogram: bool = False) -
     seen = 0
     for tree in enumerate_spanning_trees(g, cap=cap):
         seen += 1
-        total = _tree_total_stretch(g, tree)
+        total = sum(_tree_distances(g, tree))
         if histogram:
             totals.append(total)
         if best is None or total < best:
@@ -197,17 +200,10 @@ def _naive_shift_tree(g: Graph, a: LinearArrangement, shift: int) -> frozenset[i
         weighted.append((height, abs(i - j), eid))
     weighted.sort()
     parent = {v: v for v in range(1, g.n + 1)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree = set()
     for _, _, eid in weighted:
         u, v = g.edges[eid - 1]
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[ru] = rv
             tree.add(eid)
@@ -220,29 +216,5 @@ def expected_stretch_oracle(g: Graph, a: LinearArrangement) -> tuple[Fraction, .
     sums = [0] * g.m
     for shift in range(count):
         tree = _naive_shift_tree(g, a, shift)
-        adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-        for eid in tree:
-            u, v = g.edges[eid - 1]
-            adj[u].append(v)
-            adj[v].append(u)
-        par = {1: 0}
-        depth = {1: 0}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in par:
-                    par[y] = x
-                    depth[y] = depth[x] + 1
-                    stack.append(y)
-        for idx, (u, v) in enumerate(g.edges):
-            x, y = u, v
-            d = 0
-            while x != y:
-                if depth[x] >= depth[y]:
-                    x = par[x]
-                else:
-                    y = par[y]
-                d += 1
-            sums[idx] += d
+        sums = [s + d for s, d in zip(sums, _tree_distances(g, tree))]
     return tuple(Fraction(s, count) for s in sums)

@@ -99,9 +99,9 @@ def _arrangement_case(work: Path, name: str, graph: str, arr_args: list[str]) ->
     return _digest(text)
 
 
-def golden_digests(work: Path) -> dict[str, str]:
-    """Run the whole corpus inside ``work``; map each case to its digest."""
-    digests = {}
+def arrangement_corpus(work: Path):
+    """Write every graph and arrangement of the corpus inside ``work``; yield
+    (label, graph path, arrangement arguments, command names) for each."""
     for family, params in FAMILIES.items():
         graph = str(work / f"{family}.gr")
         _run(["gen", "--family", family, "--n", str(N), "--seed", "1",
@@ -112,9 +112,7 @@ def golden_digests(work: Path) -> dict[str, str]:
         arrangement.write_text("".join(f"{v}\n" for v in shuffled))
         for arr_name, arr_args in (("identity", []),
                                    ("shuffled", ["--arrangement", str(arrangement)])):
-            for name in ARRANGEMENT_COMMANDS:
-                digests[f"{family}/{arr_name}: {name}"] = _arrangement_case(
-                    work, name, graph, arr_args)
+            yield f"{family}/{arr_name}", graph, arr_args, ARRANGEMENT_COMMANDS
     for family, params, arr_name in SHIFT_WALK_CASES:
         graph = str(work / f"{family}-{SHIFT_WALK_N}.gr")
         arrangement = work / f"{family}-{SHIFT_WALK_N}.arr"
@@ -124,9 +122,16 @@ def golden_digests(work: Path) -> dict[str, str]:
             shuffled = list(range(1, SHIFT_WALK_N + 1))
             random.Random(SHUFFLE_SEED).shuffle(shuffled)
             arrangement.write_text("".join(f"{v}\n" for v in shuffled))
-        for name in SHIFT_WALK_COMMANDS:
-            digests[f"{family} {SHIFT_WALK_N}/{arr_name}: {name}"] = _arrangement_case(
-                work, name, graph, ["--arrangement", str(arrangement)])
+        yield (f"{family} {SHIFT_WALK_N}/{arr_name}", graph,
+               ["--arrangement", str(arrangement)], SHIFT_WALK_COMMANDS)
+
+
+def golden_digests(work: Path) -> dict[str, str]:
+    """Run the whole corpus inside ``work``; map each case to its digest."""
+    digests = {}
+    for label, graph, arr_args, commands in arrangement_corpus(work):
+        for name in commands:
+            digests[f"{label}: {name}"] = _arrangement_case(work, name, graph, arr_args)
     for label, graph_text, td_text in dp_corpus():
         graph = work / "dp.gr"
         graph.write_text(graph_text)
@@ -278,6 +283,14 @@ def test_cli_outputs_match_golden_digests(tmp_path):
     assert digests.keys() == GOLDEN.keys()
     changed = [case for case in GOLDEN if digests[case] != GOLDEN[case]]
     assert changed == []
+
+
+def test_build_tree_is_the_padded_tree_at_shift_0(tmp_path):
+    """The arrangement tree's split heights are the padded ones at shift 0, so
+    the two reports agree byte for byte on every graph and arrangement."""
+    for label, graph, arr_args, _ in arrangement_corpus(tmp_path):
+        argv = ["build-tree", "--graph", graph, *arr_args]
+        assert _run(argv) == _run([*argv, "--padded", "--shift", "0"]), label
 
 
 if __name__ == "__main__":
