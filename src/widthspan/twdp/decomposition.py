@@ -97,6 +97,7 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise TreeDecompositionError(f"line {lineno}: non-integer 's td' fields") from None
+            n_bags, width_plus_1, n = header
             header_line = lineno
         elif parts[0] == "b":
             if header is None:
@@ -107,18 +108,31 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
                 bag_id, *members = (int(x) for x in parts[1:])
             except ValueError:
                 raise TreeDecompositionError(f"line {lineno}: non-integer bag id or vertex") from None
+            if not 1 <= bag_id <= n_bags:
+                raise TreeDecompositionError(f"line {lineno}: bag id {bag_id} is outside 1..{n_bags}")
             if bag_id in bags:
                 raise TreeDecompositionError(f"line {lineno}: duplicate bag {bag_id}")
+            for v in members:
+                if not 1 <= v <= n:
+                    raise TreeDecompositionError(f"line {lineno}: bag vertex {v} is outside 1..{n}")
             bags[bag_id] = frozenset(members)
         else:
             try:
-                i, j = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
+                ends = [int(x) for x in parts]
+            except ValueError:
                 raise TreeDecompositionError(f"line {lineno}: malformed line") from None
-            edges.append((i, j))
+            if len(ends) != 2:
+                raise TreeDecompositionError(
+                    f"line {lineno}: malformed tree edge, expected '<bag> <bag>', got {len(ends)} fields"
+                )
+            if header is None:
+                raise TreeDecompositionError(f"line {lineno}: tree edge before solution line")
+            for bag_id in ends:
+                if not 1 <= bag_id <= n_bags:
+                    raise TreeDecompositionError(f"line {lineno}: bag id {bag_id} is outside 1..{n_bags}")
+            edges.append((ends[0], ends[1]))
     if header is None:
         raise TreeDecompositionError("missing 's td' line")
-    n_bags, width_plus_1, n = header
     for i in range(1, n_bags + 1):
         bags.setdefault(i, frozenset())
     largest = max((len(b) for b in bags.values()), default=0)

@@ -19,6 +19,19 @@ Joins pair complementary tables: every promised block of one child may be the
 realized work of the other, and the bag-internal edge charges counted by both
 children are subtracted once.
 
+An introduce candidate is priced from its parent trace before it is built:
+its charge from the parent's distances to v's bag neighbours, its future
+need and its vertex count as changes to the parent's.  Only candidates
+within the bound, the future budget and the vertex cap are built and
+canonicalized.  A join finds partners by shape: the second child's table is
+indexed once by the canonical form with the realized/promised flags erased,
+and each entry of the first child makes one lookup, then tests each entry of
+its shape for complementary flags edge by edge, in shape order.  That order
+is unambiguous: in normal form every leaf is a bag vertex with its own
+label, so no two sibling subtrees share a shape, and a trace where two do
+raises RuntimeError.  Partners are merged in the order of an enumeration of
+the subsets of promised blocks, by size and then lexicographically.
+
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root.  At an introduce or join node with bag B and
 D = D(node), the unch graph edges not inside D are still to be charged, and
@@ -42,7 +55,6 @@ first, and the pruned entries can change that order.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,14 +97,6 @@ def _adjacency(edges: EdgeMap) -> dict[int, list[tuple[int, int, bool]]]:
         adj.setdefault(a, []).append((b, cost, realized))
         adj.setdefault(b, []).append((a, cost, realized))
     return adj
-
-
-def _dist(edges: EdgeMap, s: int, t: int) -> int:
-    """Cost-weighted path length between two trace vertices."""
-    d = _distances(_adjacency(edges), s)
-    if t not in d:
-        raise ValueError(f"vertices {s} and {t} are not connected in the trace")
-    return d[t]
 
 
 def _distances(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> dict[int, int]:
@@ -150,89 +154,6 @@ def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Public configuration type (conformity of a concrete spanning tree).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Configuration:
-    """The trace of a spanning tree on a bag, in contracted normal form."""
-
-    bag: frozenset[int]
-    edges: tuple[tuple[int, int, int, bool], ...]  # (a, b, cost, realized)
-
-    def edge_map(self) -> EdgeMap:
-        return {_ekey(a, b): (cost, realized) for a, b, cost, realized in self.edges}
-
-    @property
-    def canonical_key(self) -> tuple:
-        return _canon(self.bag, self.edge_map())
-
-    def steiner_tags(self) -> dict[int, str]:
-        edges = self.edge_map()
-        adj = _adjacency(edges)
-        return {
-            v: _steiner_tag(adj, v)
-            for v in _vertices(self.bag, edges)
-            if v not in self.bag
-        }
-
-    def stretch_of(self, u: int, v: int) -> int:
-        return _dist(self.edge_map(), u, v)
-
-
-def contract_to_configuration(tree_edges, bag, below_set) -> Configuration:
-    """Trace of a spanning tree on a bag: strip off-bag leaves, contract
-    degree-2 off-bag vertices summing costs, classify edges by whether their
-    internal vertices were already processed (below) or are still to come.
-    """
-    bag = frozenset(bag)
-    below_set = frozenset(below_set)
-    # (cost, below_internals, above_internals) per surviving edge
-    attrs: dict[tuple[int, int], tuple[int, int, int]] = {}
-    adj: dict[int, set[int]] = {}
-    for u, v in tree_edges:
-        attrs[_ekey(u, v)] = (1, 0, 0)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    for v in bag:
-        adj.setdefault(v, set())
-
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if v in bag:
-                continue
-            if len(adj[v]) == 1:
-                (w,) = adj[v]
-                del attrs[_ekey(v, w)]
-                adj[w].discard(v)
-                del adj[v]
-                changed = True
-            elif len(adj[v]) == 2:
-                a, b = sorted(adj[v])
-                ca, ba_, aa = attrs.pop(_ekey(v, a))
-                cb, bb, ab = attrs.pop(_ekey(v, b))
-                inside = 1 if v in below_set else 0
-                attrs[_ekey(a, b)] = (ca + cb, ba_ + bb + inside, aa + ab + (1 - inside))
-                adj[a].discard(v)
-                adj[b].discard(v)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[v]
-                changed = True
-
-    out = []
-    for (a, b), (cost, below_int, above_int) in sorted(attrs.items()):
-        if below_int and above_int:
-            raise RuntimeError("trace edge mixes below and above internals")
-        endpoint_above = any(x not in bag and x not in below_set for x in (a, b))
-        realized = above_int == 0 and not endpoint_above
-        out.append((a, b, cost, realized))
-    return Configuration(bag=bag, edges=tuple(out))
-
-
-# ---------------------------------------------------------------------------
 # DP table machinery.
 # ---------------------------------------------------------------------------
 
@@ -253,86 +174,137 @@ def _merge(table: dict, bag: frozenset[int], edges: EdgeMap, cost: int, back: tu
         table[key] = _Entry(cost, edges, back)
 
 
-def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph, max_extra: int):
-    """Every way v can be placed into the trace.
+def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
+                      nbrs: list[int], max_extra: int, max_charge: float,
+                      max_need: float, max_verts: int):
+    """Every way v can be placed into the trace whose charge, future need and
+    vertex count are at most max_charge, max_need and max_verts.
 
-    Yields (new_edges, realized_pairs) where realized_pairs are the graph
-    edges that become tree edges at this step.
+    Candidates are priced from the parent trace and built only when they
+    fit.  With S(x) the sum of d(x, u) over u in nbrs, and deg = len(nbrs):
+
+    - v hung off x by a new edge of length L: charge deg * L + S(x), need
+      L - 1 more, one vertex more;
+    - v in the place of an Above vertex s: charge S(s), need one less, as
+      many vertices;
+    - v at offset alpha on a promised edge (a, b) of cost T: charge the sum
+      of min(alpha + d(a, u), T - alpha + d(b, u)), need one less, one
+      vertex more;
+    - v hung by an edge of length L off a fresh Above vertex there: that
+      charge plus deg * L, need L - 1 more, two vertices more.
+
+    Yields (new_edges, realized_pairs, charge): realized_pairs are the graph
+    edges that become tree edges at this step; charge is the sum of the
+    trace distances from v to nbrs.
     """
     verts = _vertices(bag_j, edges_j)
     adj = _adjacency(edges_j)
     above = {s for s in verts if s not in bag_j and _steiner_tag(adj, s) == ABOVE}
+    need_j = _future_need(bag_j, edges_j, adj)
+    dists = [_distances(adj, u) for u in nbrs]
+    deg = len(nbrs)
+    room_verts = max_verts - len(verts)
+
+    def longest(charge: int) -> int:
+        """The longest new edge whose charge deg * L + charge and need
+        need_j + L - 1 still fit."""
+        top = min(max_extra, max_need - need_j + 1)
+        if charge > max_charge:
+            return 0
+        if deg and max_charge != float("inf"):
+            return min(top, (max_charge - charge) // deg)
+        return top
 
     # attach v by a single new edge to a bag vertex or an Above vertex
-    for x in sorted(verts):
-        if x in bag_j:
-            if g.has_edge(v, x):
-                out = dict(edges_j)
-                out[_ekey(v, x)] = (1, True)
-                yield out, ((v, x),)
-            for length in range(2, max_extra + 1):
+    if room_verts >= 1:
+        for x in sorted(verts):
+            if x not in bag_j and x not in above:
+                continue
+            base = sum(d[x] for d in dists)
+            if x in bag_j:
+                if g.has_edge(v, x) and deg + base <= max_charge and need_j <= max_need:
+                    out = dict(edges_j)
+                    out[_ekey(v, x)] = (1, True)
+                    yield out, ((v, x),), deg + base
+                first = 2
+            else:
+                first = 1
+            for length in range(first, longest(base) + 1):
                 out = dict(edges_j)
                 out[_ekey(v, x)] = (length, False)
-                yield out, ()
-        elif x in above:
-            for length in range(1, max_extra + 1):
-                out = dict(edges_j)
-                out[_ekey(v, x)] = (length, False)
-                yield out, ()
+                yield out, (), deg * length + base
 
     # v takes the place of an Above vertex: unit arms to bag vertices become
     # realized graph edges, everything else keeps its cost and stays promised
-    for s in sorted(above):
-        arms = adj[s]
-        if any(cost == 1 and w in bag_j and not g.has_edge(v, w) for w, cost, _ in arms):
-            continue
-        out = {k: cv for k, cv in edges_j.items() if s not in k}
-        pairs = []
-        for w, cost, _ in arms:
-            if cost == 1 and w in bag_j:
-                out[_ekey(v, w)] = (1, True)
-                pairs.append((v, w))
-            else:
-                out[_ekey(v, w)] = (cost, False)
-        yield out, tuple(pairs)
+    if room_verts >= 0 and need_j - 1 <= max_need:
+        for s in sorted(above):
+            arms = adj[s]
+            charge = sum(d[s] for d in dists)
+            if charge > max_charge:
+                continue
+            if any(cost == 1 and w in bag_j and not g.has_edge(v, w) for w, cost, _ in arms):
+                continue
+            out = {k: cv for k, cv in edges_j.items() if s not in k}
+            pairs = []
+            for w, cost, _ in arms:
+                if cost == 1 and w in bag_j:
+                    out[_ekey(v, w)] = (1, True)
+                    pairs.append((v, w))
+                else:
+                    out[_ekey(v, w)] = (cost, False)
+            yield out, tuple(pairs), charge
+
+    # the charge of a point at offset alpha on a promised edge (a, b): each
+    # u in nbrs lies on a's side of the edge, or on b's
+    promised = []
+    for (a, b), (total, realized) in edges_j.items():
+        if not realized and total >= 2:
+            near_a = [d[a] for d in dists if d[a] < d[b]]
+            near_b = [d[b] for d in dists if d[a] > d[b]]
+            promised.append((a, b, total, len(near_a), len(near_b), sum(near_a) + sum(near_b)))
 
     # v subdivides a promised edge at every interior offset; a unit side to a
     # bag vertex must be an actual graph edge and becomes realized
-    promised = [(k, cv[0]) for k, cv in edges_j.items() if not cv[1] and cv[0] >= 2]
-    for (a, b), total in promised:
-        for alpha in range(1, total):
-            sides = []
-            ok = True
-            for endpoint, cost in ((a, alpha), (b, total - alpha)):
-                if cost == 1 and endpoint in bag_j:
-                    if not g.has_edge(v, endpoint):
-                        ok = False
-                        break
-                    sides.append((endpoint, cost, True))
-                else:
-                    sides.append((endpoint, cost, False))
-            if not ok:
-                continue
-            out = dict(edges_j)
-            del out[_ekey(a, b)]
-            pairs = []
-            for endpoint, cost, realized in sides:
-                out[_ekey(v, endpoint)] = (cost, realized)
-                if realized:
-                    pairs.append((v, endpoint))
-            yield out, tuple(pairs)
-
-    # a fresh Above vertex subdivides a promised edge and v hangs off it
-    fresh = min((x for x in verts if x < 0), default=0) - 1
-    for (a, b), total in promised:
-        for alpha in range(1, total):
-            for length in range(1, max_extra + 1):
+    if room_verts >= 1 and need_j - 1 <= max_need:
+        for a, b, total, on_a, on_b, base in promised:
+            for alpha in range(1, total):
+                charge = base + on_a * alpha + on_b * (total - alpha)
+                if charge > max_charge:
+                    continue
+                sides = []
+                ok = True
+                for endpoint, cost in ((a, alpha), (b, total - alpha)):
+                    if cost == 1 and endpoint in bag_j:
+                        if not g.has_edge(v, endpoint):
+                            ok = False
+                            break
+                        sides.append((endpoint, cost, True))
+                    else:
+                        sides.append((endpoint, cost, False))
+                if not ok:
+                    continue
                 out = dict(edges_j)
                 del out[_ekey(a, b)]
-                out[_ekey(fresh, a)] = (alpha, False)
-                out[_ekey(fresh, b)] = (total - alpha, False)
-                out[_ekey(fresh, v)] = (length, False)
-                yield out, ()
+                pairs = []
+                for endpoint, cost, realized in sides:
+                    out[_ekey(v, endpoint)] = (cost, realized)
+                    if realized:
+                        pairs.append((v, endpoint))
+                yield out, tuple(pairs), charge
+
+    # a fresh Above vertex subdivides a promised edge and v hangs off it
+    if room_verts >= 2:
+        fresh = min((x for x in verts if x < 0), default=0) - 1
+        for a, b, total, on_a, on_b, base in promised:
+            for alpha in range(1, total):
+                charge = base + on_a * alpha + on_b * (total - alpha)
+                for length in range(1, longest(charge) + 1):
+                    out = dict(edges_j)
+                    del out[_ekey(a, b)]
+                    out[_ekey(fresh, a)] = (alpha, False)
+                    out[_ekey(fresh, b)] = (total - alpha, False)
+                    out[_ekey(fresh, v)] = (length, False)
+                    yield out, (), deg * length + charge
 
 
 def introduce_step(
@@ -351,23 +323,20 @@ def introduce_step(
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
+    max_need = float("inf") if future_budget is None else future_budget
     table_i: dict = {}
     for key_j, entry in table_j.items():
         existing = sum(cost for cost, _ in entry.edges.values())
         max_extra = (n - 1) - existing
-        for edges_i, pairs in _intro_candidates(entry.edges, bag_j, v, g, max_extra):
+        max_charge = float("inf") if limit is None else limit - entry.cost
+        for edges_i, pairs, charge in _intro_candidates(
+            entry.edges, bag_j, v, g, nbrs, max_extra, max_charge, max_need, cap
+        ):
             adj = _adjacency(edges_i)
-            if future_budget is not None and _future_need(bag_i, edges_i, adj) > future_budget:
-                continue
-            if len(bag_i | adj.keys()) > cap:
-                continue
-            cost = entry.cost
-            if nbrs:
-                dist = _distances(adj, v)
-                cost += sum(dist[u] for u in nbrs)
-            if limit is not None and cost > limit:
-                continue
-            _merge(table_i, bag_i, edges_i, cost, ("intro", key_j, pairs), adj)
+            for x in adj:  # the Steiner tag check, on every trace the table keeps
+                if x < 0:
+                    _steiner_tag(adj, x)
+            _merge(table_i, bag_i, edges_i, entry.cost + charge, ("intro", key_j, pairs), adj)
     return table_i
 
 
@@ -410,12 +379,17 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
     return table_i
 
 
+def _shared(k: tuple[int, int], cost: int) -> bool:
+    """A unit edge between two bag vertices: realized on both sides of a
+    join."""
+    return k[0] > 0 and k[1] > 0 and cost == 1
+
+
 def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     """Partition of the trace edges into flip units for the join: Steiner
     components as wholes, long bag-to-bag edges individually; unit bag edges
     are shared (realized on both sides) and belong to no block."""
-    keys = [k for k, (cost, _) in edges.items()
-            if not (k[0] > 0 and k[1] > 0 and cost == 1)]
+    keys = [k for k, (cost, _) in edges.items() if not _shared(k, cost)]
     index = {k: i for i, k in enumerate(keys)}
     parent = list(range(len(keys)))
 
@@ -446,6 +420,68 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     return out
 
 
+def _shape(bag: frozenset[int], adj: dict, v: int, parent: int | None):
+    """``_enc`` with the realized/promised flags erased, children ordered by
+    (cost, shape), and the trace edges below v in the order of that encoding:
+    (shape, edges) of the subtree at v entered from parent.  Two siblings of
+    the same cost and shape would make that order ambiguous; they need a
+    leaf that is no bag vertex, which normal form does not have."""
+    kids = []
+    for w, cost, _ in adj.get(v, ()):
+        if w != parent:
+            shape, sub = _shape(bag, adj, w, v)
+            kids.append((cost, shape, _ekey(v, w), sub))
+    kids.sort()
+    order = []
+    for i, (cost, shape, k, sub) in enumerate(kids):
+        if i and kids[i - 1][:2] == (cost, shape):
+            raise RuntimeError("trace with a non-bag leaf: two sibling subtrees alike")
+        order.append(k)
+        order += sub
+    return (v if v in bag else 0, tuple(kid[:2] for kid in kids)), order
+
+
+def _by_shape(table: dict, bag: frozenset[int]) -> dict:
+    """The entries of a table by shape: shape -> [(realized, key, entry)],
+    realized a bit mask over the edges in ``_shape`` order."""
+    index: dict = {}
+    root = min(bag)
+    for key, entry in table.items():
+        shape, order = _shape(bag, _adjacency(entry.edges), root, None)
+        realized = 0
+        for i, k in enumerate(order):
+            if entry.edges[k][1]:
+                realized |= 1 << i
+        index.setdefault(shape, []).append((realized, key, entry))
+    return index
+
+
+def _shape_partners(edges_j: EdgeMap, order: list, promised: list[frozenset],
+                    candidates: list):
+    """The join partners of a trace among the entries of its shape: the
+    edges in ``_shape`` order correspond one to one, so an entry is a
+    partner when its realized edges are the shared edges plus a union of
+    promised blocks.  Yields (flip, key_k, entry_k), flip the edges those
+    blocks hold, by the number of blocks and then by their indices."""
+    pos = {k: i for i, k in enumerate(order)}
+    shared = 0
+    for k, (cost, _) in edges_j.items():
+        if _shared(k, cost):
+            shared |= 1 << pos[k]
+    masks = [sum(1 << pos[k] for k in ks) for ks in promised]
+    found = []
+    for realized, key_k, entry_k in candidates:
+        if realized & shared != shared:
+            continue
+        flip = realized & ~shared
+        chosen = tuple(i for i, mask in enumerate(masks) if flip & mask)
+        if sum(masks[i] for i in chosen) == flip:
+            found.append((len(chosen), chosen, key_k, entry_k))
+    found.sort(key=lambda f: f[:2])
+    for _, chosen, key_k, entry_k in found:
+        yield set().union(*(promised[i] for i in chosen)), key_k, entry_k
+
+
 def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
               *, limit: int | None = None) -> dict:
     """Combine complementary children: each block realized below exactly one
@@ -456,38 +492,35 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
     for u, w in g.edges:
         if u in bag and w in bag:
             bag_pairs.setdefault(u, []).append(w)
+    index = _by_shape(table_k, bag)
+    root = min(bag)
     table_i: dict = {}
     for key_j, entry_j in table_j.items():
-        # the charges both children made for bag-internal edges; every merged
-        # trace has entry_j's edges and costs, so it has the same distances
-        adj_j = _adjacency(entry_j.edges)
-        dup = 0
-        for u, ws in bag_pairs.items():
-            dist = _distances(adj_j, u)
-            dup += sum(dist[w] for w in ws)
-        promised_blocks = [ks for ks, realized in _blocks(entry_j.edges) if not realized]
-        for r in range(len(promised_blocks) + 1):
-            for chosen in itertools.combinations(promised_blocks, r):
-                flip: set = set().union(*chosen) if chosen else set()
-                partner: EdgeMap = {}
-                for k, (cost, realized) in entry_j.edges.items():
-                    if k[0] > 0 and k[1] > 0 and cost == 1:
-                        partner[k] = (cost, True)
-                    else:
-                        partner[k] = (cost, k in flip)
-                key_k = _canon(bag, partner)
-                entry_k = table_k.get(key_k)
-                if entry_k is None:
-                    continue
-                cost_i = entry_j.cost + entry_k.cost - dup
-                if limit is not None and cost_i > limit:
-                    continue
-                # parent tag: realized below either child
-                merged: EdgeMap = {
-                    k: (cost, realized or partner[k][1])
-                    for k, (cost, realized) in entry_j.edges.items()
-                }
-                _merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
+        edges_j = entry_j.edges
+        adj_j = _adjacency(edges_j)
+        shape, order = _shape(bag, adj_j, root, None)
+        if shape not in index:
+            continue  # no entry of its shape, so no partner
+        promised = [ks for ks, realized in _blocks(edges_j) if not realized]
+        dup = None
+        for flip, key_k, entry_k in _shape_partners(edges_j, order, promised, index[shape]):
+            if dup is None:
+                # the charges both children made for bag-internal edges; every
+                # merged trace has entry_j's edges and costs, so it has the
+                # same distances
+                dup = 0
+                for u, ws in bag_pairs.items():
+                    dist = _distances(adj_j, u)
+                    dup += sum(dist[w] for w in ws)
+            cost_i = entry_j.cost + entry_k.cost - dup
+            if limit is not None and cost_i > limit:
+                continue
+            # parent tag: realized below either child
+            merged: EdgeMap = {
+                k: (cost, realized or k in flip or _shared(k, cost))
+                for k, (cost, realized) in edges_j.items()
+            }
+            _merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
     return table_i
 
 

@@ -212,6 +212,13 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     ("s td 1 4 4\nb\n", "line 2: bag line must be"),
     ("s td 1 2 9\nb 1 1 2 3 4\n", "line 1: 's td' gives width+1 = 2, the largest bag has 4"),
     ("s td 1 4 9\nb 1 1 2 3 4\n", "line 1: 's td' gives n = 9, the graph has 4"),
+    ("s td 2 4 4\nb 1 1 2 3 4\nb 3 1\n1 3\n", "line 3: bag id 3 is outside 1..2"),
+    ("s td 2 4 4\nb 1 1 2 3 4\nb 2 1\n1 3\n", "line 4: bag id 3 is outside 1..2"),
+    ("s td 2 4 4\nb 1 1 2 3 4\nb 2 1\n1 2 7\n", "line 4: malformed tree edge, expected '<bag> <bag>'"),
+    ("s td 2 4 4\nb 1 1 2 3 4\nb 2 1\n1\n", "line 4: malformed tree edge"),
+    ("1 2\ns td 2 4 4\nb 1 1 2 3 4\nb 2 1\n", "line 1: tree edge before solution line"),
+    ("s td 1 4 4\nb 1 1 2 3 5\n", "line 2: bag vertex 5 is outside 1..4"),
+    ("s td 1 4 4\nb 1 0 1 2 3\n", "line 2: bag vertex 0 is outside 1..4"),
 ])
 def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     graph = tmp_path / "k4.gr"

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -18,15 +21,112 @@ from widthspan.twdp import (
 from widthspan.twdp import solver
 from widthspan.twdp.decomposition import min_fill_td
 from widthspan.twdp.solver import (
-    Configuration,
-    contract_to_configuration,
+    EdgeMap,
     forget_step,
     introduce_step,
+    _adjacency,
     _canon,
+    _distances,
+    _ekey,
     _Entry,
+    _steiner_tag,
+    _vertices,
 )
 
 from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
+
+# ---------------------------------------------------------------------------
+# The trace of a concrete spanning tree, computed without the DP: the
+# conformity reference the DP's tables are checked against.
+# ---------------------------------------------------------------------------
+
+def _dist(edges: EdgeMap, s: int, t: int) -> int:
+    """Cost-weighted path length between two trace vertices."""
+    d = _distances(_adjacency(edges), s)
+    if t not in d:
+        raise ValueError(f"vertices {s} and {t} are not connected in the trace")
+    return d[t]
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """The trace of a spanning tree on a bag, in contracted normal form."""
+
+    bag: frozenset[int]
+    edges: tuple[tuple[int, int, int, bool], ...]  # (a, b, cost, realized)
+
+    def edge_map(self) -> EdgeMap:
+        return {_ekey(a, b): (cost, realized) for a, b, cost, realized in self.edges}
+
+    @property
+    def canonical_key(self) -> tuple:
+        return _canon(self.bag, self.edge_map())
+
+    def steiner_tags(self) -> dict[int, str]:
+        edges = self.edge_map()
+        adj = _adjacency(edges)
+        return {
+            v: _steiner_tag(adj, v)
+            for v in _vertices(self.bag, edges)
+            if v not in self.bag
+        }
+
+    def stretch_of(self, u: int, v: int) -> int:
+        return _dist(self.edge_map(), u, v)
+
+
+def contract_to_configuration(tree_edges, bag, below_set) -> Configuration:
+    """Trace of a spanning tree on a bag: strip off-bag leaves, contract
+    degree-2 off-bag vertices summing costs, classify edges by whether their
+    internal vertices were already processed (below) or are still to come.
+    """
+    bag = frozenset(bag)
+    below_set = frozenset(below_set)
+    # (cost, below_internals, above_internals) per surviving edge
+    attrs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    adj: dict[int, set[int]] = {}
+    for u, v in tree_edges:
+        attrs[_ekey(u, v)] = (1, 0, 0)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    for v in bag:
+        adj.setdefault(v, set())
+
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            if v in bag:
+                continue
+            if len(adj[v]) == 1:
+                (w,) = adj[v]
+                del attrs[_ekey(v, w)]
+                adj[w].discard(v)
+                del adj[v]
+                changed = True
+            elif len(adj[v]) == 2:
+                a, b = sorted(adj[v])
+                ca, ba_, aa = attrs.pop(_ekey(v, a))
+                cb, bb, ab = attrs.pop(_ekey(v, b))
+                inside = 1 if v in below_set else 0
+                attrs[_ekey(a, b)] = (ca + cb, ba_ + bb + inside, aa + ab + (1 - inside))
+                adj[a].discard(v)
+                adj[b].discard(v)
+                adj[a].add(b)
+                adj[b].add(a)
+                del adj[v]
+                changed = True
+
+    out = []
+    for (a, b), (cost, below_int, above_int) in sorted(attrs.items()):
+        if below_int and above_int:
+            raise RuntimeError("trace edge mixes below and above internals")
+        endpoint_above = any(x not in bag and x not in below_set for x in (a, b))
+        realized = above_int == 0 and not endpoint_above
+        out.append((a, b, cost, realized))
+    return Configuration(bag=bag, edges=tuple(out))
+
+
 
 P3_TD = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
 
@@ -358,6 +458,271 @@ def _pinned(name):
     g, _ = generate(family, int(n))
     return g, min_fill_td(g)
 
+
+def _table_digest(tables) -> str:
+    """One digest over every node's table: the (key, cost, edges, back) of
+    each entry in insertion order, each entry's edges in their own order."""
+    h = hashlib.sha256()
+    for table in tables:
+        rows = [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+        h.update(hashlib.sha256(repr(rows).encode()).digest())
+    return h.hexdigest()[:16]
+
+
+# (table entries, digest) per input, taken from the DP before introduce
+# candidates were priced before they were built and join partners were found
+# by shape.  The witness among tied optima follows insertion order, so the
+# order is pinned along with the contents.
+PINNED_TABLES = {
+    "grid 4x3": (1373, "c536c45d7773257d"),
+    "grid 6": (55, "2cbb95a454c66684"),
+    "cycle 8": (179, "70c02d5f84f15dbd"),
+    "complete 4": (22, "32fb5489ad39a487"),
+}
+PINNED_ATLAS_TABLES = [  # every 5th atlas graph, under min_fill_td
+    (3, "0fa025b0cac8ca23"),
+    (11, "f19a8f1230d805c5"),
+    (12, "d3347758c5a7d404"),
+    (29, "2acb270175e8eaf0"),
+    (29, "4eee23b44fd70913"),
+    (60, "045c65ab6a95b80d"),
+    (17, "118f698f975739b2"),
+    (11, "51e3fa7b295cca55"),
+    (50, "cbbfc7fbc680a60a"),
+    (18, "21ff4003c2ebd78b"),
+    (31, "9bb1cf7ccbc35721"),
+    (54, "e819776b11fd0db8"),
+    (19, "7d2fac4338c66dbb"),
+    (56, "aa742743d8260c38"),
+    (43, "8d4712dcc0004036"),
+    (40, "204efaf06f7d0925"),
+    (72, "ab7ed98e186f2547"),
+    (36, "7ef4722a6a29056d"),
+    (36, "17ebefd0de6497a1"),
+    (53, "609ff84815318cde"),
+    (83, "da1ed6bc190265fb"),
+    (91, "03c1b59fcb4b8dae"),
+    (45, "20eb0fc38e3d2195"),
+    (100, "ff476b542371f5c6"),
+    (73, "0b5793408db860e2"),
+    (62, "5e512d2e5c674f46"),
+    (109, "3daf431316e984f2"),
+    (80, "c6c30657bfa38c1a"),
+    (122, "71001080c83d46d7"),
+]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_tables_are_pinned(name):
+    g, td = _pinned(name)
+    res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    assert (sum(res.table_sizes), _table_digest(res.tables)) == PINNED_TABLES[name]
+
+
+def test_atlas_tables_are_pinned(atlas_corpus):
+    got = []
+    for g in atlas_corpus[::5]:
+        res = dp_min_stretch(g, min_fill_td(g), enforce_limits=False, keep_tables=True)
+        got.append((sum(res.table_sizes), _table_digest(res.tables)))
+    assert got == PINNED_ATLAS_TABLES
+
+
+def _rows(table):
+    return [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+
+
+def _kept_exactly_within(every, built, keep):
+    """A bound on one quantity keeps exactly the candidates whose built
+    value is within it, at each built value q and at q - 1; so a candidate
+    is priced no higher than q and no lower, that is, at q."""
+    rows = [(tuple(c[0].items()),) + c[1:] for c in every]
+    for bound in sorted(set(built) | {q - 1 for q in built}):
+        kept = [(tuple(c[0].items()),) + c[1:] for c in keep(bound)]
+        assert kept == [row for row, value in zip(rows, built) if value <= bound]
+
+
+def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
+    # Every introduce candidate is priced from its parent trace before it is
+    # built.  Over the traces of every atlas graph's DP (run without a bound
+    # or future pruning, so that every kind of trace is there), each
+    # candidate's charge must be what the built trace gives, and the charge
+    # bound, the future budget and the vertex cap must each keep exactly the
+    # candidates whose built charge, future need and vertex count are within
+    # them.
+    inf = float("inf")
+    kinds = set()
+    for g in atlas_corpus:
+        td = min_fill_td(g)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
+            res = dp_min_stretch(g, td, enforce_limits=False, prune_future=False, keep_tables=True)
+        for nd in res.ntd.nodes:
+            if nd.kind != "introduce":
+                continue
+            v, bag_i = nd.vertex, nd.bag
+            bag_j = bag_i - {v}
+            nbrs = [u for u in g.neighbors(v) if u in bag_j]
+            for entry in res.tables[nd.children[0]].values():
+                max_extra = (g.n - 1) - sum(cost for cost, _ in entry.edges.values())
+                adj_j = _adjacency(entry.edges)
+                need_j = solver._future_need(bag_j, entry.edges, adj_j)
+                verts_j = len(bag_j | adj_j.keys())
+
+                def candidates(charge=inf, need=inf, verts=inf):
+                    return list(solver._intro_candidates(
+                        entry.edges, bag_j, v, g, nbrs, max_extra, charge, need, verts))
+
+                every = candidates()
+                charges, needs, counts = [], [], []
+                for edges_i, _, charge in every:
+                    adj = _adjacency(edges_i)
+                    dist = _distances(adj, v)
+                    assert charge == sum(dist[u] for u in nbrs)
+                    charges.append(charge)
+                    needs.append(solver._future_need(bag_i, edges_i, adj))
+                    counts.append(len(bag_i | adj.keys()))
+                    kinds.add((counts[-1] - verts_j, needs[-1] < need_j))
+                _kept_exactly_within(every, charges, lambda b: candidates(charge=b))
+                _kept_exactly_within(every, needs, lambda b: candidates(need=b))
+                _kept_exactly_within(every, counts, lambda b: candidates(verts=b))
+    # v hung off a vertex, in an Above vertex's place, on a promised edge,
+    # and off a fresh Above vertex
+    assert kinds == {(1, False), (0, True), (1, True), (2, False)}
+
+
+def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
+                 limit: int | None = None) -> dict:
+    """The reference join: for each entry of the first child, each subset
+    of its promised blocks, by size and then lexicographically, realized
+    below the second child, looked up by its canonical key."""
+    bag_pairs: dict[int, list[int]] = {}
+    for u, w in g.edges:
+        if u in bag and w in bag:
+            bag_pairs.setdefault(u, []).append(w)
+    table_i: dict = {}
+    for key_j, entry_j in table_j.items():
+        adj_j = _adjacency(entry_j.edges)
+        dup = 0
+        for u, ws in bag_pairs.items():
+            dist = _distances(adj_j, u)
+            dup += sum(dist[w] for w in ws)
+        promised_blocks = [ks for ks, realized in solver._blocks(entry_j.edges) if not realized]
+        for r in range(len(promised_blocks) + 1):
+            for chosen in itertools.combinations(promised_blocks, r):
+                flip: set = set().union(*chosen) if chosen else set()
+                partner: EdgeMap = {}
+                for k, (cost, realized) in entry_j.edges.items():
+                    if k[0] > 0 and k[1] > 0 and cost == 1:
+                        partner[k] = (cost, True)
+                    else:
+                        partner[k] = (cost, k in flip)
+                key_k = _canon(bag, partner)
+                entry_k = table_k.get(key_k)
+                if entry_k is None:
+                    continue
+                cost_i = entry_j.cost + entry_k.cost - dup
+                if limit is not None and cost_i > limit:
+                    continue
+                merged: EdgeMap = {
+                    k: (cost, realized or partner[k][1])
+                    for k, (cost, realized) in entry_j.edges.items()
+                }
+                solver._merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
+    return table_i
+
+
+def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
+    # The same entries in the same order, with the same cost, edges and back
+    # pointers, at every join node of the DP, bounded and not.
+    joins = 0
+    inputs = [_pinned("grid 4x3")] + [(g, min_fill_td(g)) for g in atlas_corpus[::3]]
+    for g, td in inputs:
+        bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, td)
+        for res in (bounded, unbounded):
+            for node_id, nd in enumerate(res.ntd.nodes):
+                if nd.kind != "join":
+                    continue
+                j, k = (res.tables[c] for c in nd.children)
+                limit = limits[node_id] if res is bounded else None
+                got = solver.join_step(j, k, nd.bag, g, limit=limit)
+                assert _rows(got) == _rows(res.tables[node_id])
+                assert _rows(got) == _rows(_subset_join(j, k, nd.bag, g, limit=limit))
+                joins += 1
+    assert joins > 50
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_join_raises_on_a_trace_with_a_non_bag_leaf(side):
+    # Two Steiner leaves of the same cost under bag vertex 1 could trade
+    # places, so edge positions in shape order would not say which edge of
+    # one trace is which edge of the other.  The DP never makes such a
+    # trace: in normal form every leaf is a bag vertex, whose label no other
+    # vertex has.  The check must survive python -O, so it cannot be an
+    # assert.
+    g = make_graph(1, [])
+    bag = frozenset({1})
+    tied = {(-2, 1): (2, True), (-1, 1): (2, False)}
+    plain = {}
+    tables = [{_canon(bag, tied): _Entry(3, tied, ("leaf",))},
+              {_canon(bag, plain): _Entry(0, plain, ("leaf",))}]
+    if side == "second":
+        tables.reverse()
+    with pytest.raises(RuntimeError, match="non-bag leaf"):
+        solver.join_step(*tables, bag, g)
+
+
+def test_shape_join_partners_realize_whole_blocks():
+    # Of entries of the same shape, only one whose realized edges are the
+    # shared unit bag edges plus whole promised blocks is a partner.  (The
+    # DP's own entries never realize part of a block or leave a shared edge
+    # promised; these are built by hand.)
+    g = make_graph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
+    bag = frozenset({1, 2, 3, 4})
+    star = {(1, 2): (1, True), (-1, 2): (2, False), (-1, 3): (2, False), (-1, 4): (1, False)}
+    table_j = {_canon(bag, star): _Entry(5, star, ("leaf",))}
+    table_k = {}
+    # the cheaper two, were they partners, would replace the full block's
+    for flags, cost in (((True, False, False, False), 7), ((True, True, True, True), 7),
+                        ((False, True, True, True), 6), ((True, False, False, True), 5)):
+        edges = {k: (c, flag) for (k, (c, _)), flag in zip(star.items(), flags)}
+        table_k[_canon(bag, edges)] = _Entry(cost, edges, ("leaf",))
+    got = solver.join_step(table_j, table_k, bag, g)
+    assert [(e.cost, e.edges) for e in got.values()] == [
+        (5 + 7 - 1, star),
+        (5 + 7 - 1, {(1, 2): (1, True), (-1, 2): (2, True), (-1, 3): (2, True), (-1, 4): (1, True)}),
+    ]
+    assert _rows(got) == _rows(_subset_join(table_j, table_k, bag, g))
+
+
+def test_join_checks_the_blocks_of_every_entry_with_a_partner():
+    # the check must survive python -O, so it cannot be an assert
+    g = make_graph(3, [(1, 2), (2, 3)])
+    bag = frozenset({1, 2, 3})
+    mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
+    table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
+    with pytest.raises(RuntimeError, match="join block with mixed"):
+        solver.join_step(table, table, bag, g)
+
+
+def test_introduce_checks_the_steiner_tags_of_its_parents():
+    # the check must survive python -O, so it cannot be an assert
+    g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
+    bag = frozenset({1, 2, 3})
+    mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
+    table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
+    with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
+        introduce_step(table, 4, bag, g)
+
+
+def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
+    # every trace an introduce step keeps is checked, not only its parents
+    g = make_graph(2, [(1, 2)])
+    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    mixed = {(-1, 1): (1, True), (-1, 2): (2, False), (-1, 3): (1, False)}
+    monkeypatch.setattr(solver, "_intro_candidates",
+                        lambda *a: iter([(mixed, (), 0)]))
+    with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
+        introduce_step(leaf, 2, frozenset({1}), g)
 
 @pytest.mark.parametrize("name", ["cycle 8", "grid 9", "caterpillar 9", "grid 4x3"])
 def test_bound_only_removes_entries(monkeypatch, name):
