@@ -133,6 +133,13 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
             edges.append((ends[0], ends[1]))
     if header is None:
         raise TreeDecompositionError("missing 's td' line")
+    # A bag without a line is empty.  A tree on n_bags bags has n_bags - 1
+    # edges, so a count the edges cannot join is refused before its bags are made.
+    if n_bags - 1 > len(edges):
+        raise TreeDecompositionError(
+            f"line {header_line}: 's td' gives {n_bags} bags, which {len(edges)} "
+            f"tree edges cannot join: the bag graph is not a tree"
+        )
     for i in range(1, n_bags + 1):
         bags.setdefault(i, frozenset())
     largest = max((len(b) for b in bags.values()), default=0)

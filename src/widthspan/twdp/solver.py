@@ -23,14 +23,16 @@ An introduce candidate is priced from its parent trace before it is built:
 its charge from the parent's distances to v's bag neighbours, its future
 need and its vertex count as changes to the parent's.  Only candidates
 within the bound, the future budget and the vertex cap are built and
-canonicalized.  A join finds partners by shape: the second child's table is
-indexed once by the canonical form with the realized/promised flags erased,
-and each entry of the first child makes one lookup, then tests each entry of
-its shape for complementary flags edge by edge, in shape order.  That order
-is unambiguous: in normal form every leaf is a bag vertex with its own
-label, so no two sibling subtrees share a shape, and a trace where two do
-raises RuntimeError.  Partners are merged in the order of an enumeration of
-the subsets of promised blocks, by size and then lexicographically.
+canonicalized.
+
+A table's key is the one canonical form of a trace, its shape and its
+realized mask (``_canon``).  A join indexes the second child's table by
+shape, skips an entry of the first child with no entry of its shape, and
+takes as partners the entries whose realized bits are the shared edges plus
+whole promised blocks.  A merged trace keeps the shape and has the union of
+both masks, so its key needs no second canonicalization.  Partners are
+merged in the order of an enumeration of the subsets of promised blocks, by
+size and then lexicographically.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root.  At an introduce or join node with bag B and
@@ -114,25 +116,42 @@ def _distances(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> dict[int,
 
 
 def _canon(bag: frozenset[int], edges: EdgeMap, adj: dict | None = None) -> tuple:
-    """Canonical encoding: rooted at the least bag vertex, Steiner vertices
-    anonymous, children ordered by (cost, realized, encoding).  ``adj`` is
-    ``_adjacency(edges)`` when the caller already has it."""
+    """The table key of a trace: (shape, realized).  The shape is the trace
+    rooted at the least bag vertex with Steiner vertices anonymous and flags
+    erased (``_walk``); realized holds the realized flags as bits, in the
+    shape's edge order.  ``adj`` is ``_adjacency(edges)`` when the caller
+    already has it."""
     if adj is None:
         adj = _adjacency(edges)
-    return _enc(bag, adj, min(bag), None)
+    _, shape, order = _walk(bag, adj, min(bag), None)
+    return shape, sum(1 << i for i, k in enumerate(order) if edges[k][1])
 
 
-def _enc(bag: frozenset[int], adj: dict, v: int, parent: int | None) -> tuple:
-    """``_canon``'s encoding of the subtree at v, entered from parent.  A
-    module-level function, not a closure: a recursive closure refers to
+def _walk(bag: frozenset[int], adj: dict, v: int, parent: int | None) -> tuple:
+    """(least, shape, order) of the subtree at v entered from parent: the
+    least bag label in it, its shape, and its edges in shape order, each
+    child's edge followed by the child's own.  In normal form every leaf is
+    a bag vertex with its own label, so sibling subtrees hold disjoint label
+    sets and the order by least label is canonical; a non-bag leaf raises.
+    A module-level function, not a closure: a recursive closure refers to
     itself through its cell, a cycle only the cyclic collector frees."""
-    label = v if v in bag else 0
-    kids = sorted(
-        (cost, realized, _enc(bag, adj, w, v))
-        for w, cost, realized in adj.get(v, ())
-        if w != parent
-    )
-    return (label, tuple(kids))
+    kids = []
+    for w, cost, _ in adj.get(v, ()):
+        if w != parent:
+            kids.append((*_walk(bag, adj, w, v), cost, (v, w) if v < w else (w, v)))
+    if not kids:
+        if v in bag:
+            return v, (v, ()), ()
+        raise RuntimeError("trace with a non-bag leaf")
+    kids.sort()
+    order = []
+    for _, _, below, _, k in kids:
+        order.append(k)
+        order += below
+    shape = tuple([(cost, kid) for _, kid, _, cost, _ in kids])
+    if v in bag:
+        return min(v, kids[0][0]), (v, shape), order
+    return kids[0][0], (0, shape), order
 
 
 def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
@@ -166,9 +185,7 @@ class _Entry:
         self.back = back
 
 
-def _merge(table: dict, bag: frozenset[int], edges: EdgeMap, cost: int, back: tuple,
-           adj: dict | None = None) -> None:
-    key = _canon(bag, edges, adj)
+def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple) -> None:
     old = table.get(key)
     if old is None or cost < old.cost:
         table[key] = _Entry(cost, edges, back)
@@ -336,7 +353,8 @@ def introduce_step(
             for x in adj:  # the Steiner tag check, on every trace the table keeps
                 if x < 0:
                     _steiner_tag(adj, x)
-            _merge(table_i, bag_i, edges_i, entry.cost + charge, ("intro", key_j, pairs), adj)
+            _merge(table_i, _canon(bag_i, edges_i, adj), edges_i, entry.cost + charge,
+                   ("intro", key_j, pairs))
     return table_i
 
 
@@ -375,7 +393,7 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
                 edges[_ekey(fresh, x)] = cv
         else:  # isolated v: impossible, the trace is connected and spans the bag
             raise RuntimeError("forgetting an isolated vertex")
-        _merge(table_i, bag_i, edges, entry.cost, ("forget", key_j))
+        _merge(table_i, _canon(bag_i, edges), edges, entry.cost, ("forget", key_j))
     return table_i
 
 
@@ -420,57 +438,23 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     return out
 
 
-def _shape(bag: frozenset[int], adj: dict, v: int, parent: int | None):
-    """``_enc`` with the realized/promised flags erased, children ordered by
-    (cost, shape), and the trace edges below v in the order of that encoding:
-    (shape, edges) of the subtree at v entered from parent.  Two siblings of
-    the same cost and shape would make that order ambiguous; they need a
-    leaf that is no bag vertex, which normal form does not have."""
-    kids = []
-    for w, cost, _ in adj.get(v, ()):
-        if w != parent:
-            shape, sub = _shape(bag, adj, w, v)
-            kids.append((cost, shape, _ekey(v, w), sub))
-    kids.sort()
-    order = []
-    for i, (cost, shape, k, sub) in enumerate(kids):
-        if i and kids[i - 1][:2] == (cost, shape):
-            raise RuntimeError("trace with a non-bag leaf: two sibling subtrees alike")
-        order.append(k)
-        order += sub
-    return (v if v in bag else 0, tuple(kid[:2] for kid in kids)), order
-
-
-def _by_shape(table: dict, bag: frozenset[int]) -> dict:
-    """The entries of a table by shape: shape -> [(realized, key, entry)],
-    realized a bit mask over the edges in ``_shape`` order."""
-    index: dict = {}
-    root = min(bag)
-    for key, entry in table.items():
-        shape, order = _shape(bag, _adjacency(entry.edges), root, None)
-        realized = 0
-        for i, k in enumerate(order):
-            if entry.edges[k][1]:
-                realized |= 1 << i
-        index.setdefault(shape, []).append((realized, key, entry))
-    return index
-
-
-def _shape_partners(edges_j: EdgeMap, order: list, promised: list[frozenset],
-                    candidates: list):
+def _partners(edges_j: EdgeMap, order: list, candidates: list):
     """The join partners of a trace among the entries of its shape: the
-    edges in ``_shape`` order correspond one to one, so an entry is a
-    partner when its realized edges are the shared edges plus a union of
-    promised blocks.  Yields (flip, key_k, entry_k), flip the edges those
-    blocks hold, by the number of blocks and then by their indices."""
+    edges in shape order correspond one to one, so an entry is a partner
+    when its realized edges are the shared edges plus a union of promised
+    blocks.  Yields (flip, key_k, entry_k), flip the edges those blocks
+    hold, by the number of blocks and then by their indices in ``_blocks``
+    order."""
     pos = {k: i for i, k in enumerate(order)}
     shared = 0
     for k, (cost, _) in edges_j.items():
         if _shared(k, cost):
             shared |= 1 << pos[k]
+    promised = [ks for ks, realized in _blocks(edges_j) if not realized]
     masks = [sum(1 << pos[k] for k in ks) for ks in promised]
     found = []
-    for realized, key_k, entry_k in candidates:
+    for key_k, entry_k in candidates:
+        realized = key_k[1]
         if realized & shared != shared:
             continue
         flip = realized & ~shared
@@ -492,18 +476,21 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
     for u, w in g.edges:
         if u in bag and w in bag:
             bag_pairs.setdefault(u, []).append(w)
-    index = _by_shape(table_k, bag)
+    by_shape: dict = {}
+    for key_k, entry_k in table_k.items():
+        by_shape.setdefault(key_k[0], []).append((key_k, entry_k))
     root = min(bag)
     table_i: dict = {}
     for key_j, entry_j in table_j.items():
+        shape, realized_j = key_j
+        candidates = by_shape.get(shape)
+        if candidates is None:
+            continue  # no entry of its shape, so no partner
         edges_j = entry_j.edges
         adj_j = _adjacency(edges_j)
-        shape, order = _shape(bag, adj_j, root, None)
-        if shape not in index:
-            continue  # no entry of its shape, so no partner
-        promised = [ks for ks, realized in _blocks(edges_j) if not realized]
+        order = _walk(bag, adj_j, root, None)[2]
         dup = None
-        for flip, key_k, entry_k in _shape_partners(edges_j, order, promised, index[shape]):
+        for flip, key_k, entry_k in _partners(edges_j, order, candidates):
             if dup is None:
                 # the charges both children made for bag-internal edges; every
                 # merged trace has entry_j's edges and costs, so it has the
@@ -515,12 +502,14 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
             cost_i = entry_j.cost + entry_k.cost - dup
             if limit is not None and cost_i > limit:
                 continue
-            # parent tag: realized below either child
+            # parent tag: realized below either child, so the merged trace's
+            # realized edges are the union of both children's
             merged: EdgeMap = {
                 k: (cost, realized or k in flip or _shared(k, cost))
                 for k, (cost, realized) in edges_j.items()
             }
-            _merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
+            _merge(table_i, (shape, realized_j | key_k[1]), merged, cost_i,
+                   ("join", key_j, key_k))
     return table_i
 
 
@@ -598,7 +587,6 @@ def dp_min_stretch(
     decomposition: TreeDecomposition | NiceTreeDecomposition,
     *,
     enforce_limits: bool = True,
-    prune_future: bool = True,
     keep_tables: bool = False,
 ) -> DPResult:
     """Leaf-to-root DP; returns the exact optimum and a witness tree.
@@ -640,10 +628,9 @@ def dp_min_stretch(
             limit = _limit(g, upper, girth, below, nd.bag)
             if nd.kind == "introduce":
                 child = nd.children[0]
-                budget = n - len(below) if prune_future else None
                 tables[node_id] = introduce_step(
                     tables[child], nd.vertex, ntd.nodes[child].bag, g,
-                    future_budget=budget, limit=limit,
+                    future_budget=n - len(below), limit=limit,
                 )
             else:
                 j, k = nd.children

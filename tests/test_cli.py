@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import hashlib
 import random
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthspan import cli
 from widthspan.cli import _dumps, main
@@ -219,6 +223,9 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     ("1 2\ns td 2 4 4\nb 1 1 2 3 4\nb 2 1\n", "line 1: tree edge before solution line"),
     ("s td 1 4 4\nb 1 1 2 3 5\n", "line 2: bag vertex 5 is outside 1..4"),
     ("s td 1 4 4\nb 1 0 1 2 3\n", "line 2: bag vertex 0 is outside 1..4"),
+    # refused before a bag is made for each declared id
+    ("s td 10000000000000000000 4 4\nb 1 1 2 3 4\n",
+     "line 1: 's td' gives 10000000000000000000 bags, which 0 tree edges cannot join"),
 ])
 def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     graph = tmp_path / "k4.gr"
@@ -229,6 +236,72 @@ def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+K4 = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
+# (graph, valid .td) pairs the fuzz below mutates the decomposition of
+_TD_DOCUMENTS = [(K4, K4_TD)] + [
+    (dump_graph(g), dump_td(min_fill_td(g), g.n))
+    for g, _ in (generate("cycle", 6), generate("grid", 6), generate("caterpillar", 7))
+]
+_TD_FIELDS = ["0", "-1", "x", "1.5", "", "+2", "10000000000000000000"]
+
+
+@st.composite
+def _mutated_td(draw):
+    """A valid .td file after 1 to 3 edits: a truncation, a duplicated or
+    swapped line, a field set out of range or to a non-integer, or a changed
+    's td' header."""
+    graph, text = draw(st.sampled_from(_TD_DOCUMENTS))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "duplicate", "swap", "field", "header"]))
+        if kind == "truncate":
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].splitlines()
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "field":
+            parts = lines[i].split(" ")
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.sampled_from(_TD_FIELDS) | st.integers(-1, 12).map(str))
+            lines[i] = " ".join(parts)
+        else:
+            i = next((i for i, line in enumerate(lines) if line.startswith("s ")), 0)
+            parts = lines[i].split(" ")
+            k = draw(st.integers(1, max(1, len(parts) - 1)))
+            parts[k:k + 1] = [draw(st.sampled_from(["tw", "td", "TD"] + _TD_FIELDS))]
+            lines[i] = " ".join(parts)
+    return graph, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_td")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=_mutated_td())
+def test_mutated_td_exits_zero_or_one_with_an_error_line(fuzz_dir, doc):
+    graph_text, td_text = doc
+    graph = fuzz_dir / "g.gr"
+    graph.write_text(graph_text)
+    td = fuzz_dir / "mutated.td"
+    td.write_text(td_text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)])
+    if code == 0:
+        assert json.loads(out.getvalue())["width"] >= 0
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_oracle_command(c4_files, capsys):

@@ -459,56 +459,63 @@ def _pinned(name):
     return g, min_fill_td(g)
 
 
-def _table_digest(tables) -> str:
-    """One digest over every node's table: the (key, cost, edges, back) of
-    each entry in insertion order, each entry's edges in their own order."""
+def _table_digest(res) -> str:
+    """One digest over every node's table that does not depend on how keys
+    are encoded: the (cost, edges, back) of each entry in insertion order,
+    each entry's edges in their own order, and each child key in a back
+    pointer replaced by its insertion index in the child's table."""
+    position = [{k: i for i, k in enumerate(table)} for table in res.tables]
     h = hashlib.sha256()
-    for table in tables:
-        rows = [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+    for nd, table in zip(res.ntd.nodes, res.tables):
+        rows = []
+        for e in table.values():
+            tag, *rest = e.back
+            keys = tuple(position[c][k] for c, k in zip(nd.children, rest))
+            rows.append((e.cost, tuple(e.edges.items()), (tag, *keys, *rest[len(keys):])))
         h.update(hashlib.sha256(repr(rows).encode()).digest())
     return h.hexdigest()[:16]
 
 
-# (table entries, digest) per input, taken from the DP before introduce
-# candidates were priced before they were built and join partners were found
-# by shape.  The witness among tied optima follows insertion order, so the
-# order is pinned along with the contents.
+# (table entries, digest) per input, taken from the DP whose table keys held
+# the realized/promised flags inside a nested encoding.  The witness among
+# tied optima follows insertion order, so the order is pinned along with the
+# contents.
 PINNED_TABLES = {
-    "grid 4x3": (1373, "c536c45d7773257d"),
-    "grid 6": (55, "2cbb95a454c66684"),
-    "cycle 8": (179, "70c02d5f84f15dbd"),
-    "complete 4": (22, "32fb5489ad39a487"),
+    "grid 4x3": (1373, "9b2a37271b48da66"),
+    "grid 6": (55, "057051605c44e27a"),
+    "cycle 8": (179, "f84c1a9a295f83b9"),
+    "complete 4": (22, "3cb4f15d9264f894"),
 }
 PINNED_ATLAS_TABLES = [  # every 5th atlas graph, under min_fill_td
-    (3, "0fa025b0cac8ca23"),
-    (11, "f19a8f1230d805c5"),
-    (12, "d3347758c5a7d404"),
-    (29, "2acb270175e8eaf0"),
-    (29, "4eee23b44fd70913"),
-    (60, "045c65ab6a95b80d"),
-    (17, "118f698f975739b2"),
-    (11, "51e3fa7b295cca55"),
-    (50, "cbbfc7fbc680a60a"),
-    (18, "21ff4003c2ebd78b"),
-    (31, "9bb1cf7ccbc35721"),
-    (54, "e819776b11fd0db8"),
-    (19, "7d2fac4338c66dbb"),
-    (56, "aa742743d8260c38"),
-    (43, "8d4712dcc0004036"),
-    (40, "204efaf06f7d0925"),
-    (72, "ab7ed98e186f2547"),
-    (36, "7ef4722a6a29056d"),
-    (36, "17ebefd0de6497a1"),
-    (53, "609ff84815318cde"),
-    (83, "da1ed6bc190265fb"),
-    (91, "03c1b59fcb4b8dae"),
-    (45, "20eb0fc38e3d2195"),
-    (100, "ff476b542371f5c6"),
-    (73, "0b5793408db860e2"),
-    (62, "5e512d2e5c674f46"),
-    (109, "3daf431316e984f2"),
-    (80, "c6c30657bfa38c1a"),
-    (122, "71001080c83d46d7"),
+    (3, "3fe315f66799251a"),
+    (11, "d45e904b4fe8fd9c"),
+    (12, "9fe4e82bdea6ac22"),
+    (29, "438eb926cacf53c0"),
+    (29, "82d544b70bf28a35"),
+    (60, "e9ba8f98175c6bc7"),
+    (17, "d4dfd43b9d152272"),
+    (11, "7381fb3ccfebef08"),
+    (50, "935c6a12c9c50741"),
+    (18, "53c159fed38dd86b"),
+    (31, "9544d1883914f094"),
+    (54, "045b3fadd2338439"),
+    (19, "91de8dfd0a734cdd"),
+    (56, "a9d8286972e802a4"),
+    (43, "de88c4b6aa670319"),
+    (40, "fac71a024b2d3e78"),
+    (72, "fe910c27fa8b3b06"),
+    (36, "d18abd4234cae09c"),
+    (36, "7a062f12a86d7eb5"),
+    (53, "d2e70600bb80961b"),
+    (83, "9c132bf9438288b8"),
+    (91, "a34a4c3497988141"),
+    (45, "86e8bc2377e99c6d"),
+    (100, "ad5d50b202445ad7"),
+    (73, "58c239f8775fd66f"),
+    (62, "16a4ec6c4327d14b"),
+    (109, "5daa644a321a6be6"),
+    (80, "0f9930fc9719ed13"),
+    (122, "16c45d3f342a2672"),
 ]
 
 
@@ -516,19 +523,26 @@ PINNED_ATLAS_TABLES = [  # every 5th atlas graph, under min_fill_td
 def test_tables_are_pinned(name):
     g, td = _pinned(name)
     res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
-    assert (sum(res.table_sizes), _table_digest(res.tables)) == PINNED_TABLES[name]
+    assert (sum(res.table_sizes), _table_digest(res)) == PINNED_TABLES[name]
 
 
 def test_atlas_tables_are_pinned(atlas_corpus):
     got = []
     for g in atlas_corpus[::5]:
         res = dp_min_stretch(g, min_fill_td(g), enforce_limits=False, keep_tables=True)
-        got.append((sum(res.table_sizes), _table_digest(res.tables)))
+        got.append((sum(res.table_sizes), _table_digest(res)))
     assert got == PINNED_ATLAS_TABLES
 
 
 def _rows(table):
     return [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+
+
+def _without_future_budget(m):
+    """Run every introduce step of the DP without its future budget."""
+    step = solver.introduce_step
+    m.setattr(solver, "introduce_step",
+              lambda *args, future_budget=None, **kwargs: step(*args, **kwargs))
 
 
 def _kept_exactly_within(every, built, keep):
@@ -555,7 +569,8 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
         td = min_fill_td(g)
         with monkeypatch.context() as m:
             m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
-            res = dp_min_stretch(g, td, enforce_limits=False, prune_future=False, keep_tables=True)
+            _without_future_budget(m)
+            res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
         for nd in res.ntd.nodes:
             if nd.kind != "introduce":
                 continue
@@ -627,7 +642,8 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                     k: (cost, realized or partner[k][1])
                     for k, (cost, realized) in entry_j.edges.items()
                 }
-                solver._merge(table_i, bag, merged, cost_i, ("join", key_j, key_k))
+                solver._merge(table_i, _canon(bag, merged), merged, cost_i,
+                              ("join", key_j, key_k))
     return table_i
 
 
@@ -651,24 +667,25 @@ def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
     assert joins > 50
 
 
-@pytest.mark.parametrize("side", ["first", "second"])
-def test_join_raises_on_a_trace_with_a_non_bag_leaf(side):
-    # Two Steiner leaves of the same cost under bag vertex 1 could trade
-    # places, so edge positions in shape order would not say which edge of
-    # one trace is which edge of the other.  The DP never makes such a
-    # trace: in normal form every leaf is a bag vertex, whose label no other
-    # vertex has.  The check must survive python -O, so it cannot be an
-    # assert.
-    g = make_graph(1, [])
-    bag = frozenset({1})
-    tied = {(-2, 1): (2, True), (-1, 1): (2, False)}
-    plain = {}
-    tables = [{_canon(bag, tied): _Entry(3, tied, ("leaf",))},
-              {_canon(bag, plain): _Entry(0, plain, ("leaf",))}]
-    if side == "second":
-        tables.reverse()
-    with pytest.raises(RuntimeError, match="non-bag leaf"):
-        solver.join_step(*tables, bag, g)
+# A Steiner leaf under bag vertex 1.  The DP never makes such a trace: in
+# normal form every leaf is a bag vertex with its own label, which is what
+# makes the order of sibling subtrees by least label, and so the table key,
+# canonical.  The check must survive python -O, so it cannot be an assert.
+STEINER_LEAF = {(1, 2): (1, True), (-1, 1): (2, False)}
+
+
+def test_canon_raises_on_a_trace_with_a_non_bag_leaf():
+    with pytest.raises(RuntimeError, match="trace with a non-bag leaf"):
+        _canon(frozenset({1, 2}), STEINER_LEAF)
+
+
+def test_introduce_raises_on_a_trace_with_a_non_bag_leaf(monkeypatch):
+    g = make_graph(2, [(1, 2)])
+    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    monkeypatch.setattr(solver, "_intro_candidates",
+                        lambda *a: iter([(STEINER_LEAF, ((2, 1),), 1)]))
+    with pytest.raises(RuntimeError, match="trace with a non-bag leaf"):
+        introduce_step(leaf, 2, frozenset({1}), g)
 
 
 def test_shape_join_partners_realize_whole_blocks():
@@ -817,10 +834,12 @@ def test_dp_matches_oracle_atlas_sample(atlas_corpus):
         assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch
 
 
-def test_prune_does_not_change_the_optimum(atlas_corpus):
+def test_prune_does_not_change_the_optimum(monkeypatch, atlas_corpus):
     for g in atlas_corpus[10:40:3]:
-        a = _dp(g, enforce_limits=False, prune_future=True)
-        b = _dp(g, enforce_limits=False, prune_future=False)
+        a = _dp(g, enforce_limits=False)
+        with monkeypatch.context() as m:
+            _without_future_budget(m)
+            b = _dp(g, enforce_limits=False)
         assert a.min_total_stretch == b.min_total_stretch
 
 
