@@ -268,7 +268,9 @@ def _cmd_dp_min_stretch(args, run: _Run) -> int:
     try:
         td = load_td(run.read_input(args.td), g)
         result = dp_min_stretch(g, td, enforce_limits=not args.allow_large)
-    except (TreeDecompositionError, DPLimitError) as exc:
+    except TreeDecompositionError as exc:
+        raise CliError(f"{args.td}: {exc}") from exc
+    except DPLimitError as exc:
         raise CliError(str(exc)) from exc
     report = {
         "total_stretch": result.min_total_stretch,

@@ -1,9 +1,14 @@
 """Tree decompositions: PACE-format I/O, validation, and nice-ification.
 
+Validation roots the bag tree once, at the least non-empty bag id, and
+``make_nice`` builds the nice form from that rooting.
+
 A nice decomposition is a rooted binary bag tree whose nodes are leaves
 (singleton bags), introduce/forget nodes (bag differs from the child by one
 vertex), or join nodes (both children carry the parent's bag).  Leaves are
-singletons and the root is reduced to a single vertex.
+singletons and the root is reduced to a single vertex.  Nodes are numbered
+children first, so the root is the last node and a walk in index order
+meets every node after its children.
 """
 from __future__ import annotations
 
@@ -27,54 +32,56 @@ class TreeDecomposition:
 
     def validate(self, g: Graph) -> None:
         """Check the three decomposition properties against g."""
-        covered = set()
-        for b in self.bags.values():
-            covered |= b
-        for v in range(1, g.n + 1):
-            if v not in covered:
-                raise TreeDecompositionError(f"vertex {v} is in no bag")
-        for v in covered:
-            if not (1 <= v <= g.n):
-                raise TreeDecompositionError(f"bag vertex {v} is not a graph vertex")
-        bag_ids = set(self.bags)
-        adj: dict[int, list[int]] = {i: [] for i in bag_ids}
-        for i, j in self.edges:
-            if i not in bag_ids or j not in bag_ids:
-                raise TreeDecompositionError(f"bag-tree edge ({i}, {j}) references unknown bag")
-            adj[i].append(j)
-            adj[j].append(i)
-        # the bag graph must be a tree
-        if len(self.edges) != len(self.bags) - 1:
-            raise TreeDecompositionError("bag graph is not a tree (wrong edge count)")
-        start = next(iter(bag_ids))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != bag_ids:
-            raise TreeDecompositionError("bag graph is disconnected")
-        # property 2: every graph edge inside some bag
-        for u, v in g.edges:
-            if not any(u in b and v in b for b in self.bags.values()):
-                raise TreeDecompositionError(f"edge ({u}, {v}) is covered by no bag")
-        # property 3: the bags containing each vertex induce a subtree
-        for v in range(1, g.n + 1):
-            holders = {i for i, b in self.bags.items() if v in b}
-            root = next(iter(holders))
-            reached = {root}
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in holders and y not in reached:
-                        reached.add(y)
-                        stack.append(y)
-            if reached != holders:
-                raise TreeDecompositionError(f"bags containing vertex {v} are not connected")
+        _rooted(self, g)
+
+
+def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
+    """Check td against g and return each bag's parent in the bag tree rooted
+    at the least non-empty bag id (None at the root)."""
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in range(1, g.n + 1):
+        if v not in covered:
+            raise TreeDecompositionError(f"vertex {v} is in no bag")
+    for v in covered:
+        if not (1 <= v <= g.n):
+            raise TreeDecompositionError(f"bag vertex {v} is not a graph vertex")
+    adj: dict[int, list[int]] = {i: [] for i in td.bags}
+    for i, j in td.edges:
+        if i not in adj or j not in adj:
+            raise TreeDecompositionError(f"bag-tree edge ({i}, {j}) references unknown bag")
+        adj[i].append(j)
+        adj[j].append(i)
+    # the bag graph must be a tree
+    if len(td.edges) != len(td.bags) - 1:
+        raise TreeDecompositionError("bag graph is not a tree (wrong edge count)")
+    root = min((i for i, b in td.bags.items() if b), default=min(td.bags))
+    parent: dict[int, int | None] = {root: None}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
+    if len(parent) != len(td.bags):
+        raise TreeDecompositionError("bag graph is disconnected")
+    # property 2: every graph edge inside some bag
+    for u, v in g.edges:
+        if not any(u in b and v in b for b in td.bags.values()):
+            raise TreeDecompositionError(f"edge ({u}, {v}) is covered by no bag")
+    # property 3: the bags holding v form a subtree exactly when one of them
+    # is the root or has a parent without v
+    tops: dict[int, int] = {}
+    for i, b in td.bags.items():
+        up = parent[i]
+        for v in b if up is None else b - td.bags[up]:
+            tops[v] = tops.get(v, 0) + 1
+    for v in range(1, g.n + 1):
+        if tops[v] != 1:
+            raise TreeDecompositionError(f"bags containing vertex {v} are not connected")
+    return parent
 
 
 def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
@@ -187,36 +194,17 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
-    def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node_id, expanded = stack.pop()
-            if expanded:
-                order.append(node_id)
-            else:
-                stack.append((node_id, True))
-                for ch in self.nodes[node_id].children:
-                    stack.append((ch, False))
-        return order
-
-    def _fill_below(self) -> None:
-        for node_id in self.postorder():
-            nd = self.nodes[node_id]
-            below = set(nd.bag)
-            for ch in nd.children:
-                below |= self.nodes[ch].below
-            nd.below = frozenset(below)
-
 
 def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Transform a valid decomposition into nice form of equal width.  Empty
-    bags are left out."""
-    td.validate(g)
+    bags are left out.  Every node comes after its children, so the root is
+    the last node."""
+    parent = _rooted(td, g)
     ntd = NiceTreeDecomposition()
 
     def add(kind: str, bag: frozenset[int], children: tuple[int, ...] = (), vertex: int | None = None) -> int:
-        ntd.nodes.append(NiceNode(kind=kind, bag=bag, children=children, vertex=vertex))
+        below = bag.union(*(ntd.nodes[ch].below for ch in children))
+        ntd.nodes.append(NiceNode(kind=kind, bag=bag, children=children, vertex=vertex, below=below))
         return len(ntd.nodes) - 1
 
     def leaf_chain(bag: frozenset[int]) -> int:
@@ -242,28 +230,15 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     # Empty bags (the PACE format allows them) hold no vertex to start or end
     # a chain with.  Drop them: the non-empty bags are the union of the
     # subtrees of bags holding each vertex, and for a connected graph the
-    # subtrees of an edge's ends meet, so the union is still a tree.
+    # subtrees of an edge's ends meet, so the union is a subtree.  It holds
+    # the root, the least non-empty bag id, so a non-empty bag's parent is
+    # non-empty.
     bags = {i: b for i, b in td.bags.items() if b}
-    # root the bag tree at the smallest non-empty bag id
-    adj: dict[int, list[int]] = {i: [] for i in bags}
-    for i, j in td.edges:
-        if i in bags and j in bags:
-            adj[i].append(j)
-            adj[j].append(i)
     root_bag = min(bags)
-    parent: dict[int, int | None] = {root_bag: None}
-    order = [root_bag]
-    stack = [root_bag]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
     children_of: dict[int, list[int]] = {i: [] for i in bags}
-    for x in order[1:]:
-        children_of[parent[x]].append(x)
+    for x, up in parent.items():
+        if x in bags and up in bags:
+            children_of[up].append(x)
     for kids in children_of.values():
         kids.sort()
 
@@ -298,7 +273,6 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         bag.remove(v)
         top = add("forget", frozenset(bag), (top,), v)
     ntd.root = top
-    ntd._fill_below()
     return ntd
 
 

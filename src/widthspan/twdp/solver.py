@@ -584,22 +584,22 @@ class DPResult:
 
 def dp_min_stretch(
     g: Graph,
-    decomposition: TreeDecomposition | NiceTreeDecomposition,
+    decomposition: TreeDecomposition,
     *,
     enforce_limits: bool = True,
     keep_tables: bool = False,
 ) -> DPResult:
-    """Leaf-to-root DP; returns the exact optimum and a witness tree.
+    """Leaf-to-root DP over the nice form of ``decomposition``, a tree
+    decomposition of g that ``make_nice`` validates; returns the exact optimum
+    and a witness tree.  The nice nodes come children first, so the DP walks
+    them in index order.
 
     The table at a bag indexes every contracted trace a spanning tree can
     leave on it; the stored cost is the minimum total stretch of graph edges
     already fully introduced.  The limits MAX_WIDTH and MAX_N guard the
     Theta(n^(k+1)) table growth; enforce_limits=False lifts them.
     """
-    if isinstance(decomposition, NiceTreeDecomposition):
-        ntd = decomposition
-    else:
-        ntd = make_nice(decomposition, g)
+    ntd = make_nice(decomposition, g)
     if enforce_limits:
         if ntd.width > MAX_WIDTH:
             raise DPLimitError(
@@ -616,8 +616,7 @@ def dp_min_stretch(
     upper = _upper_bound(g)
     girth = _girth(g)
     tables: list[dict | None] = [None] * len(ntd.nodes)
-    for node_id in ntd.postorder():
-        nd = ntd.nodes[node_id]
+    for node_id, nd in enumerate(ntd.nodes):
         if nd.kind == "leaf":
             (v,) = nd.bag
             tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",))}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from widthspan import cli
 from widthspan.cli import _dumps, main
-from widthspan.arrangement import load_arrangement, shift_count
+from widthspan.arrangement import LinearArrangement, dump_arrangement, load_arrangement, shift_count
 from widthspan.distribution import build_shift_tree
 from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.twdp import dump_td
@@ -226,6 +226,8 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     # refused before a bag is made for each declared id
     ("s td 10000000000000000000 4 4\nb 1 1 2 3 4\n",
      "line 1: 's td' gives 10000000000000000000 bags, which 0 tree edges cannot join"),
+    # found by validation, after the file parsed
+    ("s td 2 3 4\nb 1 1 2 3\nb 2 1 2 3\n1 2\n", "vertex 4 is in no bag"),
 ])
 def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     graph = tmp_path / "k4.gr"
@@ -234,7 +236,7 @@ def test_malformed_td_is_cli_error(tmp_path, capsys, td_text, message):
     td.write_text(td_text)
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith(f"error: {td}: ") and message in err
     assert "Traceback" not in err
 
 
@@ -286,6 +288,19 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz_td")
 
 
+def _exits_zero_or_one_with_an_error_line(argv: list[str]) -> dict | None:
+    """Run the CLI in-process: exit 0 with a JSON report, which is returned,
+    or exit 1 with a single 'error: ' line.  Any exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        return json.loads(out.getvalue())
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(doc=_mutated_td())
 def test_mutated_td_exits_zero_or_one_with_an_error_line(fuzz_dir, doc):
@@ -294,14 +309,54 @@ def test_mutated_td_exits_zero_or_one_with_an_error_line(fuzz_dir, doc):
     graph.write_text(graph_text)
     td = fuzz_dir / "mutated.td"
     td.write_text(td_text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)])
-    if code == 0:
-        assert json.loads(out.getvalue())["width"] >= 0
-    else:
-        assert code == 1
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    report = _exits_zero_or_one_with_an_error_line(["dp-min-stretch", "--graph", str(graph), "--td", str(td)])
+    if report is not None:
+        assert report["width"] >= 0
+
+
+# (graph, valid .arr) pairs the fuzz below mutates the arrangement of
+_ARR_DOCUMENTS = [(C4, C4_ORDER)] + [
+    (dump_graph(g), dump_arrangement(LinearArrangement.from_order(order)))
+    for g, order in (generate("cycle", 6), generate("grid", 6), generate("caterpillar", 7))
+]
+_ARR_FIELDS = ["0", "-1", "8", "x", "1.5", "", " ", "+2", "2 3", "10000000000000000000"]
+
+
+@st.composite
+def _mutated_arr(draw):
+    """A valid .arr file after 1 to 3 edits: a truncation, a duplicated or
+    swapped line, or a line set out of range, to a non-integer or empty."""
+    graph, text = draw(st.sampled_from(_ARR_DOCUMENTS))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["truncate", "duplicate", "swap", "field"]))
+        if kind == "truncate":
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].splitlines()
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = draw(st.sampled_from(_ARR_FIELDS) | st.integers(-1, 9).map(str))
+    return graph, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_mutated_arr())
+def test_mutated_arr_exits_zero_or_one_with_an_error_line(fuzz_dir, doc):
+    graph_text, arr_text = doc
+    graph = fuzz_dir / "g.gr"
+    graph.write_text(graph_text)
+    arr = fuzz_dir / "mutated.arr"
+    arr.write_text(arr_text)
+    inputs = ["--graph", str(graph), "--arrangement", str(arr)]
+    for argv in (["stats"], ["build-tree"], ["distribution", "--explicit"], ["cutwidth-tree", "--best-shift"]):
+        _exits_zero_or_one_with_an_error_line(argv + inputs)
 
 
 def test_oracle_command(c4_files, capsys):

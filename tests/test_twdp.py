@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthspan.graph import generate
 from widthspan.lowstretch import stretch_of
@@ -19,7 +21,7 @@ from widthspan.twdp import (
     make_nice,
 )
 from widthspan.twdp import solver
-from widthspan.twdp.decomposition import min_fill_td
+from widthspan.twdp.decomposition import _rooted, min_fill_td
 from widthspan.twdp.solver import (
     EdgeMap,
     forget_step,
@@ -177,6 +179,133 @@ def test_load_td_validation_errors(doc, pattern):
         load_td(doc, p3())
 
 
+def _reference_validate(td, g) -> None:
+    """The three decomposition properties, checked with one search for
+    connectivity and one per graph vertex for its subtree: the reference
+    ``TreeDecomposition.validate`` must agree with, first error included."""
+    covered = set()
+    for b in td.bags.values():
+        covered |= b
+    for v in range(1, g.n + 1):
+        if v not in covered:
+            raise TreeDecompositionError(f"vertex {v} is in no bag")
+    for v in covered:
+        if not (1 <= v <= g.n):
+            raise TreeDecompositionError(f"bag vertex {v} is not a graph vertex")
+    bag_ids = set(td.bags)
+    adj: dict[int, list[int]] = {i: [] for i in bag_ids}
+    for i, j in td.edges:
+        if i not in bag_ids or j not in bag_ids:
+            raise TreeDecompositionError(f"bag-tree edge ({i}, {j}) references unknown bag")
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(td.edges) != len(td.bags) - 1:
+        raise TreeDecompositionError("bag graph is not a tree (wrong edge count)")
+    start = next(iter(bag_ids))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if seen != bag_ids:
+        raise TreeDecompositionError("bag graph is disconnected")
+    for u, v in g.edges:
+        if not any(u in b and v in b for b in td.bags.values()):
+            raise TreeDecompositionError(f"edge ({u}, {v}) is covered by no bag")
+    for v in range(1, g.n + 1):
+        holders = {i for i, b in td.bags.items() if v in b}
+        root = next(iter(holders))
+        reached = {root}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in holders and y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if reached != holders:
+            raise TreeDecompositionError(f"bags containing vertex {v} are not connected")
+
+
+@st.composite
+def _bag_trees(draw):
+    """A graph on 1..n and a bag tree on ids 1..k, valid by construction (each
+    vertex's bags are the bags a walk in the tree visits, and each graph edge
+    lies in a bag), after 0 to 3 edits that may break it: a vertex taken out
+    of or put into a bag (n + 1 is no graph vertex), a bag emptied, a tree
+    edge dropped, added, repeated or moved (k + 1 is no bag), or a graph edge
+    added.  Only ``n`` and ``edges`` of the graph are read, so it need not be
+    connected."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 5))
+    ids = range(1, k + 1)
+    tree = [(i, draw(st.integers(1, i - 1))) for i in ids[1:]]
+    adj: dict[int, list[int]] = {i: [] for i in ids}
+    for i, j in tree:
+        adj[i].append(j)
+        adj[j].append(i)
+    bags: dict[int, set[int]] = {i: set() for i in ids}
+    for v in range(1, n + 1):
+        at = draw(st.sampled_from(ids))
+        bags[at].add(v)
+        for _ in range(draw(st.integers(0, 3))):
+            if adj[at]:
+                at = draw(st.sampled_from(adj[at]))
+            bags[at].add(v)
+    pairs = sorted({(u, v) for b in bags.values() for u in b for v in b if u < v})
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for _ in range(draw(st.integers(0, 3))):
+        # "put" and "graph" twice: a split vertex or an uncovered edge is rarer
+        # than a broken tree
+        kind = draw(st.sampled_from(["take", "put", "put", "empty", "drop", "add", "repeat", "move", "graph", "graph"]))
+        bag = draw(st.sampled_from(ids))
+        if kind == "take" and bags[bag]:
+            bags[bag].discard(draw(st.sampled_from(sorted(bags[bag]))))
+        elif kind == "put":
+            bags[bag].add(draw(st.integers(1, n + 1)))
+        elif kind == "empty":
+            bags[bag] = set()
+        elif kind == "drop" and tree:
+            del tree[draw(st.integers(0, len(tree) - 1))]
+        elif kind == "add":
+            tree.append((bag, draw(st.integers(1, k + 1))))
+        elif kind == "repeat" and tree:
+            tree.append(draw(st.sampled_from(tree)))
+        elif kind == "move" and tree:
+            tree[draw(st.integers(0, len(tree) - 1))] = (bag, draw(st.integers(1, k)))
+        elif kind == "graph" and n > 1:
+            u = draw(st.integers(1, n - 1))
+            edges.append((u, draw(st.integers(u + 1, n))))
+    td = TreeDecomposition(bags={i: frozenset(b) for i, b in bags.items()}, edges=tuple(tree))
+    return SimpleNamespace(n=n, edges=tuple(dict.fromkeys(edges))), td
+
+
+def _first_error(check, td, g) -> str | None:
+    try:
+        check(td, g)
+    except TreeDecompositionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_bag_trees())
+def test_validate_matches_the_reference(case):
+    g, td = case
+    error = _first_error(_reference_validate, td, g)
+    assert _first_error(TreeDecomposition.validate, td, g) == error
+    if error is None:
+        # the rooting: the least non-empty bag id, and each parent a neighbour
+        parent = _rooted(td, g)
+        assert [x for x, up in parent.items() if up is None] == [min(i for i, b in td.bags.items() if b)]
+        tree = {frozenset(e) for e in td.edges}
+        assert len(parent) == len(td.bags)
+        assert all(frozenset((x, up)) in tree for x, up in parent.items() if up is not None)
+
+
 def test_load_td_checks_the_header():
     # the header's width+1 must match the largest bag, with or without a graph
     with pytest.raises(TreeDecompositionError, match="line 2: 's td' gives width[+]1 = 3, the largest bag has 2"):
@@ -195,7 +324,10 @@ def test_td_round_trip():
 
 def _check_nice(ntd, g):
     assert ntd.nodes[ntd.root].bag == frozenset() or len(ntd.nodes[ntd.root].bag) == 1
-    for nd in ntd.nodes:
+    # children first: the DP walks the nodes in index order
+    assert ntd.root == len(ntd.nodes) - 1
+    for node_id, nd in enumerate(ntd.nodes):
+        assert all(ch < node_id for ch in nd.children)
         if nd.kind == "leaf":
             assert not nd.children and len(nd.bag) == 1
         elif nd.kind == "introduce":
@@ -438,7 +570,7 @@ def _chain_keys(unbounded, limits):
     nodes have no limit."""
     ntd = unbounded.ntd
     chain: list[set | None] = [None] * len(ntd.nodes)
-    for node_id in ntd.postorder():
+    for node_id in range(len(ntd.nodes)):
         children = ntd.nodes[node_id].children
         limit = limits[node_id]
         chain[node_id] = {
