@@ -20,6 +20,8 @@ split-set statistics and charging diagnostics.
 """
 from __future__ import annotations
 
+import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -61,8 +63,34 @@ class LinearArrangement:
         return cls.from_order(list(range(1, n + 1)))
 
 
+# A plain arrangement document: one ASCII-digit label per line, every line
+# ended by "\n", as ``dump_arrangement`` writes it.
+_PLAIN_ARRANGEMENT = re.compile(r"(?:[0-9]+\n)+")
+
+
 def load_arrangement(text: str, n: int) -> LinearArrangement:
-    """Parse an arrangement file: n lines, line k holds the vertex at position k."""
+    """Parse an arrangement file: n lines, line k holds the vertex at position k.
+
+    A plain document of exactly n lines is converted in one ``json.loads``
+    call, as ``load_graph`` converts its edges.  JSON rejects a leading zero
+    and ``int`` more than 4,300 digits; such a document, and every other one,
+    goes through the line loop, which strips each line, skips blank ones,
+    accepts ``01`` and ``+3`` and gives each error its line number.  Both end in
+    ``LinearArrangement.from_order`` on the same labels, so the fast path
+    changes no result and no message.
+    """
+    if text.count("\n") == n and _PLAIN_ARRANGEMENT.fullmatch(text):
+        try:
+            order = json.loads("[" + text[:-1].replace("\n", ",") + "]")
+        except ValueError:  # a leading zero, or more digits than int() converts
+            pass
+        else:
+            return LinearArrangement.from_order(order)
+    return _load_arrangement_lines(text, n)
+
+
+def _load_arrangement_lines(text: str, n: int) -> LinearArrangement:
+    """The line loop: every label error with its line number."""
     order = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -70,7 +70,28 @@ def _json_default(value):
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
+    with ``_json_default`` for fractions and sets; the one writer of every
+    report and manifest.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, and a report's
+    per-edge lists hold one entry per edge.  So each member of a top-level
+    dict is written on its own: a non-empty list of exact ints (a bool stays
+    ``true``) by the C encoder, with the indented layout in its separator, and
+    every other value by the indenting call, re-indented one level.  The bytes
+    are the same as one indenting call over the whole object.
+    """
+    if type(obj) is not dict or not all(type(key) is str for key in obj):
+        return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    members = []
+    for key in sorted(obj):
+        value = obj[key]
+        if type(value) is list and set(map(type, value)) == {int}:
+            text = "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
+        members.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(members) + "\n}\n" if members else "{}\n"
 
 
 def _sha256(text: str) -> str:

@@ -11,16 +11,20 @@ Edge-list file format (line oriented):
 
 ``load_graph`` has a fast path for the document ``dump_graph`` writes: a
 header line, then only edge lines, each field ASCII digits, separated by one
-space, every line ended by ``\n``.  It splits the whole text once, converts
-the fields with ``map(int, ...)`` and validates in bulk: min/max for the
-vertex range, pairwise comparison for self-loops, a set for duplicates and a
-union-find for connectivity.  Any other document, and any document the bulk
-checks reject, goes through the line-by-line parser and the per-edge checks,
-which raise the error with its line number; so the fast path changes no
-result and no message.
+space, every line ended by ``\n``.  It turns the edge lines into one JSON
+array of endpoints and converts every field in a single ``json.loads`` call,
+whose C decoder is about twice as fast as ``map(int, ...)`` over a split.
+Then it validates in bulk: min/max for the vertex range, pairwise comparison
+for self-loops, a set for duplicates and a union-find for connectivity.  JSON
+rejects a field with a leading zero (``01``) and ``int`` one with more than
+4,300 digits; such a document, any document that is not plain, and any
+document the bulk checks reject goes through the line-by-line parser and the
+per-edge checks, which accept ``01`` as 1 and raise every error with its line
+number.  So the fast path changes no result and no message.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -181,7 +185,7 @@ def _build_graph(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | No
 # A plain document starts with a header line, and every newline in it is
 # followed by an edge line or by the end of the text.  Both patterns are
 # bounded per line, so the check keeps no state across lines.
-_PLAIN_HEADER = re.compile(r"p [0-9]+ [0-9]+\n")
+_PLAIN_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 _NOT_PLAIN = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 
 
@@ -189,14 +193,15 @@ def load_graph(text: str) -> Graph:
     """Parse an edge-list document into a validated Graph."""
     header = _PLAIN_HEADER.match(text)
     if header and _NOT_PLAIN.search(text, header.end() - 1) is None:
-        fields = text.split()
+        body = text[header.end():]  # "e u v\n" lines only
         try:
-            n, m = int(fields[1]), int(fields[2])
-            us = list(map(int, fields[4::3]))
-            vs = list(map(int, fields[5::3]))
-        except ValueError:  # a field with more digits than int() converts
+            n, m = int(header[1]), int(header[2])
+            # one JSON array of every endpoint, converted by the C decoder
+            ends = json.loads("[" + body[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        except ValueError:  # a leading zero, or more digits than int() converts
             pass
         else:
+            us, vs = ends[0::2], ends[1::2]
             if len(us) == m and (edges := _bulk_edges(n, us, vs)) is not None:
                 return Graph(n=n, edges=edges)
     return _load_graph_lines(text)

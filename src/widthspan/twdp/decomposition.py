@@ -67,9 +67,15 @@ def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
                 stack.append(y)
     if len(parent) != len(td.bags):
         raise TreeDecompositionError("bag graph is disconnected")
-    # property 2: every graph edge inside some bag
+    # property 2: every graph edge inside some bag, looked for among the
+    # bags of whichever endpoint is in fewer
+    bags_of: dict[int, list[frozenset[int]]] = {v: [] for v in covered}
+    for b in td.bags.values():
+        for v in b:
+            bags_of[v].append(b)
     for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags.values()):
+        x, y = (u, v) if len(bags_of[u]) <= len(bags_of[v]) else (v, u)
+        if not any(y in b for b in bags_of[x]):
             raise TreeDecompositionError(f"edge ({u}, {v}) is covered by no bag")
     # property 3: the bags holding v form a subtree exactly when one of them
     # is the root or has a parent without v

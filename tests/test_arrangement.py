@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthspan import arrangement as arrangement_module
 from widthspan.arrangement import (
     ArrangementError,
     LinearArrangement,
@@ -161,6 +163,84 @@ def test_arrangement_bijection_and_io():
         load_arrangement("1\n2\n", 3)
     with pytest.raises(ArrangementError):
         load_arrangement("1\nx\n2\n", 3)
+
+
+# ---------------------------------------------------------------------------
+# The fast path of load_arrangement against the line loop.
+# ---------------------------------------------------------------------------
+
+# Edits that keep a document plain: a label repeated, or set to 0 or n + 1.
+_PLAIN_ARR_KINDS = ["repeat", "range"]
+_ALL_ARR_KINDS = _PLAIN_ARR_KINDS + [
+    "zero", "plus", "blank", "space", "crlf", "no-final-newline", "drop", "extra", "digits",
+    "non-ascii", "float",
+]
+
+
+@st.composite
+def _arrangement_documents(draw, kinds):
+    """(text, n): a permutation of 1..n as ``dump_arrangement`` writes it,
+    after up to three edits drawn from ``kinds``."""
+    n = draw(st.integers(1, 9))
+    lines = [str(v) for v in draw(st.permutations(range(1, n + 1)))]
+    end = "\n"
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if kind == "repeat":
+            lines[i] = lines[j]
+        elif kind == "range":
+            lines[i] = draw(st.sampled_from(["0", str(n + 1)]))
+        elif kind == "zero":
+            lines[i] = "0" + lines[i]
+        elif kind == "plus":
+            lines[i] = "+" + lines[i]
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif kind == "space":
+            lines[i] += " "
+        elif kind == "crlf":
+            lines = [line + "\r" for line in lines]
+        elif kind == "no-final-newline":
+            end = ""
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "extra":
+            lines.insert(i, lines[j])
+        elif kind == "digits":
+            lines[i] = "9" * 5000
+        elif kind == "non-ascii":  # Arabic-Indic digits, which int() reads
+            lines[i] = "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in lines[i])
+        elif kind == "float":  # JSON numbers that are not ints
+            lines[i] += draw(st.sampled_from([".0", "e0"]))
+    return "\n".join(lines) + end, n
+
+
+def _arrangement_outcome(load, text, n):
+    try:
+        return load(text, n)
+    except ArrangementError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=st.one_of(_arrangement_documents(_PLAIN_ARR_KINDS), _arrangement_documents(_ALL_ARR_KINDS)))
+def test_arrangement_fast_path_matches_the_line_loop(doc):
+    """The public loader and the line loop give equal arrangements, or the
+    same exception type and message."""
+    text, n = doc
+    assert _arrangement_outcome(load_arrangement, text, n) == _arrangement_outcome(
+        arrangement_module._load_arrangement_lines, text, n)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(doc=_arrangement_documents(_PLAIN_ARR_KINDS))
+def test_plain_arrangements_skip_the_line_loop(doc):
+    text, n = doc
+    with patch.object(arrangement_module, "_load_arrangement_lines", side_effect=AssertionError):
+        _arrangement_outcome(load_arrangement, text, n)
 
 
 def test_tree_shape_n4():

@@ -20,6 +20,7 @@ from widthspan.twdp import dump_td
 from widthspan.twdp.decomposition import min_fill_td
 
 from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
+from test_graph import _ALL_KINDS, _mutated_documents
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
 C4_ORDER = "1\n2\n4\n3\n"
@@ -359,6 +360,30 @@ def test_mutated_arr_exits_zero_or_one_with_an_error_line(fuzz_dir, doc):
         _exits_zero_or_one_with_an_error_line(argv + inputs)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=_mutated_documents(_ALL_KINDS))
+def test_mutated_gr_exits_zero_or_one_with_an_error_line(fuzz_dir, text):
+    """A mutated .gr file (graphs on up to 9 vertices, edits from the graph
+    loader's fuzz) through every subcommand that reads one.  The
+    decomposition is a min-fill one of the graph when the graph loads, so
+    ``dp-min-stretch`` also gets past its input; the oracle's cap keeps each
+    enumeration small."""
+    graph = fuzz_dir / "mutated.gr"
+    graph.write_text(text)
+    td = fuzz_dir / "g.td"
+    try:
+        g = load_graph(text)
+    except ValueError:
+        td.write_text(K4_TD)
+    else:
+        td.write_text(dump_td(min_fill_td(g), g.n))
+    inputs = ["--graph", str(graph)]
+    for argv in (["stats"], ["build-tree"], ["distribution", "--explicit"],
+                 ["cutwidth-tree", "--best-shift"], ["dp-min-stretch", "--td", str(td)],
+                 ["oracle", "--cap", "300"]):
+        _exits_zero_or_one_with_an_error_line(argv + inputs)
+
+
 def test_oracle_command(c4_files, capsys):
     graph, _ = c4_files
     assert main(["oracle", "--graph", graph, "--histogram"]) == 0
@@ -501,6 +526,13 @@ def _jsonable(value):
     ]},
     {"argmin_trees": [sorted(t) for t in (frozenset({1, 2}), frozenset({2, 3}))],
      "empty": [], "nested": {"b": {12, 3}, "a": (Fraction(0), Fraction(7, 3))}},
+    {"per_edge_stretch": [i * 7919 % 1013 for i in range(1000)], "total_stretch": 1},
+    {"signed": [-3, 0, -(2**70)], "huge": [2**64, 2**64 + 1, 10**30]},
+    {"flags": [True, 1], "mixed": [1, Fraction(1, 2)]},
+    {"empty": []},
+    {"outer": {"inner": [1, 2, 3]}, "rows": [[1, 2], [3]]},
+    [3, 1, {"b": [2], "a": []}],
+    {},
 ])
 def test_dumps_matches_recursive_prepass(report):
     expected = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"

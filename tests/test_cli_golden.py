@@ -53,6 +53,12 @@ SHIFT_WALK_CASES = (
     ("grid", [], "shuffled"),
     ("random_bandwidth", ["--b", "3", "--p", "0.6"], "shuffled"),
 )
+# Long multi-digit lists: thousands of edge and arrangement fields and report
+# entries, so the bulk graph and arrangement parsers and the JSON writer all
+# see numbers of up to four digits.
+LONG_N = 3000
+LONG_PARAMS = ["--b", "4", "--p", "0.7"]
+LONG_COMMANDS = ("stats", "build-tree")
 K4 = "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 K4_TD = "s td 1 4 4\nb 1 1 2 3 4\n"
 GRID_2X3 = "p 6 7\ne 1 2\ne 1 3\ne 2 4\ne 3 4\ne 3 5\ne 4 6\ne 5 6\n"
@@ -124,6 +130,12 @@ def arrangement_corpus(work: Path):
             arrangement.write_text("".join(f"{v}\n" for v in shuffled))
         yield (f"{family} {SHIFT_WALK_N}/{arr_name}", graph,
                ["--arrangement", str(arrangement)], SHIFT_WALK_COMMANDS)
+    graph = str(work / f"random_bandwidth-{LONG_N}.gr")
+    arrangement = work / f"random_bandwidth-{LONG_N}.arr"
+    _run(["gen", "--family", "random_bandwidth", "--n", str(LONG_N), "--seed", "0",
+          *LONG_PARAMS, "--out", graph, "--arrangement-out", str(arrangement)])
+    yield (f"random_bandwidth {LONG_N}/identity", graph,
+           ["--arrangement", str(arrangement)], LONG_COMMANDS)
 
 
 def golden_digests(work: Path) -> dict[str, str]:
@@ -238,6 +250,8 @@ GOLDEN: dict[str, str] = {
     'grid 33/shuffled: cutwidth-tree --best-shift': '1bbd84760168f19c974a091bd42be2c4182f045836a162509ee684bf5fe98f02',
     'random_bandwidth 33/shuffled: distribution --explicit --csv': '9a30f90d942c930d3de3ff99548c06f42c879d628eeb64c4696d310f4a7f5032',
     'random_bandwidth 33/shuffled: cutwidth-tree --best-shift': 'f0f73db4fae61eef94ca28570510393937fec8f899ca70a814fefde91497172b',
+    'random_bandwidth 3000/identity: stats': '7676df090732cef715d096be76c119d0e5240bb827569f80879cf7c2a4d5cdec',
+    'random_bandwidth 3000/identity: build-tree': '90f5d3a2b2fa4e77dd12d101dd4d22ead77ffe429eed74f8225c8c93fc93fa69',
     'K4: dp-min-stretch': '052e12f0843d54981605634f15d2611cf6021c6422d27a2cd2b9eccefa11a7e8',
     'K4: oracle --histogram': 'efd2e3d85ca3b296598eb0ad34a39d3c6cac988b6536debf6773627ad3e27807',
     'grid 2x3: dp-min-stretch': '06b87a5d6e83f25a362bf1ad645953285dba13cd795bfe7b5b3afc822c63a555',

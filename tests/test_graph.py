@@ -307,6 +307,7 @@ def test_fast_path_matches_line_parser(text):
     "p 4 2\ne 1 2\ne 3 4\n",
     "p 3 2\ne 1 2\ne 2 3\ne 1 3\n",
     "p 3 2\ne 1 2\ne 2 01\n",
+    "p 3 2\ne 01 2\ne 2 3\n",
     "p 2 2\ne 1 2\ne 2 2\n",
     "p 3 2\ne 1 2\ne 0 1\n",
     "p 3 2\ne 2 1\ne 0 1\n",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widthspan.graph import generate
+from widthspan.graph import Graph, generate
 from widthspan.lowstretch import stretch_of
 from widthspan.oracle import enumerate_min_stretch
 from widthspan.twdp import (
@@ -304,6 +304,22 @@ def test_validate_matches_the_reference(case):
         tree = {frozenset(e) for e in td.edges}
         assert len(parent) == len(td.bags)
         assert all(frozenset((x, up)) in tree for x, up in parent.items() if up is not None)
+
+
+def test_edge_coverage_matches_the_reference_on_the_atlas(atlas_corpus):
+    """The per-vertex bag lists find the same first uncovered edge as the
+    reference's scan of every bag: on each atlas graph's min-fill
+    decomposition, and on the decomposition of the graph with one edge
+    removed, checked against the whole graph."""
+    uncovered = 0
+    for g in atlas_corpus:
+        assert _first_error(TreeDecomposition.validate, min_fill_td(g), g) is None
+        for e in g.edges:
+            td = min_fill_td(Graph(n=g.n, edges=tuple(f for f in g.edges if f != e)))
+            error = _first_error(_reference_validate, td, g)
+            assert _first_error(TreeDecomposition.validate, td, g) == error
+            uncovered += error is not None and "covered by no bag" in error
+    assert uncovered > 100
 
 
 def test_load_td_checks_the_header():
