@@ -46,7 +46,7 @@ from .oracle import (
     enumerate_min_stretch,
     expected_stretch_oracle,
 )
-from .twdp import DPLimitError, TreeDecompositionError, dp_min_stretch, load_td, make_nice
+from .twdp import DPLimitError, TreeDecompositionError, dp_min_stretch, load_td
 
 
 class CliError(Exception):
@@ -292,7 +292,7 @@ def _cmd_dp_min_stretch(args, run: _Run) -> int:
     except TreeDecompositionError as exc:
         raise CliError(f"{args.td}: {exc}") from exc
     except DPLimitError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{exc}; --allow-large lifts the limits") from exc
     report = {
         "total_stretch": result.min_total_stretch,
         "avg_stretch": result.min_avg_stretch,

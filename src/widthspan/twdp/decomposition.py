@@ -186,9 +186,10 @@ def dump_td(td: TreeDecomposition, n: int) -> str:
 class NiceNode:
     kind: str  # leaf | introduce | forget | join
     bag: frozenset[int]
+    size: int  # |D|, D = D(node): the bag plus every vertex of a bag below it
+    inside: int  # the number of graph edges with both ends in D
     children: tuple[int, ...] = ()
     vertex: int | None = None  # the vertex introduced/forgotten
-    below: frozenset[int] = frozenset()  # D(B): bag plus all descendant-bag vertices
 
 
 @dataclass
@@ -209,8 +210,22 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     ntd = NiceTreeDecomposition()
 
     def add(kind: str, bag: frozenset[int], children: tuple[int, ...] = (), vertex: int | None = None) -> int:
-        below = bag.union(*(ntd.nodes[ch].below for ch in children))
-        ntd.nodes.append(NiceNode(kind=kind, bag=bag, children=children, vertex=vertex, below=below))
+        # |D| and e(D) from the children's: v first appears where it is
+        # introduced, so its neighbours in D are in the child's bag; a join's
+        # children's D meet in its bag, and no edge joins their other vertices
+        if kind == "leaf":
+            size, inside = 1, 0
+        elif kind == "join":
+            j, k = (ntd.nodes[ch] for ch in children)
+            size = j.size + k.size - len(bag)
+            inside = j.inside + k.inside - sum(1 for u in bag for w in bag if u < w and g.has_edge(u, w))
+        else:
+            child = ntd.nodes[children[0]]
+            size, inside = child.size, child.inside
+            if kind == "introduce":
+                size += 1
+                inside += sum(1 for u in child.bag if g.has_edge(vertex, u))
+        ntd.nodes.append(NiceNode(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex))
         return len(ntd.nodes) - 1
 
     def leaf_chain(bag: frozenset[int]) -> int:

@@ -35,10 +35,11 @@ merged in the order of an enumeration of the subsets of promised blocks, by
 size and then lexicographically.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
-of the graph, one per root.  At an introduce or join node with bag B and
-D = D(node), the unch graph edges not inside D are still to be charged, and
-an entry is dropped once its cost exceeds the least those charges can add on
-top of it within UB (``_limit``):
+of the graph, one per root; the same searches give the girth (``_bounds``).
+At an introduce or join node with bag B and D = D(node), the unch = m - e(D)
+graph edges not inside D are still to be charged, and an entry is dropped
+once its cost exceeds the least those charges can add on top of it within UB
+(``_limit``, from the |D| and e(D) each nice node carries):
 
 - B separates the vertices of D outside B from the rest of the graph, so
   every component of the tree restricted to D contains a bag vertex, and at
@@ -49,7 +50,7 @@ top of it within UB (``_limit``):
   which is at least the girth, so s >= girth - 1.
 - So every completion costs at least unch + (girth - 2) * max(0, unch - f)
   more, and an entry above UB minus that is on no tree within UB.  A forest
-  has no non-tree edge; ``_girth`` gives it 2, so the extra term vanishes.
+  has no non-tree edge; ``_bounds`` gives it girth 2, so the term vanishes.
 
 Every entry of an optimal tree survives, so the optimum is unchanged.  When
 optimal trees tie, the witness is the one whose entries entered the tables
@@ -62,7 +63,7 @@ from fractions import Fraction
 
 from ..graph import Graph
 from ..lowstretch import stretch_of
-from .decomposition import NiceTreeDecomposition, TreeDecomposition, make_nice
+from .decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, make_nice
 
 ABOVE = "above"
 BELOW = "below"
@@ -517,32 +518,12 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
 # Driver.
 # ---------------------------------------------------------------------------
 
-def _upper_bound(g: Graph) -> int:
-    """Least total stretch over the n BFS spanning trees of g, one per root:
-    the cost of a known spanning tree, so no less than the optimum."""
-    best = None
-    for root in range(1, g.n + 1):
-        tree = set()
-        seen = {root}
-        queue = [root]
-        for x in queue:
-            for eid in g.incident[x]:
-                a, b = g.edges[eid - 1]
-                y = b if a == x else a
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-                    tree.add(eid)
-        total = stretch_of(g, tree).total_stretch
-        if best is None or total < best:
-            best = total
-    return best
-
-
-def _girth(g: Graph) -> int:
-    """Length of the shortest cycle of g, by one BFS per root; 2 for a forest,
-    so that the girth term of ``_limit`` vanishes."""
-    best = None
+def _bounds(g: Graph) -> tuple[int, int]:
+    """(UB, girth) by one BFS per root.  UB is the least total stretch of the
+    BFS trees, each the edges that first reach its vertices: the cost of a
+    known spanning tree, so no less than the optimum.  The girth is the length
+    of the shortest cycle, 2 for a forest, so that ``_limit``'s term vanishes."""
+    upper = girth = None
     for root in range(1, g.n + 1):
         depth = {root: 0}
         via = {root: 0}
@@ -557,17 +538,21 @@ def _girth(g: Graph) -> int:
                     depth[y] = depth[x] + 1
                     via[y] = eid
                     queue.append(y)
-                elif best is None or depth[x] + depth[y] + 1 < best:
-                    best = depth[x] + depth[y] + 1
-    return 2 if best is None else best
+                elif girth is None or depth[x] + depth[y] + 1 < girth:
+                    girth = depth[x] + depth[y] + 1
+        del via[root]
+        total = stretch_of(g, via.values()).total_stretch
+        if upper is None or total < upper:
+            upper = total
+    return upper, 2 if girth is None else girth
 
 
-def _limit(g: Graph, upper: int, girth: int, below: frozenset[int], bag: frozenset[int]) -> int:
-    """The most an entry of an introduce or join node with D(node) = ``below``
-    may cost: ``upper`` less the least the uncharged edges can still add, one
-    per edge plus girth - 2 per edge that must be a non-tree edge."""
-    unch = sum(1 for u, w in g.edges if u not in below or w not in below)
-    free = (g.n - 1) - (len(below) - len(bag))
+def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
+    """The most an entry of the introduce or join node ``nd`` may cost:
+    ``upper`` less the least the uncharged edges can still add, one per edge
+    plus girth - 2 per edge that must be a non-tree edge."""
+    unch = g.m - nd.inside
+    free = (g.n - 1) - (nd.size - len(nd.bag))
     return upper - unch - (girth - 2) * max(0, unch - free)
 
 
@@ -604,17 +589,16 @@ def dp_min_stretch(
         if ntd.width > MAX_WIDTH:
             raise DPLimitError(
                 f"decomposition width {ntd.width} exceeds limit {MAX_WIDTH}: "
-                f"the table grows as n^(k+1); pass enforce_limits=False to override"
+                "the table grows as n^(k+1)"
             )
         if g.n > MAX_N:
             raise DPLimitError(
                 f"graph has {g.n} vertices, limit {MAX_N}: "
-                f"the table grows as n^(k+1); pass enforce_limits=False to override"
+                "the table grows as n^(k+1)"
             )
 
     n = g.n
-    upper = _upper_bound(g)
-    girth = _girth(g)
+    upper, girth = _bounds(g)
     tables: list[dict | None] = [None] * len(ntd.nodes)
     for node_id, nd in enumerate(ntd.nodes):
         if nd.kind == "leaf":
@@ -623,13 +607,12 @@ def dp_min_stretch(
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
         else:
-            below = nd.below
-            limit = _limit(g, upper, girth, below, nd.bag)
+            limit = _limit(g, upper, girth, nd)
             if nd.kind == "introduce":
                 child = nd.children[0]
                 tables[node_id] = introduce_step(
                     tables[child], nd.vertex, ntd.nodes[child].bag, g,
-                    future_budget=n - len(below), limit=limit,
+                    future_budget=n - nd.size, limit=limit,
                 )
             else:
                 j, k = nd.children

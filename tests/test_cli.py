@@ -206,7 +206,11 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     td = tmp_path / "p30.td"
     td.write_text(f"s td {n - 1} 2 {n}\n" + bags + links)
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]) == 1
-    assert "limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "limit" in err
+    # the error names the option that lifts the limits, not a library keyword
+    assert "--allow-large lifts the limits" in err
+    assert "enforce_limits" not in err
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
                  "--allow-large"]) == 0
 

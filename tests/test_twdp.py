@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -358,7 +359,27 @@ def _check_nice(ntd, g):
             assert nd.kind == "join"
             j, k = nd.children
             assert ntd.nodes[j].bag == nd.bag == ntd.nodes[k].bag
-    assert ntd.nodes[ntd.root].below == frozenset(range(1, g.n + 1))
+    below = _reference_below(ntd)
+    assert below[ntd.root] == frozenset(range(1, g.n + 1))
+    for nd, d in zip(ntd.nodes, below):
+        ref = _reference_counts(g, nd.bag, d)
+        assert (nd.size, nd.inside) == (ref.size, ref.inside)
+
+
+def _reference_below(ntd) -> list[frozenset[int]]:
+    """D per nice node by its definition, the node's bag and its children's
+    D: the reference for the counts ``size`` and ``inside``."""
+    below: list[frozenset[int]] = []
+    for nd in ntd.nodes:
+        below.append(nd.bag.union(*(below[ch] for ch in nd.children)))
+    return below
+
+
+def _reference_counts(g, bag, below):
+    """What ``_limit`` reads of a node with this bag and D = below: the bag,
+    |D| and the number of graph edges with both ends in D."""
+    inside = sum(1 for u, w in g.edges if u in below and w in below)
+    return SimpleNamespace(bag=bag, size=len(below), inside=inside)
 
 
 def test_make_nice_p3():
@@ -374,6 +395,28 @@ def test_make_nice_single_bag_k4():
     ntd = make_nice(td, g)
     assert ntd.width == 3
     _check_nice(ntd, g)
+
+
+def test_counts_match_the_reference_below(atlas_corpus):
+    # |D| and e(D) by the counting rules equal those of the reference D on
+    # every atlas graph's min-fill decomposition and the 4x3 grid's .td
+    for g, td in [(g, min_fill_td(g)) for g in atlas_corpus] + [_pinned("grid 4x3")]:
+        _check_nice(make_nice(td, g), g)
+
+
+def test_make_nice_memory_stays_small_on_a_long_path():
+    # two counts per node, not D: on the path decomposition of the
+    # 1,000-vertex path, D as a vertex set per node peaked at about 45 MB
+    g, _ = generate("path", 1000)
+    td = _path_td(1000)
+    tracemalloc.start()
+    try:
+        ntd = make_nice(td, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ntd.nodes) == 1999
+    assert peak < 4 * 2**20
 
 
 def test_make_nice_preserves_width_on_min_fill():
@@ -401,16 +444,20 @@ def test_empty_bags_are_dropped(td_text):
     assert stretch_of(g, res.tree_edges).total_stretch == 2
 
 
+def _path_td(n: int) -> TreeDecomposition:
+    """The path decomposition of the n-vertex path: bag i holds i and i + 1."""
+    return TreeDecomposition(
+        bags={i: frozenset({i, i + 1}) for i in range(1, n)},
+        edges=tuple((i, i + 1) for i in range(1, n - 1)),
+    )
+
+
 def test_make_nice_deep_bag_tree():
     """A bag tree deeper than the interpreter's recursion limit: the path
     decomposition of a 700-vertex path."""
     n = 700
     g, _ = generate("path", n)
-    td = TreeDecomposition(
-        bags={i: frozenset({i, i + 1}) for i in range(1, n)},
-        edges=tuple((i, i + 1) for i in range(1, n - 1)),
-    )
-    ntd = make_nice(td, g)
+    ntd = make_nice(_path_td(n), g)
     assert len(ntd.nodes) == 2 * n - 1
     _check_nice(ntd, g)
 
@@ -538,8 +585,8 @@ def test_dp_small_exact_values():
 def test_witness_mismatch_raises(monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     g, _ = generate("complete", 4)
-    # the upper bound goes through stretch_of too; keep it at its true value
-    monkeypatch.setattr(solver, "_upper_bound", lambda g: 9)
+    # the bounds go through stretch_of too; keep them at K4's true UB and girth
+    monkeypatch.setattr(solver, "_bounds", lambda g: (9, 3))
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
         _dp(g)
@@ -549,17 +596,98 @@ def test_bound_below_optimum_raises(monkeypatch):
     # a bound below the optimum prunes every complete tree: the DP must fail
     # loudly (under python -O too), never answer with a worse tree
     g, _ = generate("complete", 4)
-    monkeypatch.setattr(solver, "_upper_bound", lambda g: 9 - 1)
+    monkeypatch.setattr(solver, "_bounds", lambda g: (9 - 1, 3))
     with pytest.raises(RuntimeError, match="empty DP table|no complete configuration at the root"):
         _dp(g)
 
 
 def test_upper_bound_is_the_best_bfs_tree():
     # the 4-cycle: every spanning tree is a path, total stretch 3 + 3
-    assert solver._upper_bound(make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) == 6
+    assert solver._bounds(make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))[0] == 6
     # K4: a BFS tree is a star, 3 + 3 * 2; the optimum is 9 as well
-    assert solver._upper_bound(generate("complete", 4)[0]) == 9
-    assert solver._upper_bound(make_graph(1, [])) == 0
+    assert solver._bounds(generate("complete", 4)[0])[0] == 9
+    assert solver._bounds(make_graph(1, []))[0] == 0
+
+
+def _reference_upper_bound(g) -> int:
+    """Least total stretch over the n BFS spanning trees of g, one per root,
+    each search building its own tree."""
+    best = None
+    for root in range(1, g.n + 1):
+        tree = set()
+        seen = {root}
+        queue = [root]
+        for x in queue:
+            for eid in g.incident[x]:
+                a, b = g.edges[eid - 1]
+                y = b if a == x else a
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    tree.add(eid)
+        total = stretch_of(g, tree).total_stretch
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def _reference_girth(g) -> int:
+    """Length of the shortest cycle of g, by one BFS per root; 2 for a
+    forest."""
+    best = None
+    for root in range(1, g.n + 1):
+        depth = {root: 0}
+        via = {root: 0}
+        queue = [root]
+        for x in queue:
+            for eid in g.incident[x]:
+                if eid == via[x]:
+                    continue
+                a, b = g.edges[eid - 1]
+                y = b if a == x else a
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    via[y] = eid
+                    queue.append(y)
+                elif best is None or depth[x] + depth[y] + 1 < best:
+                    best = depth[x] + depth[y] + 1
+    return 2 if best is None else best
+
+
+def _bridged_graphs(count: int = 40):
+    """Random graphs of one to three cores, each a cycle of 3 to 6 vertices
+    with random chords and each after the first hung by a bridge off an
+    earlier vertex, then pendant trees grown one leaf at a time."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(count):
+        n = 0
+        edges = set()
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(3, 6)
+            core = range(n + 1, n + k + 1)
+            if n:
+                edges.add((rng.randint(1, n), n + 1))
+            edges.update(_ekey(core[i], core[i - 1]) for i in range(k))
+            edges.update((u, w) for u in core for w in core if u < w and rng.random() < 0.2)
+            n += k
+        for _ in range(rng.randint(0, 8)):
+            n += 1
+            edges.add((rng.randint(1, n - 1), n))
+        out.append(make_graph(n, sorted(edges)))
+    return out
+
+
+def test_bounds_match_the_references(atlas_corpus):
+    # one search per root gives both bounds: its first-reach edges are the
+    # BFS tree the UB reference builds
+    families = [generate(f, n)[0] for f in ("path", "cycle", "grid", "complete", "caterpillar")
+                for n in (5, 12, 30)]
+    families += [generate("random_bandwidth", 30, s, b=3, p=0.5)[0] for s in range(3)]
+    families += [generate("random_cutwidth", 30, s, c=2)[0] for s in range(3)]
+    graphs = [make_graph(1, [])] + atlas_corpus + families + _bridged_graphs()
+    for g in graphs:
+        assert solver._bounds(g) == (_reference_upper_bound(g), _reference_girth(g))
 
 
 def _bounded_and_unbounded(monkeypatch, g, td):
@@ -567,15 +695,15 @@ def _bounded_and_unbounded(monkeypatch, g, td):
     distance is below n, so an entry costs less than n per charged edge, and
     as the girth is at most n, m * n exceeds each entry's cost plus the least
     charge ``_limit`` reserves for the edges still to come."""
-    upper, girth = solver._upper_bound(g), solver._girth(g)
+    upper, girth = _reference_upper_bound(g), _reference_girth(g)
     bounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
     with monkeypatch.context() as m:
-        m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
+        _without_bound(m)
         unbounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
     limits = [
-        solver._limit(g, upper, girth, nd.below, nd.bag)
+        solver._limit(g, upper, girth, _reference_counts(g, nd.bag, below))
         if nd.kind in ("introduce", "join") else None
-        for nd in bounded.ntd.nodes
+        for nd, below in zip(bounded.ntd.nodes, _reference_below(bounded.ntd))
     ]
     return bounded, unbounded, limits
 
@@ -674,6 +802,25 @@ def test_tables_are_pinned(name):
     assert (sum(res.table_sizes), _table_digest(res)) == PINNED_TABLES[name]
 
 
+# Deep bag trees, where |D| and the edges inside D grow along the nice form:
+# the path decomposition of the 40-vertex path, a 2x29 ladder and a
+# caterpillar, taken with every vertex of D kept as a set on each nice node.
+PINNED_DEEP_TABLES = {
+    "path 40": (79, "880effc473150161"),
+    "grid 58": (1638, "223cbc0755c959aa"),
+    "caterpillar 41": (138, "a6a8d73c27a3dbca"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEEP_TABLES))
+def test_deep_tables_are_pinned(name):
+    family, n = name.split()
+    g, _ = generate(family, int(n))
+    td = _path_td(g.n) if family == "path" else min_fill_td(g)
+    res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    assert (sum(res.table_sizes), _table_digest(res)) == PINNED_DEEP_TABLES[name]
+
+
 def test_atlas_tables_are_pinned(atlas_corpus):
     got = []
     for g in atlas_corpus[::5]:
@@ -684,6 +831,13 @@ def test_atlas_tables_are_pinned(atlas_corpus):
 
 def _rows(table):
     return [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+
+
+def _without_bound(m):
+    """Run the DP with UB = m * n, which prunes nothing (see
+    ``_bounded_and_unbounded``), and the real girth."""
+    bounds = solver._bounds
+    m.setattr(solver, "_bounds", lambda g: (g.m * g.n, bounds(g)[1]))
 
 
 def _without_future_budget(m):
@@ -716,7 +870,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
     for g in atlas_corpus:
         td = min_fill_td(g)
         with monkeypatch.context() as m:
-            m.setattr(solver, "_upper_bound", lambda g: g.m * g.n)
+            _without_bound(m)
             _without_future_budget(m)
             res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
         for nd in res.ntd.nodes:
@@ -929,12 +1083,12 @@ def test_bound_only_removes_keys_on_the_atlas(monkeypatch, atlas_corpus):
 
 
 def test_girth():
-    assert solver._girth(generate("cycle", 8)[0]) == 8
-    assert solver._girth(make_graph(12, GRID_4X3_EDGES)) == 4
-    assert solver._girth(generate("complete", 4)[0]) == 3
+    assert solver._bounds(generate("cycle", 8)[0])[1] == 8
+    assert solver._bounds(make_graph(12, GRID_4X3_EDGES))[1] == 4
+    assert solver._bounds(generate("complete", 4)[0])[1] == 3
     # a forest has no cycle: 2 makes the girth term vanish
-    assert solver._girth(generate("path", 5)[0]) == 2
-    assert solver._girth(make_graph(1, [])) == 2
+    assert solver._bounds(generate("path", 5)[0])[1] == 2
+    assert solver._bounds(make_graph(1, []))[1] == 2
 
 
 def test_limit_on_the_4x3_grid():
@@ -943,9 +1097,9 @@ def test_limit_on_the_4x3_grid():
     # least 2 of the 10 are non-tree edges of stretch >= girth - 1 = 3
     g = make_graph(12, GRID_4X3_EDGES)
     below, bag = frozenset(range(1, 7)), frozenset({4, 5, 6})
-    assert solver._limit(g, 100, 4, below, bag) == 100 - 10 - 2 * 2
+    assert solver._limit(g, 100, 4, _reference_counts(g, bag, below)) == 100 - 10 - 2 * 2
     # with every vertex in D no edge is left to charge
-    assert solver._limit(g, 100, 4, frozenset(range(1, 13)), bag) == 100
+    assert solver._limit(g, 100, 4, _reference_counts(g, bag, frozenset(range(1, 13)))) == 100
 
 
 # The trace invariants below must survive python -O, so they cannot be asserts.
@@ -1008,13 +1162,14 @@ def test_optimal_trace_is_in_every_table():
     res = _dp(g, keep_tables=True)
     tree_pairs = [g.edges[eid - 1] for eid in res.tree_edges]
     full = stretch_of(g, res.tree_edges)
+    below = _reference_below(res.ntd)
     for node_id, table in enumerate(res.tables):
         nd = res.ntd.nodes[node_id]
-        conf = contract_to_configuration(tree_pairs, nd.bag, nd.below)
+        conf = contract_to_configuration(tree_pairs, nd.bag, below[node_id])
         assert conf.canonical_key in table
         inside = sum(
             full.per_edge_stretch[eid - 1]
             for eid, (u, v) in enumerate(g.edges, start=1)
-            if u in nd.below and v in nd.below
+            if u in below[node_id] and v in below[node_id]
         )
         assert table[conf.canonical_key].cost <= inside
