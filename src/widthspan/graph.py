@@ -15,7 +15,10 @@ space, every line ended by ``\n``.  It turns the edge lines into one JSON
 array of endpoints and converts every field in a single ``json.loads`` call,
 whose C decoder is about twice as fast as ``map(int, ...)`` over a split.
 Then it validates in bulk: min/max for the vertex range, pairwise comparison
-for self-loops, a set for duplicates and a union-find for connectivity.  JSON
+for self-loops, a set for duplicates and a union-find for connectivity.  After
+the range check every endpoint is mapped through one ``list(range(n + 1))``,
+so the edges hold one int object per label rather than the parser's one per
+endpoint, and the same list then serves as the union-find.  JSON
 rejects a field with a leading zero (``01``) and ``int`` one with more than
 4,300 digits; such a document, any document that is not plain, and any
 document the bulk checks reject goes through the line-by-line parser and the
@@ -105,20 +108,27 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
     loop, not a duplicate, and the graph on 1..n is connected; else None."""
     if len(us) < n - 1:
         return None
-    if all(map(int.__lt__, us, vs)):
+    ordered = all(map(int.__lt__, us, vs))
+    if ordered:
         if us and (min(us) < 1 or max(vs) > n):
             return None
-        edges = tuple(zip(us, vs))
     else:
         if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
             return None
         if not all(map(int.__ne__, us, vs)):
             return None
+    # one int object per label: the edges share this list's ints, not the
+    # parser's one per endpoint occurrence.  Only after the range checks: an
+    # out-of-range label would index past the list or wrap from its end.
+    parent = list(range(n + 1))
+    us, vs = map(parent.__getitem__, us), map(parent.__getitem__, vs)
+    if ordered:
+        edges = tuple(zip(us, vs))
+    else:
         edges = tuple((u, v) if u < v else (v, u) for u, v in zip(us, vs))
     if len(set(edges)) != len(edges):
         return None
-    # connected iff a union-find (path halving) merges n - 1 times
-    parent = list(range(n + 1))
+    # connected iff a union-find (path halving) on the same list merges n - 1 times
     merges = 0
     for u, v in edges:
         while parent[u] != u:

@@ -1,9 +1,9 @@
 """The hot loop: greedy spanning tree (union-find Kruskal) and tree-path
 stretch queries (Tarjan's offline LCA), both O(n + m) memory.
 
-Vertices here are 0-based; ``lowstretch`` translates from the 1-based public
-API and is the only caller.  ``IMPLEMENTATION`` names the kernel in run
-records.
+Vertices are the graph's own labels 1..n, so ``lowstretch``, the only caller,
+passes its endpoints as they are and every per-vertex list has n + 1 slots,
+slot 0 unused.  ``IMPLEMENTATION`` names the kernel in run records.
 """
 from __future__ import annotations
 
@@ -13,32 +13,31 @@ IMPLEMENTATION = "python"
 def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     """Tree-path length between the endpoints of every edge.
 
-    Tarjan's offline LCA: one iterative DFS from vertex 0 gives parents,
-    depths and a preorder.  Reversed, the preorder is a postorder; when a
-    vertex finishes, every query edge whose other endpoint finished earlier
-    is answered by a union-find find on that endpoint, which climbs the
-    finished vertices (each linked to its tree parent) to the lowest
-    unfinished ancestor: the LCA.  Memory is O(n + m).
+    Tarjan's offline LCA: one iterative DFS from vertex 1 gives parents,
+    depths and a preorder.  Reversed, the preorder is a postorder.  Each
+    non-tree edge waits at its endpoint of smaller preorder index, which
+    finishes after the other; when it finishes, a union-find find on the
+    other endpoint climbs the finished vertices (each linked to its tree
+    parent) to the lowest unfinished ancestor: the LCA.  The adjacency lists
+    are dropped before the query lists are made, so memory is O(n + m).
     """
     m = len(eu)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    queries: list[list[int]] = [[] for _ in range(n)]
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
     out = [0] * m
     for i in range(m):
-        u, v = eu[i], ev[i]
         if in_tree[i]:
+            u, v = eu[i], ev[i]
             adj[u].append(v)
             adj[v].append(u)
             out[i] = 1
-        else:
-            queries[u].append(i)
-            queries[v].append(i)
-    parent = [0] * n
-    depth = [0] * n
+    parent = [0] * (n + 1)
+    depth = [0] * (n + 1)
+    rank = [0] * (n + 1)  # preorder index
     preorder = []
-    stack = [0]
+    stack = [1]
     while stack:
         v = stack.pop()
+        rank[v] = len(preorder)
         preorder.append(v)
         p, d = parent[v], depth[v] + 1
         for w in adj[v]:
@@ -46,17 +45,21 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
                 parent[w] = v
                 depth[w] = d
                 stack.append(w)
-    uf = list(range(n))
+    del adj
+    queries: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(m):
+        if not in_tree[i]:
+            u, v = eu[i], ev[i]
+            queries[u if rank[u] < rank[v] else v].append(i)
+    del rank
+    uf = list(range(n + 1))
     for v in reversed(preorder):
         for i in queries[v]:
-            if out[i]:  # the other endpoint has finished
-                u = eu[i] if ev[i] == v else ev[i]
-                r = u
-                while uf[r] != r:  # find, with path halving
-                    uf[r] = r = uf[uf[r]]
-                out[i] = depth[u] + depth[v] - 2 * depth[r]
-            else:
-                out[i] = -1  # first endpoint to finish; answered at the second
+            u = eu[i] if ev[i] == v else ev[i]  # finished earlier
+            r = u
+            while uf[r] != r:  # find, with path halving
+                uf[r] = r = uf[uf[r]]
+            out[i] = depth[u] + depth[v] - 2 * depth[r]
         uf[v] = parent[v]
     return out
 
@@ -86,7 +89,7 @@ def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> lis
     """Greedy spanning tree: scan the edge indices in ``order`` and keep each
     edge that joins two components.  Returns a 0/1 list marking tree edges."""
     in_tree = [0] * len(eu)
-    if kruskal_step(list(range(n)), in_tree, eu, ev, order, n - 1) != n - 1:
+    if kruskal_step(list(range(n + 1)), in_tree, eu, ev, order, n - 1) != n - 1:
         raise ValueError("graph is not connected")
     return in_tree
 
@@ -101,6 +104,7 @@ def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread
     order = sorted(range(len(eu)), key=spread.__getitem__)
     order.sort(key=height.__getitem__)
     in_tree = spanning_tree(n, eu, ev, order)
+    del order
     return in_tree, _stretches(n, eu, ev, in_tree)
 
 
@@ -113,6 +117,6 @@ def distances_in_tree(n: int, eu: list[int], ev: list[int], in_tree: list[int]):
     if len(marked) != n - 1:
         raise ValueError("edge set does not have n - 1 tree edges")
     # n - 1 edges are acyclic, so a spanning tree, when the scan keeps them all
-    if kruskal_step(list(range(n)), [0] * len(eu), eu, ev, marked, n - 1) != n - 1:
+    if kruskal_step(list(range(n + 1)), [0] * len(eu), eu, ev, marked, n - 1) != n - 1:
         raise ValueError("edge set contains a cycle")
     return _stretches(n, eu, ev, in_tree)

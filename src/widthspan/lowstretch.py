@@ -87,8 +87,8 @@ def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
 
 
 def _kernel_edges(g: Graph) -> tuple[list[int], list[int]]:
-    eu = [u - 1 for u, _ in g.edges]
-    ev = [v - 1 for _, v in g.edges]
+    eu = [u for u, _ in g.edges]
+    ev = [v for _, v in g.edges]
     return eu, ev
 
 
@@ -158,7 +158,7 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
 
     by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
     last = row = None
-    for shifts, in_tree in walk(0, 0, list(range(n)), bytearray(m), 0, by_spread):
+    for shifts, in_tree in walk(0, 0, list(range(n + 1)), bytearray(m), 0, by_spread):
         if in_tree != last:
             stretch = kernel._stretches(n, eu, ev, in_tree)
             total = sum(stretch)

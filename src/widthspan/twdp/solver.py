@@ -36,6 +36,7 @@ size and then lexicographically.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root; the same searches give the girth (``_bounds``).
+A tree needs no search: UB is its m edges of stretch 1 and its girth 2.
 At an introduce or join node with bag B and D = D(node), the unch = m - e(D)
 graph edges not inside D are still to be charged, and an entry is dropped
 once its cost exceeds the least those charges can add on top of it within UB
@@ -522,7 +523,10 @@ def _bounds(g: Graph) -> tuple[int, int]:
     """(UB, girth) by one BFS per root.  UB is the least total stretch of the
     BFS trees, each the edges that first reach its vertices: the cost of a
     known spanning tree, so no less than the optimum.  The girth is the length
-    of the shortest cycle, 2 for a forest, so that ``_limit``'s term vanishes."""
+    of the shortest cycle, 2 for a forest, so that ``_limit``'s term vanishes.
+    A tree is its own only spanning tree, each edge of stretch 1: no search."""
+    if g.m == g.n - 1:
+        return g.m, 2
     upper = girth = None
     for root in range(1, g.n + 1):
         depth = {root: 0}

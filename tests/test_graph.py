@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import chain
 from unittest.mock import patch
 
 import pytest
@@ -65,6 +66,18 @@ def test_disconnected_check_memory_follows_the_edges():
         tracemalloc.stop()
     assert str(exc.value) == "graph is disconnected (1 of 1000000 vertices reachable)"
     assert peak < 1_000_000
+
+
+def test_each_label_is_one_int_object():
+    # the edges share one int per vertex label, not one per endpoint
+    # occurrence from the parser; labels above 256 are not cached ints
+    g, _ = generate("random_bandwidth", 1000, seed=3, b=4, p=0.7)
+    text = dump_graph(g)
+    swapped = f"p {g.n} {g.m}\n" + "".join(f"e {v} {u}\n" for u, v in g.edges)
+    for doc in (text, swapped, "c line parser\n" + text):
+        loaded = load_graph(doc)
+        assert loaded == g
+        assert len(set(map(id, chain.from_iterable(loaded.edges)))) == g.n
 
 
 @pytest.mark.parametrize(

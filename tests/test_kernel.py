@@ -6,14 +6,14 @@ from widthspan.kernel import IMPLEMENTATION, distances_in_tree, tree_stretch
 
 
 def _random_instance(rng, n):
-    """Random connected graph in kernel form (0-based endpoint lists)."""
+    """Random connected graph in kernel form (endpoint lists, labels 1..n)."""
     edges = set()
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
+    for v in range(2, n + 1):
+        edges.add((rng.randrange(1, v), v))
     extra = rng.randrange(0, 2 * n)
     for _ in range(extra):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u = rng.randrange(1, n + 1)
+        v = rng.randrange(1, n + 1)
         if u != v:
             edges.add((min(u, v), max(u, v)))
     edge_list = sorted(edges)
@@ -30,8 +30,8 @@ def test_active_implementation_reported():
 
 def test_tiny_example():
     # square with a chord; the path edges win on height, the rest stretch
-    eu = [0, 1, 2, 0, 0]
-    ev = [1, 2, 3, 3, 2]
+    eu = [1, 2, 3, 1, 1]
+    ev = [2, 3, 4, 4, 3]
     height = [1, 1, 1, 2, 3]
     spread = [1, 1, 1, 3, 2]
     in_tree, stretch = tree_stretch(4, eu, ev, height, spread)
@@ -45,7 +45,7 @@ def test_stretch_matches_bfs_walk():
         n = rng.randrange(3, 25)
         eu, ev, height, spread = _random_instance(rng, n)
         in_tree, stretch = tree_stretch(n, eu, ev, height, spread)
-        adj = {v: [] for v in range(n)}
+        adj = {v: [] for v in range(1, n + 1)}
         for i, keep in enumerate(in_tree):
             if keep:
                 adj[eu[i]].append(ev[i])
@@ -65,33 +65,43 @@ def test_stretch_matches_bfs_walk():
             assert stretch[i] == dist[ev[i]]
 
 
+def test_label_n_is_a_vertex():
+    # the kernel takes the graph's labels 1..n as they are; here every tree
+    # edge and the one chord's path run through vertex n = 3
+    eu, ev = [1, 2, 1], [3, 3, 2]
+    in_tree, stretch = tree_stretch(3, eu, ev, [1, 1, 2], [2, 1, 1])
+    assert in_tree == [1, 1, 0]
+    assert stretch == [1, 1, 2]
+    assert distances_in_tree(3, eu, ev, in_tree) == [1, 1, 2]
+
+
 def test_not_connected_raises():
     with pytest.raises(ValueError, match="not connected"):
-        tree_stretch(4, [0, 2], [1, 3], [1, 1], [1, 1])
+        tree_stretch(4, [1, 3], [2, 4], [1, 1], [1, 1])
 
 
 def test_distances_in_tree_validation():
-    eu = [0, 1, 0]
-    ev = [1, 2, 2]
+    eu = [1, 2, 1]
+    ev = [2, 3, 3]
     with pytest.raises(ValueError, match="n - 1"):
         distances_in_tree(3, eu, ev, [1, 1, 1])
     with pytest.raises(ValueError, match="cycle"):
-        distances_in_tree(4, eu + [2], ev + [3], [1, 1, 1, 0])
+        distances_in_tree(4, eu + [3], ev + [4], [1, 1, 1, 0])
     assert list(distances_in_tree(3, eu, ev, [1, 1, 0])) == [1, 1, 2]
 
 
 def _parent_walk_distances(n, eu, ev, in_tree):
-    """Reference: root the tree at 0, then walk both endpoints up to meet."""
-    adj = [[] for _ in range(n)]
+    """Reference: root the tree at 1, then walk both endpoints up to meet."""
+    adj = [[] for _ in range(n + 1)]
     for i, keep in enumerate(in_tree):
         if keep:
             adj[eu[i]].append(ev[i])
             adj[ev[i]].append(eu[i])
-    parent = [-1] * n
-    depth = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
+    parent = [-1] * (n + 1)
+    depth = [0] * (n + 1)
+    seen = [False] * (n + 1)
+    seen[1] = True
+    stack = [1]
     while stack:
         x = stack.pop()
         for y in adj[x]:
@@ -117,7 +127,7 @@ def _tree_with_chords(rng, tree_edges, n):
     edges = {(min(u, v), max(u, v)) for u, v in tree_edges}
     tree = set(edges)
     for _ in range(2 * n if n > 2 else 0):
-        u, v = rng.sample(range(n), 2)
+        u, v = rng.sample(range(1, n + 1), 2)
         edges.add((min(u, v), max(u, v)))
     edge_list = list(edges)
     rng.shuffle(edge_list)
@@ -130,14 +140,14 @@ def test_offline_lca_matches_parent_walk():
     rng = random.Random(1979)
     trees = [
         (1, []),
-        (2, [(0, 1)]),
-        (300, [(v - 1, v) for v in range(1, 300)]),   # path: deepest tree
-        (300, [(0, v) for v in range(1, 300)]),       # star: shallowest tree
-        (300, [(299, v) for v in range(299)]),        # star rooted away from 0
+        (2, [(1, 2)]),
+        (300, [(v - 1, v) for v in range(2, 301)]),   # path: deepest tree
+        (300, [(1, v) for v in range(2, 301)]),       # star: shallowest tree
+        (300, [(300, v) for v in range(1, 300)]),     # star rooted away from 1
     ]
     for _ in range(40):
         n = rng.randrange(3, 120)
-        labels = list(range(n))
+        labels = list(range(1, n + 1))
         rng.shuffle(labels)
         trees.append((n, [(labels[rng.randrange(v)], labels[v]) for v in range(1, n)]))
     for n, tree_edges in trees:

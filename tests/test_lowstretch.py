@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from widthspan.arrangement import (
     split_heights,
     widths,
 )
-from widthspan.graph import generate
+from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.lowstretch import (
     StretchReport,
     build_tree,
@@ -248,3 +249,20 @@ def test_inconsistent_report_raises():
             avg_stretch=Fraction(3, 2),
             fcb_weight=5,
         )
+
+
+def test_load_and_build_memory_stays_small():
+    # one int per vertex label, the kernel on those labels, and no adjacency
+    # list alive with the query lists: the peak was 22.9 MiB with a second
+    # int per endpoint and both sets of per-vertex lists alive; 12.9 MiB now
+    g, order = generate("random_bandwidth", 20_000, b=4, p=0.7)
+    text = dump_graph(g)
+    a = LinearArrangement.from_order(order)
+    tracemalloc.start()
+    try:
+        report = build_tree(load_graph(text), a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == build_tree(g, a)
+    assert peak < 18 * 2**20

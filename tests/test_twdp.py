@@ -690,6 +690,18 @@ def test_bounds_match_the_references(atlas_corpus):
         assert solver._bounds(g) == (_reference_upper_bound(g), _reference_girth(g))
 
 
+def test_bounds_of_a_tree_price_no_bfs_tree(monkeypatch):
+    # a tree is its own only spanning tree, so UB = m and the girth is 2
+    # without a search; a graph with a cycle still prices one tree per root
+    calls = []
+    real = solver.stretch_of
+    monkeypatch.setattr(solver, "stretch_of", lambda g, tree: calls.append(g.n) or real(g, tree))
+    assert solver._bounds(generate("path", 1600)[0]) == (1599, 2)
+    assert calls == []
+    assert solver._bounds(generate("cycle", 5)[0]) == (8, 5)
+    assert calls == [5] * 5
+
+
 def _bounded_and_unbounded(monkeypatch, g, td):
     """The DP as it runs, and with a bound that prunes nothing: every trace
     distance is below n, so an entry costs less than n per charged edge, and
