@@ -140,8 +140,6 @@ def split_heights(g: Graph, a: LinearArrangement) -> list[int]:
 
     The padded tree at shift 0; see the module docstring.
     """
-    if a.n != g.n:
-        raise ArrangementError("arrangement size does not match graph")
     return padded_split_heights(g, a, 0)
 
 
@@ -173,30 +171,6 @@ def tree_intervals(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     yield lo, hi
 
 
-@dataclass(frozen=True)
-class PaddedArrangement:
-    """A base arrangement shifted inside a power-of-two padding.
-
-    n_prime is the smallest power of two >= 2n; the shift places that many
-    isolated padding positions before the real vertices.  Padding vertices
-    are never materialized: padded positions are pure arithmetic offsets.
-    """
-
-    base: LinearArrangement
-    shift: int
-
-    def __post_init__(self):
-        if not (0 <= self.shift <= self.n_prime - self.base.n - 1):
-            raise ArrangementError(f"shift {self.shift} out of range for n={self.base.n}")
-
-    @property
-    def n_prime(self) -> int:
-        return padded_size(self.base.n)
-
-    def padded_position(self, v: int) -> int:
-        return self.shift + self.base.position_of[v]
-
-
 def padded_size(n: int) -> int:
     """Smallest power of two >= 2n."""
     return 1 << (2 * n - 1).bit_length()
@@ -208,7 +182,13 @@ def shift_count(n: int) -> int:
 
 
 def padded_split_heights(g: Graph, a: LinearArrangement, shift: int) -> list[int]:
-    """Split heights of all edges under the padded, shifted arrangement."""
+    """Split heights of all edges (by ID - 1) in the padded tree: ``a`` placed
+    after ``shift`` padding positions among ``padded_size(n)``.  A padded tree
+    is ``(a, shift)`` with ``0 <= shift < shift_count(n)``."""
+    if a.n != g.n:
+        raise ArrangementError("arrangement size does not match graph")
+    if not 0 <= shift < shift_count(g.n):
+        raise ArrangementError(f"shift {shift} out of range for n={g.n}")
     pos = a.position_of
     base = shift - 1  # 0-based padded position of the vertex at position 1, minus 0
     return [((base + pos[u]) ^ (base + pos[v])).bit_length() for u, v in g.edges]

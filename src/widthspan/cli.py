@@ -21,7 +21,6 @@ from . import __version__
 from .arrangement import (
     ArrangementError,
     LinearArrangement,
-    PaddedArrangement,
     dump_arrangement,
     edge_spreads,
     load_arrangement,
@@ -30,7 +29,7 @@ from .arrangement import (
     split_nodes,
     widths,
 )
-from .distribution import build_shift_tree, cutwidth_tree, explicit_distribution, sample_tree
+from .distribution import cutwidth_tree, explicit_distribution, sample_tree
 from .graph import FAMILIES, Graph, GraphFormatError, GraphValidationError, dump_graph, generate, load_graph
 from .lowstretch import (
     StretchReport,
@@ -212,10 +211,9 @@ def _cmd_build_tree(args, run: _Run) -> int:
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.padded:
         try:
-            padded = PaddedArrangement(a, args.shift or 0)
+            report = build_tree_padded(g, a, args.shift or 0)
         except ArrangementError as exc:
             raise CliError(str(exc)) from exc
-        report = build_tree_padded(g, padded)
     else:
         report = build_tree(g, a)
     run.emit(_dumps(_stretch_report_dict(g, report)), args.report)
@@ -268,9 +266,9 @@ def _cmd_cutwidth_tree(args, run: _Run) -> int:
     g = _load_graph_file(run, args.graph)
     a = _load_arrangement_file(run, args.arrangement, g)
     if args.best_shift:
-        shift, rep = cutwidth_tree(g, a, best_shift=True)
+        shift, rep = cutwidth_tree(g, a)
     else:
-        shift, rep = cutwidth_tree(g, a, seed=args.seed)
+        shift, rep = sample_tree(g, a, args.seed)
     _, cut = widths(g, a)
     report = _stretch_report_dict(g, rep)
     report.update(
@@ -366,9 +364,7 @@ def _suite_bandwidth(seed: int) -> list[tuple[str, bool, str]]:
         report = build_tree(g, a)
         if report.fcb_weight != report.total_stretch + g.m - 2 * g.n + 2:
             fcb_ok = False
-        padded = PaddedArrangement(a, 0)
-        preport = build_tree_padded(g, padded)
-        if not all(ok for _, _, ok in lemma31_check(g, padded, preport)):
+        if not all(ok for _, _, ok in lemma31_check(g, a, 0, report)):
             lemma_ok = False
         if report.avg_stretch > 4 * b**3 + 2 or report.fcb_weight > 4 * b**3 * g.n:
             bound_ok = False
@@ -416,9 +412,9 @@ def _suite_cutwidth(seed: int) -> list[tuple[str, bool, str]]:
             _, cut = widths(g, a)
             if sum(edge_spreads(g, a)) > cut * g.n:
                 ok_spread = False
-            shift, rep = cutwidth_tree(g, a, best_shift=True)
+            shift, rep = cutwidth_tree(g, a)
             for s in range(shift_count(g.n)):
-                if build_shift_tree(g, a, s).total_stretch < rep.total_stretch:
+                if build_tree_padded(g, a, s).total_stretch < rep.total_stretch:
                     ok_best = False
     checks.append(("sum of spreads <= cutwidth * n", ok_spread, ""))
     checks.append(("best-shift tree minimizes over all shifts", ok_best, ""))
@@ -437,7 +433,7 @@ def _suite_distribution(seed: int) -> list[tuple[str, bool, str]]:
         shift2, rep2 = sample_tree(g, a, seed)
         if shift != shift2 or rep.tree_edges != rep2.tree_edges:
             ok_sample = False
-        if build_shift_tree(g, a, shift).tree_edges != rep.tree_edges:
+        if build_tree_padded(g, a, shift).tree_edges != rep.tree_edges:
             ok_sample = False
     checks.append(("explicit distribution equals the naive oracle", ok_oracle, ""))
     checks.append(("sampling is seed-deterministic and shift-consistent", ok_sample, ""))

@@ -9,8 +9,8 @@ rationals.  All shifts come from one serial walk over the shift bits
 are filled by index.
 
 The same machinery, keyed on a cutwidth witness instead of a bandwidth one,
-gives the cutwidth construction: one sampled shift in expected-linear mode,
-or the best shift by exhaustion.
+gives the cutwidth construction: ``cutwidth_tree`` takes the best shift by
+exhaustion, and ``sample_tree`` gives one sampled shift.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .arrangement import LinearArrangement, PaddedArrangement, shift_count
+from .arrangement import LinearArrangement, shift_count
 from .graph import Graph
 from .lowstretch import StretchReport, build_tree_padded, padded_stretch_rows
 
@@ -39,14 +39,10 @@ class DistributionReport:
         return max(self.per_edge_expected_stretch, default=Fraction(0))
 
 
-def build_shift_tree(g: Graph, a: LinearArrangement, shift: int) -> StretchReport:
-    return build_tree_padded(g, PaddedArrangement(a, shift))
-
-
 def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, StretchReport]:
     """Draw one shift uniformly and build its tree.  Reproducible by seed."""
     shift = random.Random(seed).randrange(shift_count(g.n))
-    return shift, build_shift_tree(g, a, shift)
+    return shift, build_tree_padded(g, a, shift)
 
 
 def _best_shift(totals: list[int]) -> int:
@@ -79,25 +75,12 @@ def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
     )
 
 
-def cutwidth_tree(
-    g: Graph,
-    a: LinearArrangement,
-    *,
-    seed: int | None = None,
-    best_shift: bool = False,
-) -> tuple[int, StretchReport]:
-    """Cutwidth-witness spanning tree: one sampled shift, or the best of all.
-
-    best_shift mode derandomizes by exhaustion: it evaluates every shift
-    and returns the tree of minimum average stretch (lowest shift on ties).
-    """
-    if best_shift == (seed is not None):
-        raise ValueError("choose exactly one of seed= or best_shift=True")
-    if seed is not None:
-        return sample_tree(g, a, seed)
+def cutwidth_tree(g: Graph, a: LinearArrangement) -> tuple[int, StretchReport]:
+    """Cutwidth-witness spanning tree, derandomized by exhaustion: the tree
+    of the shift of minimum average stretch (lowest shift on ties)."""
     # only the totals are kept, so the winning tree is built once more
     totals = [0] * shift_count(g.n)
     for shift, (_, total, _) in padded_stretch_rows(g, a):
         totals[shift] = total
     shift = _best_shift(totals)
-    return shift, build_shift_tree(g, a, shift)
+    return shift, build_tree_padded(g, a, shift)

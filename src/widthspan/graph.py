@@ -80,9 +80,6 @@ class Graph:
             incident[v].append(eid)
         return tuple(tuple(ids) for ids in incident)
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self.edges[edge_id - 1]
-
     def degree(self, v: int) -> int:
         return len(self.incident[v])
 

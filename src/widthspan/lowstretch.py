@@ -21,7 +21,6 @@ from operator import not_
 from . import kernel
 from .arrangement import (
     LinearArrangement,
-    PaddedArrangement,
     edge_spreads,
     padded_split_heights,
     right_child_start,
@@ -98,9 +97,11 @@ def build_tree(g: Graph, a: LinearArrangement) -> StretchReport:
     return _build(g, a, split_heights(g, a))
 
 
-def build_tree_padded(g: Graph, padded: PaddedArrangement) -> StretchReport:
-    """MST under the padded, shifted arrangement's split heights."""
-    return _build(g, padded.base, padded_split_heights(g, padded.base, padded.shift))
+def build_tree_padded(g: Graph, a: LinearArrangement, shift: int) -> StretchReport:
+    """MST under the split heights of the padded tree ``(a, shift)``; raises
+    ``ArrangementError`` unless ``a`` has g's n vertices and
+    ``0 <= shift < shift_count(n)``.  Shift 0 is ``build_tree``'s tree."""
+    return _build(g, a, padded_split_heights(g, a, shift))
 
 
 def _build(g: Graph, a: LinearArrangement, heights: list[int]) -> StretchReport:
@@ -180,14 +181,17 @@ def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport
     return _make_report(in_tree, stretch)
 
 
-def lemma31_check(g: Graph, padded: PaddedArrangement, report: StretchReport) -> list[tuple[int, int, bool]]:
+def lemma31_check(g: Graph, a: LinearArrangement, shift: int, report: StretchReport) -> list[tuple[int, int, bool]]:
     """Per-edge split power p and whether stretch <= 2p - 1 holds.
 
-    Applies to trees built from padded power-of-two arrangements.  Returns
-    (edge_id, p, bound_ok) triples.
+    ``report`` is the tree of the padded tree ``(a, shift)``, as
+    ``build_tree_padded`` builds it (``build_tree``'s at shift 0), and p is
+    2**(h - 1) for the edge's split height h there.  Raises
+    ``ArrangementError`` on the inputs ``build_tree_padded`` rejects.
+    Returns (edge_id, p, bound_ok) triples.
     """
     out = []
-    heights = padded_split_heights(g, padded.base, padded.shift)
+    heights = padded_split_heights(g, a, shift)
     for eid, (h, s) in enumerate(zip(heights, report.per_edge_stretch), start=1):
         p = 1 << (h - 1)
         out.append((eid, p, s <= 2 * p - 1))

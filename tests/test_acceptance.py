@@ -10,7 +10,6 @@ import pytest
 
 from widthspan.arrangement import (
     LinearArrangement,
-    PaddedArrangement,
     edge_spreads,
     shift_count,
     widths,
@@ -61,13 +60,13 @@ def test_criterion_1_cycle_basis_identity_everywhere(capsys):
         g, order = generate(family, n)
         a = LinearArrangement.from_order(order)
         reports.append(build_tree(g, a))
-        reports.append(build_tree_padded(g, PaddedArrangement(a, 0)))
+        reports.append(build_tree_padded(g, a, 0))
     for seed in range(60):
         g, order = generate("random_bandwidth", 20 + seed, seed=seed, b=1 + seed % 4, p=0.6)
         a = LinearArrangement.from_order(order)
         reports.append(build_tree(g, a))
         reports.append(sample_tree(g, a, seed)[1])
-        reports.append(cutwidth_tree(g, a, best_shift=True)[1])
+        reports.append(cutwidth_tree(g, a)[1])
     for seed in range(20):
         g, order = generate("random_cutwidth", 30 + seed, seed=seed, c=2 + seed % 3)
         a = LinearArrangement.from_order(order)
@@ -97,9 +96,8 @@ def test_criterion_3_padded_per_edge_bound(capsys):
     ok = True
     for b, g, a in _bandwidth_corpus():
         for shift in (0, (13 * g.n) % shift_count(g.n)):
-            padded = PaddedArrangement(a, shift)
-            r = build_tree_padded(g, padded)
-            if not all(bound for _, _, bound in lemma31_check(g, padded, r)):
+            r = build_tree_padded(g, a, shift)
+            if not all(bound for _, _, bound in lemma31_check(g, a, shift, r)):
                 ok = False
     _announce(capsys, "criterion 3: stretch(e) <= 2p-1 on every padded edge", ok)
 
@@ -167,7 +165,7 @@ def test_criterion_6_cutwidth_constant(capsys):
                 cw = max(widths(g, a)[1], 1)
                 if sum(edge_spreads(g, a)) > cw * g.n:
                     ok = False
-                _, rep = cutwidth_tree(g, a, best_shift=True)
+                _, rep = cutwidth_tree(g, a)
                 vals.append(Fraction(rep.avg_stretch, cw**2))
             per_n.append(sum(vals) / len(vals))
         constants.append(max(per_n))

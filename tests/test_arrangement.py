@@ -11,7 +11,6 @@ from widthspan import arrangement as arrangement_module
 from widthspan.arrangement import (
     ArrangementError,
     LinearArrangement,
-    PaddedArrangement,
     dump_arrangement,
     edge_spreads,
     load_arrangement,
@@ -335,14 +334,14 @@ def test_split_height_validation():
 def test_padded_sizes_and_shift_range():
     assert padded_size(4) == 8 and shift_count(4) == 4
     assert padded_size(5) == 16 and shift_count(5) == 11
+    g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
     a = LinearArrangement.identity(4)
-    p = PaddedArrangement(a, 3)
-    assert p.n_prime == 8
-    assert p.padded_position(1) == 4
-    with pytest.raises(ArrangementError):
-        PaddedArrangement(a, 4)
-    with pytest.raises(ArrangementError):
-        PaddedArrangement(a, -1)
+    # shift 3: padded positions 3..6 (0-based) of 8
+    assert padded_split_heights(g, a, 3) == [3, 1, 2]
+    with pytest.raises(ArrangementError, match=r"^shift 4 out of range for n=4$"):
+        padded_split_heights(g, a, 4)
+    with pytest.raises(ArrangementError, match=r"^shift -1 out of range for n=4$"):
+        padded_split_heights(g, a, -1)
 
 
 @settings(max_examples=25, deadline=None)

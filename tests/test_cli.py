@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from widthspan import cli
 from widthspan.cli import _dumps, main
 from widthspan.arrangement import LinearArrangement, dump_arrangement, load_arrangement, shift_count
-from widthspan.distribution import build_shift_tree
 from widthspan.graph import dump_graph, generate, load_graph
+from widthspan.lowstretch import build_tree_padded
 from widthspan.twdp import dump_td
 from widthspan.twdp.decomposition import min_fill_td
 
@@ -144,7 +144,7 @@ def test_distribution_jobs_deterministic(c4_files, tmp_path):
                      "--arrangement", arr, "--out", str(out)]) == 0
         g = load_graph(Path(graph).read_text())
         a = load_arrangement(Path(arr).read_text(), g.n)
-        reports = [build_shift_tree(g, a, s) for s in range(shift_count(g.n))]
+        reports = [build_tree_padded(g, a, s) for s in range(shift_count(g.n))]
         per_edge = [Fraction(sum(col), len(reports))
                     for col in zip(*(r.per_edge_stretch for r in reports))]
         totals = [r.total_stretch for r in reports]

@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 
 from widthspan import kernel
 from widthspan.arrangement import LinearArrangement, shift_count
-from widthspan.distribution import (
-    build_shift_tree,
-    cutwidth_tree,
-    explicit_distribution,
-    sample_tree,
-)
+from widthspan.distribution import cutwidth_tree, explicit_distribution, sample_tree
 from widthspan.graph import Graph, generate
-from widthspan.lowstretch import padded_stretch_rows
+from widthspan.lowstretch import build_tree_padded, padded_stretch_rows
 from widthspan.oracle import expected_stretch_oracle
 
 from conftest import make_graph
@@ -63,7 +58,7 @@ def test_c4_explicit_distribution():
     assert rep.best_shift == 0
     # every shift tree is the cycle minus one edge
     for shift in range(4):
-        tree = build_shift_tree(g, a, shift).tree_edges
+        tree = build_tree_padded(g, a, shift).tree_edges
         assert len(tree) == 3
 
 
@@ -95,24 +90,15 @@ def test_sampling_is_deterministic_and_consistent(n, seed):
     shift2, rep2 = sample_tree(g, a, seed)
     assert shift == shift2 and rep == rep2
     assert 0 <= shift < shift_count(n)
-    assert rep == build_shift_tree(g, a, shift)
-
-
-def test_cutwidth_tree_mode_exclusivity():
-    g, order = generate("cycle", 4)
-    a = LinearArrangement.from_order(order)
-    with pytest.raises(ValueError):
-        cutwidth_tree(g, a)
-    with pytest.raises(ValueError):
-        cutwidth_tree(g, a, seed=1, best_shift=True)
+    assert rep == build_tree_padded(g, a, shift)
 
 
 def test_cutwidth_tree_best_shift_is_minimal():
     g, order = generate("random_cutwidth", 20, seed=9, c=3)
     a = LinearArrangement.from_order(order)
-    shift, rep = cutwidth_tree(g, a, best_shift=True)
+    shift, rep = cutwidth_tree(g, a)
     totals = [
-        build_shift_tree(g, a, s).total_stretch for s in range(shift_count(g.n))
+        build_tree_padded(g, a, s).total_stretch for s in range(shift_count(g.n))
     ]
     assert rep.total_stretch == min(totals)
     assert shift == totals.index(min(totals))
@@ -144,7 +130,7 @@ def _row_cases():
 def test_shift_rows_match_shift_trees(g, order):
     a = LinearArrangement.from_order(order)
     for shift, (per_edge, total, avg) in enumerate(_rows_by_shift(g, a)):
-        rep = build_shift_tree(g, a, shift)
+        rep = build_tree_padded(g, a, shift)
         assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
 
 
@@ -156,7 +142,7 @@ def test_disconnected_graph_is_an_error():
     with pytest.raises(ValueError, match="^graph is not connected$"):
         explicit_distribution(g, a)
     with pytest.raises(ValueError, match="^graph is not connected$"):
-        cutwidth_tree(g, a, best_shift=True)
+        cutwidth_tree(g, a)
 
 
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
@@ -181,7 +167,7 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
     # first sight in walk order
     g, order = generate("grid", 200)
     a = LinearArrangement.from_order(order)
-    trees = [build_shift_tree(g, a, s).tree_edges for s in _walk_order(g, a)]
+    trees = [build_tree_padded(g, a, s).tree_edges for s in _walk_order(g, a)]
     target = next(t for t in trees if trees.index(t) > 0 and trees.count(t) > 1)
     first = trees.index(target)
     real = kernel._stretches
@@ -201,7 +187,7 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
 
 
 def _distinct_trees(g, a):
-    return len({build_shift_tree(g, a, s).tree_edges for s in range(shift_count(g.n))})
+    return len({build_tree_padded(g, a, s).tree_edges for s in range(shift_count(g.n))})
 
 
 def test_memo_runs_the_distances_once_per_tree(monkeypatch):
@@ -233,11 +219,11 @@ def test_memo_eviction_keeps_rows_exact():
     a = LinearArrangement.from_order(order)
     assert _distinct_trees(g, a) == 100
     for shift, (per_edge, total, avg) in enumerate(_rows_by_shift(g, a)):
-        rep = build_shift_tree(g, a, shift)
+        rep = build_tree_padded(g, a, shift)
         assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
 
 
-def test_memo_holds_at_most_its_cap(monkeypatch):
+def test_walk_holds_one_row_at_a_time(monkeypatch):
     # every row's stretch list is tracked by a weak reference; while a row
     # is in hand, the memo holds that row and no other
     class Stretches(list):
@@ -260,15 +246,14 @@ def test_memo_holds_at_most_its_cap(monkeypatch):
     assert most == 1
 
 
-def test_worker_processes_give_the_same_results():
+def test_shuffled_grid_rows_match_each_shift_tree():
     # 88 shifts whose totals differ, in walk order: a shift-order mix-up
-    # changes the per-shift averages and the best shift.  (The worker pool
-    # is gone; the name is kept.)
+    # changes the per-shift averages and the best shift.
     g, order = generate("grid", 40)
     random.Random(3).shuffle(order)
     a = LinearArrangement.from_order(order)
     count = shift_count(g.n)
-    reports = [build_shift_tree(g, a, s) for s in range(count)]
+    reports = [build_tree_padded(g, a, s) for s in range(count)]
     assert count == 88 and len({r.total_stretch for r in reports}) > 1
     rep = explicit_distribution(g, a)
     assert rep.per_shift_avg_stretch == tuple(r.avg_stretch for r in reports)
@@ -276,14 +261,14 @@ def test_worker_processes_give_the_same_results():
         Fraction(sum(stretches), count) for stretches in zip(*(r.per_edge_stretch for r in reports)))
     totals = [r.total_stretch for r in reports]
     assert rep.best_shift == totals.index(min(totals))
-    assert cutwidth_tree(g, a, best_shift=True) == (rep.best_shift, reports[rep.best_shift])
+    assert cutwidth_tree(g, a) == (rep.best_shift, reports[rep.best_shift])
 
 
 def test_cutwidth_tree_seeded_mode():
     g = make_graph(4, C4_EDGES)
     a = LinearArrangement.from_order([1, 2, 4, 3])
-    shift, rep = cutwidth_tree(g, a, seed=5)
-    assert (shift, rep) == cutwidth_tree(g, a, seed=5)
+    shift, rep = sample_tree(g, a, 5)
+    assert (shift, rep) == sample_tree(g, a, 5)
     assert rep.avg_stretch == Fraction(3, 2)
 
 
@@ -308,7 +293,7 @@ def test_expectations_are_shift_averages(family, n, shuffled, seed):
     a = LinearArrangement.from_order(order)
     rep = explicit_distribution(g, a)
     count = shift_count(n)
-    reports = [build_shift_tree(g, a, s) for s in range(count)]
+    reports = [build_tree_padded(g, a, s) for s in range(count)]
     for idx in range(g.m):
         mean = Fraction(sum(r.per_edge_stretch[idx] for r in reports), count)
         assert rep.per_edge_expected_stretch[idx] == mean

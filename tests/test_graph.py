@@ -25,7 +25,7 @@ def test_load_path():
     g = load_graph(P4)
     assert g.n == 4 and g.m == 3
     assert g.edges == ((1, 2), (2, 3), (3, 4))
-    assert g.endpoints(2) == (2, 3)
+    assert g.edges[1] == (2, 3)
 
 
 def test_load_cycle_with_comments():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthspan.arrangement import (
+    ArrangementError,
     LinearArrangement,
-    PaddedArrangement,
     edge_spreads,
     shift_count,
     split_heights,
@@ -123,9 +123,8 @@ def test_build_tree_matches_naive_kruskal(n, seed):
 def test_lemma31_c4_edge_powers():
     g = make_graph(4, C4_EDGES)
     a = LinearArrangement.from_order([1, 2, 4, 3])
-    padded = PaddedArrangement(a, 0)
-    r = build_tree_padded(g, padded)
-    rows = lemma31_check(g, padded, r)
+    r = build_tree_padded(g, a, 0)
+    rows = lemma31_check(g, a, 0, r)
     by_id = {eid: (p, ok) for eid, p, ok in rows}
     assert by_id[2][0] == 2  # endpoints at padded positions 2 and 4
     assert all(ok for _, _, ok in rows)
@@ -141,9 +140,19 @@ def test_lemma31_holds_on_padded_trees(n, seed, pick):
     g, order = generate("random_bandwidth", n, seed=seed, b=3, p=0.8)
     a = LinearArrangement.from_order(order)
     shift = pick % shift_count(n)
-    padded = PaddedArrangement(a, shift)
-    r = build_tree_padded(g, padded)
-    assert all(ok for _, _, ok in lemma31_check(g, padded, r))
+    r = build_tree_padded(g, a, shift)
+    assert all(ok for _, _, ok in lemma31_check(g, a, shift, r))
+
+
+@pytest.mark.parametrize("order", [[5, 4, 3, 2, 1], [3, 2, 1]], ids=["n=5", "n=3"])
+def test_padded_build_rejects_a_wrong_size_arrangement(order):
+    g = make_graph(4, C4_EDGES)
+    a = LinearArrangement.from_order(order)
+    report = build_tree(g, LinearArrangement.identity(4))
+    with pytest.raises(ArrangementError, match="^arrangement size does not match graph$"):
+        build_tree_padded(g, a, 0)
+    with pytest.raises(ArrangementError, match="^arrangement size does not match graph$"):
+        lemma31_check(g, a, 0, report)
 
 
 def test_charges_vanish_on_paths():
