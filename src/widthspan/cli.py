@@ -45,7 +45,8 @@ from .oracle import (
     enumerate_min_stretch,
     expected_stretch_oracle,
 )
-from .twdp import DPLimitError, TreeDecompositionError, dp_min_stretch, load_td
+from .twdp.decomposition import TreeDecompositionError, load_td, min_fill_td
+from .twdp.solver import DPLimitError, dp_min_stretch
 
 
 class CliError(Exception):
@@ -441,8 +442,6 @@ def _suite_distribution(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _suite_dp(seed: int) -> list[tuple[str, bool, str]]:
-    from .twdp.decomposition import min_fill_td
-
     checks = []
     ok_equal = ok_witness = True
     instances = [

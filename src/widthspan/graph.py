@@ -35,24 +35,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class GraphFormatError(ValueError):
+class _GraphError(ValueError):
+    """A graph error, its message led by the line it was found on, if any."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class GraphFormatError(_GraphError):
     """Malformed edge-list document."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class GraphValidationError(ValueError):
+class GraphValidationError(_GraphError):
     """Structurally invalid graph (loop, duplicate, disconnected, bad label)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)

@@ -140,26 +140,10 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
     xu = [zero[u] for u, _ in g.edges]
     xv = [zero[v] for _, v in g.edges]
-    count = shift_count(n)
-
-    def walk(depth, residue, parent, in_tree, picked, pending) -> Iterator[tuple[range, bytearray]]:
-        if picked == n - 1:
-            yield range(residue, count, 1 << depth), in_tree
-            return
-        if not pending:
-            raise ValueError("graph is not connected")
-        level = depth + 1
-        for r in range(residue, min(count, residue + (2 << depth)), 1 << depth):
-            joined, rest = [], []
-            for i in pending:
-                (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
-            forest, tree = parent.copy(), in_tree.copy()
-            added = kernel.kruskal_step(forest, tree, eu, ev, joined, n - 1 - picked)
-            yield from walk(level, r, forest, tree, picked + added, rest)
-
     by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
     last = row = None
-    for shifts, in_tree in walk(0, 0, list(range(n + 1)), bytearray(m), 0, by_spread):
+    leaves = _trie_leaves(eu, ev, xu, xv, shift_count(n), 0, 0, list(range(n + 1)), bytearray(m), n - 1, by_spread)
+    for shifts, in_tree in leaves:
         if in_tree != last:
             stretch = kernel._stretches(n, eu, ev, in_tree)
             total = sum(stretch)
@@ -167,6 +151,30 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
             last, row = in_tree, (stretch, total, _avg(total, m))
         for shift in shifts:
             yield shift, row
+
+
+def _trie_leaves(
+    eu, ev, xu, xv, count, depth, residue, parent, in_tree, wanted, pending
+) -> Iterator[tuple[range, bytearray]]:
+    """``(shifts, in_tree)`` for each leaf below the trie node of
+    ``padded_stretch_rows`` at ``depth`` and ``residue``, whose forest is the
+    union-find ``parent`` with ``in_tree`` marking its edges and lacks
+    ``wanted`` edges of a spanning tree.  A module-level generator, not a
+    closure: a recursive closure refers to itself through its cell, a cycle
+    that only the cyclic collector frees, and the edge lists with it."""
+    if not wanted:
+        yield range(residue, count, 1 << depth), in_tree
+        return
+    if not pending:
+        raise ValueError("graph is not connected")
+    level = depth + 1
+    for r in range(residue, min(count, residue + (2 << depth)), 1 << depth):
+        joined, rest = [], []
+        for i in pending:
+            (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
+        forest, tree = parent.copy(), in_tree.copy()
+        added = kernel.kruskal_step(forest, tree, eu, ev, joined, wanted)
+        yield from _trie_leaves(eu, ev, xu, xv, count, level, r, forest, tree, wanted - added, rest)
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

@@ -1,24 +1,2 @@
 """Exact minimum-stretch spanning tree via dynamic programming over a nice
 tree decomposition."""
-from .decomposition import (
-    NiceNode,
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    TreeDecompositionError,
-    load_td,
-    dump_td,
-    make_nice,
-)
-from .solver import DPLimitError, dp_min_stretch
-
-__all__ = [
-    "NiceNode",
-    "NiceTreeDecomposition",
-    "TreeDecomposition",
-    "TreeDecompositionError",
-    "load_td",
-    "dump_td",
-    "make_nice",
-    "DPLimitError",
-    "dp_min_stretch",
-]

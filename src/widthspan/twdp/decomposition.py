@@ -1,7 +1,9 @@
 """Tree decompositions: PACE-format I/O, validation, and nice-ification.
 
-Validation roots the bag tree once, at the least non-empty bag id, and
-``make_nice`` builds the nice form from that rooting.
+``load_td`` parses a document and checks its header and lines.  ``make_nice``
+checks the decomposition against the graph (``_rooted``, which roots the bag
+tree at the least non-empty bag id) and builds the nice form from that
+rooting: one check per decomposition on its way to the DP.
 
 A nice decomposition is a rooted binary bag tree whose nodes are leaves
 (singleton bags), introduce/forget nodes (bag differs from the child by one
@@ -12,7 +14,7 @@ meets every node after its children.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..graph import Graph
 
@@ -29,10 +31,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
-
-    def validate(self, g: Graph) -> None:
-        """Check the three decomposition properties against g."""
-        _rooted(self, g)
 
 
 def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
@@ -91,7 +89,9 @@ def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
 
 
 def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
-    """Parse PACE-2017 .td format; validates against g when provided."""
+    """Parse PACE-2017 .td format.  Checks the header against the bags and,
+    when g is given, its n against g; ``make_nice`` checks the decomposition
+    itself."""
     header = None
     header_line = 0
     bags: dict[int, frozenset[int]] = {}
@@ -162,10 +162,7 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
         )
     if g is not None and n != g.n:
         raise TreeDecompositionError(f"line {header_line}: 's td' gives n = {n}, the graph has {g.n} vertices")
-    td = TreeDecomposition(bags=bags, edges=tuple(edges))
-    if g is not None:
-        td.validate(g)
-    return td
+    return TreeDecomposition(bags=bags, edges=tuple(edges))
 
 
 def dump_td(td: TreeDecomposition, n: int) -> str:
@@ -192,22 +189,12 @@ class NiceNode:
     vertex: int | None = None  # the vertex introduced/forgotten
 
 
-@dataclass
-class NiceTreeDecomposition:
-    nodes: list[NiceNode] = field(default_factory=list)
-    root: int = -1
-
-    @property
-    def width(self) -> int:
-        return max(len(nd.bag) for nd in self.nodes) - 1
-
-
-def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
-    """Transform a valid decomposition into nice form of equal width.  Empty
-    bags are left out.  Every node comes after its children, so the root is
-    the last node."""
+def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:
+    """Check td against g and return its nice form, of equal width, as a
+    node list.  Empty bags are left out.  Every node comes after its
+    children, so the root is the last node."""
     parent = _rooted(td, g)
-    ntd = NiceTreeDecomposition()
+    nodes: list[NiceNode] = []
 
     def add(kind: str, bag: frozenset[int], children: tuple[int, ...] = (), vertex: int | None = None) -> int:
         # |D| and e(D) from the children's: v first appears where it is
@@ -216,17 +203,17 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         if kind == "leaf":
             size, inside = 1, 0
         elif kind == "join":
-            j, k = (ntd.nodes[ch] for ch in children)
+            j, k = (nodes[ch] for ch in children)
             size = j.size + k.size - len(bag)
             inside = j.inside + k.inside - sum(1 for u in bag for w in bag if u < w and g.has_edge(u, w))
         else:
-            child = ntd.nodes[children[0]]
+            child = nodes[children[0]]
             size, inside = child.size, child.inside
             if kind == "introduce":
                 size += 1
                 inside += sum(1 for u in child.bag if g.has_edge(vertex, u))
-        ntd.nodes.append(NiceNode(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex))
-        return len(ntd.nodes) - 1
+        nodes.append(NiceNode(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex))
+        return len(nodes) - 1
 
     def leaf_chain(bag: frozenset[int]) -> int:
         vs = sorted(bag)
@@ -293,8 +280,7 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     for v in sorted(bag)[:-1]:
         bag.remove(v)
         top = add("forget", frozenset(bag), (top,), v)
-    ntd.root = top
-    return ntd
+    return nodes
 
 
 def min_fill_td(g: Graph) -> TreeDecomposition:

@@ -50,8 +50,9 @@ once its cost exceeds the least those charges can add on top of it within UB
 - A non-tree edge of stretch s closes a fundamental cycle of length s + 1,
   which is at least the girth, so s >= girth - 1.
 - So every completion costs at least unch + (girth - 2) * max(0, unch - f)
-  more, and an entry above UB minus that is on no tree within UB.  A forest
-  has no non-tree edge; ``_bounds`` gives it girth 2, so the term vanishes.
+  more, and an entry above UB minus that is on no tree within UB.  If g is a
+  tree, it has no non-tree edge; ``_bounds`` gives it girth 2, so the term
+  vanishes.
 
 Every entry of an optimal tree survives, so the optimum is unchanged.  When
 optimal trees tie, the witness is the one whose entries entered the tables
@@ -64,7 +65,7 @@ from fractions import Fraction
 
 from ..graph import Graph
 from ..lowstretch import stretch_of
-from .decomposition import NiceNode, NiceTreeDecomposition, TreeDecomposition, make_nice
+from .decomposition import NiceNode, TreeDecomposition, make_nice
 
 ABOVE = "above"
 BELOW = "below"
@@ -374,7 +375,7 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
         if len(incident) == 1:
             (k, _), = incident
             x = k[0] if k[1] == v else k[1]
-            if x not in bag_i and x < 0:
+            if x < 0:
                 rest = [(kk, cv) for kk, cv in edges.items() if x in kk]
                 if len(rest) == 2:
                     (k1, (c1, _)), (k2, (c2, _)) = rest
@@ -523,8 +524,10 @@ def _bounds(g: Graph) -> tuple[int, int]:
     """(UB, girth) by one BFS per root.  UB is the least total stretch of the
     BFS trees, each the edges that first reach its vertices: the cost of a
     known spanning tree, so no less than the optimum.  The girth is the length
-    of the shortest cycle, 2 for a forest, so that ``_limit``'s term vanishes.
-    A tree is its own only spanning tree, each edge of stretch 1: no search."""
+    of the shortest cycle; g is connected, so unless it is a tree, m >= n and
+    the first search meets a cycle.  A tree is its own only spanning tree,
+    each edge of stretch 1: no search, and girth 2, so that ``_limit``'s term
+    vanishes."""
     if g.m == g.n - 1:
         return g.m, 2
     upper = girth = None
@@ -548,7 +551,7 @@ def _bounds(g: Graph) -> tuple[int, int]:
         total = stretch_of(g, via.values()).total_stretch
         if upper is None or total < upper:
             upper = total
-    return upper, 2 if girth is None else girth
+    return upper, girth
 
 
 def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
@@ -568,7 +571,7 @@ class DPResult:
     width: int
     table_sizes: tuple[int, ...]
     tables: list | None = None
-    ntd: NiceTreeDecomposition | None = None
+    nodes: list[NiceNode] | None = None
 
 
 def dp_min_stretch(
@@ -579,7 +582,7 @@ def dp_min_stretch(
     keep_tables: bool = False,
 ) -> DPResult:
     """Leaf-to-root DP over the nice form of ``decomposition``, a tree
-    decomposition of g that ``make_nice`` validates; returns the exact optimum
+    decomposition of g that ``make_nice`` checks; returns the exact optimum
     and a witness tree.  The nice nodes come children first, so the DP walks
     them in index order.
 
@@ -588,11 +591,12 @@ def dp_min_stretch(
     already fully introduced.  The limits MAX_WIDTH and MAX_N guard the
     Theta(n^(k+1)) table growth; enforce_limits=False lifts them.
     """
-    ntd = make_nice(decomposition, g)
+    nodes = make_nice(decomposition, g)
+    width = max(len(nd.bag) for nd in nodes) - 1
     if enforce_limits:
-        if ntd.width > MAX_WIDTH:
+        if width > MAX_WIDTH:
             raise DPLimitError(
-                f"decomposition width {ntd.width} exceeds limit {MAX_WIDTH}: "
+                f"decomposition width {width} exceeds limit {MAX_WIDTH}: "
                 "the table grows as n^(k+1)"
             )
         if g.n > MAX_N:
@@ -603,8 +607,8 @@ def dp_min_stretch(
 
     n = g.n
     upper, girth = _bounds(g)
-    tables: list[dict | None] = [None] * len(ntd.nodes)
-    for node_id, nd in enumerate(ntd.nodes):
+    tables: list[dict | None] = [None] * len(nodes)
+    for node_id, nd in enumerate(nodes):
         if nd.kind == "leaf":
             (v,) = nd.bag
             tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",))}
@@ -615,7 +619,7 @@ def dp_min_stretch(
             if nd.kind == "introduce":
                 child = nd.children[0]
                 tables[node_id] = introduce_step(
-                    tables[child], nd.vertex, ntd.nodes[child].bag, g,
+                    tables[child], nd.vertex, nodes[child].bag, g,
                     future_budget=n - nd.size, limit=limit,
                 )
             else:
@@ -627,8 +631,8 @@ def dp_min_stretch(
                 f"every connected graph has a spanning tree"
             )
 
-    root = ntd.root
-    root_bag = ntd.nodes[root].bag
+    root = len(nodes) - 1
+    root_bag = nodes[root].bag
     answer_key = _canon(root_bag, {})
     entry = tables[root].get(answer_key)
     if entry is None:
@@ -639,7 +643,7 @@ def dp_min_stretch(
     while stack:
         node_id, key = stack.pop()
         e = tables[node_id][key]
-        nd = ntd.nodes[node_id]
+        nd = nodes[node_id]
         tag = e.back[0]
         if tag == "intro":
             pairs.update(_ekey(a, b) for a, b in e.back[2])
@@ -662,8 +666,8 @@ def dp_min_stretch(
         min_total_stretch=entry.cost,
         min_avg_stretch=Fraction(entry.cost, g.m) if g.m else Fraction(0),
         tree_edges=tree_ids,
-        width=ntd.width,
+        width=width,
         table_sizes=tuple(len(t) for t in tables),
         tables=tables if keep_tables else None,
-        ntd=ntd if keep_tables else None,
+        nodes=nodes if keep_tables else None,
     )

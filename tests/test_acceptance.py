@@ -26,8 +26,8 @@ from widthspan.lowstretch import (
     stretch_of,
 )
 from widthspan.oracle import enumerate_min_stretch, expected_stretch_oracle
-from widthspan.twdp import dp_min_stretch
 from widthspan.twdp.decomposition import min_fill_td
+from widthspan.twdp.solver import dp_min_stretch
 
 from conftest import make_graph
 

@@ -16,8 +16,8 @@ from widthspan.cli import _dumps, main
 from widthspan.arrangement import LinearArrangement, dump_arrangement, load_arrangement, shift_count
 from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.lowstretch import build_tree_padded
-from widthspan.twdp import dump_td
-from widthspan.twdp.decomposition import min_fill_td
+from widthspan.twdp import decomposition
+from widthspan.twdp.decomposition import dump_td, min_fill_td
 
 from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
 from test_graph import _ALL_KINDS, _mutated_documents
@@ -128,11 +128,10 @@ def test_distribution_sample_mode(c4_files, capsys):
     assert all(len(s["tree_edges"]) == 3 for s in report["samples"])
 
 
-def test_distribution_jobs_deterministic(c4_files, tmp_path):
+def test_explicit_report_equals_the_per_shift_trees(c4_files, tmp_path):
     # a shuffled grid-40: 88 shifts whose totals differ, so a shift-order
     # mix-up in the all-shifts walk changes the output; the report must be
-    # what building every shift's tree on its own gives.  (There is no
-    # --jobs any more; the name is kept.)
+    # what building every shift's tree on its own gives.
     grid, grid_arr = tmp_path / "g40.gr", tmp_path / "g40.arr"
     assert main(["gen", "--family", "grid", "--n", "40", "--out", str(grid)]) == 0
     order = list(range(1, 41))
@@ -162,9 +161,9 @@ def test_distribution_jobs_deterministic(c4_files, tmp_path):
     "args", [["stats"], ["build-tree"], ["oracle"], ["cutwidth-tree", "--best-shift"],
              ["distribution", "--explicit"]]
 )
-def test_jobs_only_on_distribution(c4_files, capsys, args):
+def test_no_subcommand_takes_jobs(c4_files, capsys, args):
     # no subcommand takes --jobs any more, distribution included: argparse
-    # rejects it with exit 2.  (The name is kept from when one did.)
+    # rejects it with exit 2.
     with pytest.raises(SystemExit) as exc:
         main([*args, "--graph", c4_files[0], "--jobs", "2"])
     assert exc.value.code == 2
@@ -213,6 +212,38 @@ def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
     assert "enforce_limits" not in err
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
                  "--allow-large"]) == 0
+
+
+def test_invalid_td_is_reported_before_the_limits(tmp_path, capsys):
+    # the 30-path is over MAX_N, but a decomposition whose bag 15 lost vertex
+    # 16 is refused first, as a td error
+    n = 30
+    edges = "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+    graph = tmp_path / "p30.gr"
+    graph.write_text(f"p {n} {n - 1}\n" + edges)
+    bags = "".join(f"b {i} {i}\n" if i == 15 else f"b {i} {i} {i + 1}\n" for i in range(1, n))
+    links = "".join(f"{i} {i + 1}\n" for i in range(1, n - 1))
+    td = tmp_path / "p30.td"
+    td.write_text(f"s td {n - 1} 2 {n}\n" + bags + links)
+    assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]) == 1
+    assert capsys.readouterr().err == f"error: {td}: edge (15, 16) is covered by no bag\n"
+
+
+def test_dp_min_stretch_checks_the_decomposition_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    rooted = decomposition._rooted
+
+    def counted(td, g):
+        calls.append(td)
+        return rooted(td, g)
+
+    monkeypatch.setattr(decomposition, "_rooted", counted)
+    graph = tmp_path / "k4.gr"
+    graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    td = tmp_path / "k4.td"
+    td.write_text(K4_TD)
+    assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("td_text, message", [
@@ -490,7 +521,7 @@ def test_unwritable_output_is_cli_error(c4_files, tmp_path, capsys, command):
     (["--sample", "-2"], "--sample must be at least 0, got -2"),
     (["--sample", "3", "--csv", "out.csv"], "--csv needs --explicit"),
 ])
-def test_bad_sample_or_jobs_is_cli_error(c4_files, capsys, args, message):
+def test_bad_sample_or_csv_is_cli_error(c4_files, capsys, args, message):
     assert main(["distribution", "--graph", c4_files[0], *args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -603,8 +634,9 @@ def _gc_argv(paths, command, size="small"):
     }[command]
 
 
-def _cyclic_garbage(argv) -> int:
-    """Objects the cyclic collector finds after one in-process run of main."""
+def _cyclic_garbage(argv, measure=None) -> int:
+    """Objects the cyclic collector finds after one in-process run of main,
+    or ``measure`` of the list of them."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -612,7 +644,8 @@ def _cyclic_garbage(argv) -> int:
     try:
         assert main(argv) == 0
         assert not gc.isenabled()
-        return gc.collect()
+        found = gc.collect()
+        return found if measure is None else measure(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -632,6 +665,19 @@ def test_commands_leave_little_cyclic_garbage(gc_inputs, capsys, command):
 def test_cyclic_garbage_does_not_grow_with_the_input(gc_inputs, capsys, command):
     small = _cyclic_garbage(_gc_argv(gc_inputs, command, "small"))
     large = _cyclic_garbage(_gc_argv(gc_inputs, command, "large"))
+    assert large <= small
+
+
+def _largest_container(garbage) -> int:
+    return max((len(x) for x in garbage if isinstance(x, (list, tuple, dict, set, bytearray))), default=0)
+
+
+@pytest.mark.parametrize("command", ["distribution --explicit", "cutwidth-tree"])
+def test_largest_cyclic_garbage_does_not_grow_with_the_input(gc_inputs, capsys, command):
+    # the all-shifts walk keeps its per-edge lists out of any reference cycle:
+    # as a recursive closure, it left four lists of m entries in the garbage
+    small = _cyclic_garbage(_gc_argv(gc_inputs, command, "small"), _largest_container)
+    large = _cyclic_garbage(_gc_argv(gc_inputs, command, "large"), _largest_container)
     assert large <= small
 
 

@@ -12,19 +12,20 @@ from hypothesis import strategies as st
 from widthspan.graph import Graph, generate
 from widthspan.lowstretch import stretch_of
 from widthspan.oracle import enumerate_min_stretch
-from widthspan.twdp import (
-    DPLimitError,
+from widthspan.twdp import solver
+from widthspan.twdp.decomposition import (
     TreeDecomposition,
     TreeDecompositionError,
-    dp_min_stretch,
+    _rooted,
     dump_td,
     load_td,
     make_nice,
+    min_fill_td,
 )
-from widthspan.twdp import solver
-from widthspan.twdp.decomposition import _rooted, min_fill_td
 from widthspan.twdp.solver import (
+    DPLimitError,
     EdgeMap,
+    dp_min_stretch,
     forget_step,
     introduce_step,
     _adjacency,
@@ -176,14 +177,15 @@ def test_load_td_format_errors(doc, pattern):
     ],
 )
 def test_load_td_validation_errors(doc, pattern):
+    g = p3()
     with pytest.raises(TreeDecompositionError, match=pattern):
-        load_td(doc, p3())
+        make_nice(load_td(doc, g), g)
 
 
 def _reference_validate(td, g) -> None:
     """The three decomposition properties, checked with one search for
     connectivity and one per graph vertex for its subtree: the reference
-    ``TreeDecomposition.validate`` must agree with, first error included."""
+    ``_rooted`` must agree with, first error included."""
     covered = set()
     for b in td.bags.values():
         covered |= b
@@ -297,7 +299,7 @@ def _first_error(check, td, g) -> str | None:
 def test_validate_matches_the_reference(case):
     g, td = case
     error = _first_error(_reference_validate, td, g)
-    assert _first_error(TreeDecomposition.validate, td, g) == error
+    assert _first_error(_rooted, td, g) == error
     if error is None:
         # the rooting: the least non-empty bag id, and each parent a neighbour
         parent = _rooted(td, g)
@@ -314,11 +316,11 @@ def test_edge_coverage_matches_the_reference_on_the_atlas(atlas_corpus):
     removed, checked against the whole graph."""
     uncovered = 0
     for g in atlas_corpus:
-        assert _first_error(TreeDecomposition.validate, min_fill_td(g), g) is None
+        assert _first_error(_rooted, min_fill_td(g), g) is None
         for e in g.edges:
             td = min_fill_td(Graph(n=g.n, edges=tuple(f for f in g.edges if f != e)))
             error = _first_error(_reference_validate, td, g)
-            assert _first_error(TreeDecomposition.validate, td, g) == error
+            assert _first_error(_rooted, td, g) == error
             uncovered += error is not None and "covered by no bag" in error
     assert uncovered > 100
 
@@ -339,38 +341,42 @@ def test_td_round_trip():
     assert load_td(dump_td(td, 3), p3()) == td
 
 
-def _check_nice(ntd, g):
-    assert ntd.nodes[ntd.root].bag == frozenset() or len(ntd.nodes[ntd.root].bag) == 1
-    # children first: the DP walks the nodes in index order
-    assert ntd.root == len(ntd.nodes) - 1
-    for node_id, nd in enumerate(ntd.nodes):
+def _width(nodes) -> int:
+    return max(len(nd.bag) for nd in nodes) - 1
+
+
+def _check_nice(nodes, g):
+    # children first, so the root is the last node: the DP walks the nodes
+    # in index order
+    assert nodes[-1].bag == frozenset() or len(nodes[-1].bag) == 1
+    for node_id, nd in enumerate(nodes):
         assert all(ch < node_id for ch in nd.children)
         if nd.kind == "leaf":
             assert not nd.children and len(nd.bag) == 1
         elif nd.kind == "introduce":
-            child = ntd.nodes[nd.children[0]]
+            child = nodes[nd.children[0]]
             assert nd.bag == child.bag | {nd.vertex}
             assert nd.vertex not in child.bag
         elif nd.kind == "forget":
-            child = ntd.nodes[nd.children[0]]
+            child = nodes[nd.children[0]]
             assert nd.bag == child.bag - {nd.vertex}
             assert nd.vertex in child.bag
         else:
             assert nd.kind == "join"
             j, k = nd.children
-            assert ntd.nodes[j].bag == nd.bag == ntd.nodes[k].bag
-    below = _reference_below(ntd)
-    assert below[ntd.root] == frozenset(range(1, g.n + 1))
-    for nd, d in zip(ntd.nodes, below):
+            assert nodes[j].bag == nd.bag == nodes[k].bag
+    below = _reference_below(nodes)
+    assert below[-1] == frozenset(range(1, g.n + 1))
+    for nd, d in zip(nodes, below):
         ref = _reference_counts(g, nd.bag, d)
         assert (nd.size, nd.inside) == (ref.size, ref.inside)
 
 
-def _reference_below(ntd) -> list[frozenset[int]]:
+def _reference_below(nodes) -> list[frozenset[int]]:
     """D per nice node by its definition, the node's bag and its children's
     D: the reference for the counts ``size`` and ``inside``."""
     below: list[frozenset[int]] = []
-    for nd in ntd.nodes:
+    for nd in nodes:
         below.append(nd.bag.union(*(below[ch] for ch in nd.children)))
     return below
 
@@ -384,17 +390,17 @@ def _reference_counts(g, bag, below):
 
 def test_make_nice_p3():
     g = p3()
-    ntd = make_nice(load_td(P3_TD, g), g)
-    assert ntd.width == 1
-    _check_nice(ntd, g)
+    nodes = make_nice(load_td(P3_TD, g), g)
+    assert _width(nodes) == 1
+    _check_nice(nodes, g)
 
 
 def test_make_nice_single_bag_k4():
     g, _ = generate("complete", 4)
     td = TreeDecomposition(bags={1: frozenset({1, 2, 3, 4})}, edges=())
-    ntd = make_nice(td, g)
-    assert ntd.width == 3
-    _check_nice(ntd, g)
+    nodes = make_nice(td, g)
+    assert _width(nodes) == 3
+    _check_nice(nodes, g)
 
 
 def test_counts_match_the_reference_below(atlas_corpus):
@@ -411,11 +417,11 @@ def test_make_nice_memory_stays_small_on_a_long_path():
     td = _path_td(1000)
     tracemalloc.start()
     try:
-        ntd = make_nice(td, g)
+        nodes = make_nice(td, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ntd.nodes) == 1999
+    assert len(nodes) == 1999
     assert peak < 4 * 2**20
 
 
@@ -423,10 +429,10 @@ def test_make_nice_preserves_width_on_min_fill():
     for family, n in (("grid", 6), ("cycle", 7), ("caterpillar", 8)):
         g, _ = generate(family, n)
         td = min_fill_td(g)
-        td.validate(g)
-        ntd = make_nice(td, g)
-        assert ntd.width == td.width
-        _check_nice(ntd, g)
+        _rooted(td, g)
+        nodes = make_nice(td, g)
+        assert _width(nodes) == td.width
+        _check_nice(nodes, g)
 
 
 @pytest.mark.parametrize("td_text", [
@@ -436,9 +442,9 @@ def test_make_nice_preserves_width_on_min_fill():
 def test_empty_bags_are_dropped(td_text):
     g = p3()
     td = load_td(td_text, g)
-    ntd = make_nice(td, g)
-    _check_nice(ntd, g)
-    assert ntd.width == 2
+    nodes = make_nice(td, g)
+    _check_nice(nodes, g)
+    assert _width(nodes) == 2
     res = dp_min_stretch(g, td)
     assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch == 2
     assert stretch_of(g, res.tree_edges).total_stretch == 2
@@ -457,9 +463,9 @@ def test_make_nice_deep_bag_tree():
     decomposition of a 700-vertex path."""
     n = 700
     g, _ = generate("path", n)
-    ntd = make_nice(_path_td(n), g)
-    assert len(ntd.nodes) == 2 * n - 1
-    _check_nice(ntd, g)
+    nodes = make_nice(_path_td(n), g)
+    assert len(nodes) == 2 * n - 1
+    _check_nice(nodes, g)
 
 
 def test_empty_bags_change_nothing_on_the_4x3_grid():
@@ -471,7 +477,7 @@ def test_empty_bags_change_nothing_on_the_4x3_grid():
         bags={**td.bags, 0: frozenset(), 13: frozenset()},
         edges=td.edges + ((0, 1), (12, 13)),
     )
-    padded.validate(g)
+    _rooted(padded, g)
     assert make_nice(padded, g) == make_nice(td, g)
     res = dp_min_stretch(g, padded)
     assert res == dp_min_stretch(g, td)
@@ -715,7 +721,7 @@ def _bounded_and_unbounded(monkeypatch, g, td):
     limits = [
         solver._limit(g, upper, girth, _reference_counts(g, nd.bag, below))
         if nd.kind in ("introduce", "join") else None
-        for nd, below in zip(bounded.ntd.nodes, _reference_below(bounded.ntd))
+        for nd, below in zip(bounded.nodes, _reference_below(bounded.nodes))
     ]
     return bounded, unbounded, limits
 
@@ -724,10 +730,10 @@ def _chain_keys(unbounded, limits):
     """Per node, the unbounded keys whose entry, and every entry its back
     pointers reach, costs no more than its node's limit.  Forget and leaf
     nodes have no limit."""
-    ntd = unbounded.ntd
-    chain: list[set | None] = [None] * len(ntd.nodes)
-    for node_id in range(len(ntd.nodes)):
-        children = ntd.nodes[node_id].children
+    nodes = unbounded.nodes
+    chain: list[set | None] = [None] * len(nodes)
+    for node_id in range(len(nodes)):
+        children = nodes[node_id].children
         limit = limits[node_id]
         chain[node_id] = {
             k for k, e in unbounded.tables[node_id].items()
@@ -754,7 +760,7 @@ def _table_digest(res) -> str:
     pointer replaced by its insertion index in the child's table."""
     position = [{k: i for i, k in enumerate(table)} for table in res.tables]
     h = hashlib.sha256()
-    for nd, table in zip(res.ntd.nodes, res.tables):
+    for nd, table in zip(res.nodes, res.tables):
         rows = []
         for e in table.values():
             tag, *rest = e.back
@@ -885,7 +891,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
             _without_bound(m)
             _without_future_budget(m)
             res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
-        for nd in res.ntd.nodes:
+        for nd in res.nodes:
             if nd.kind != "introduce":
                 continue
             v, bag_i = nd.vertex, nd.bag
@@ -969,7 +975,7 @@ def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
     for g, td in inputs:
         bounded, unbounded, limits = _bounded_and_unbounded(monkeypatch, g, td)
         for res in (bounded, unbounded):
-            for node_id, nd in enumerate(res.ntd.nodes):
+            for node_id, nd in enumerate(res.nodes):
                 if nd.kind != "join":
                     continue
                 j, k = (res.tables[c] for c in nd.children)
@@ -1174,9 +1180,9 @@ def test_optimal_trace_is_in_every_table():
     res = _dp(g, keep_tables=True)
     tree_pairs = [g.edges[eid - 1] for eid in res.tree_edges]
     full = stretch_of(g, res.tree_edges)
-    below = _reference_below(res.ntd)
+    below = _reference_below(res.nodes)
     for node_id, table in enumerate(res.tables):
-        nd = res.ntd.nodes[node_id]
+        nd = res.nodes[node_id]
         conf = contract_to_configuration(tree_pairs, nd.bag, below[node_id])
         assert conf.canonical_key in table
         inside = sum(
