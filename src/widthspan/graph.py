@@ -15,10 +15,11 @@ space, every line ended by ``\n``.  It turns the edge lines into one JSON
 array of endpoints and converts every field in a single ``json.loads`` call,
 whose C decoder is about twice as fast as ``map(int, ...)`` over a split.
 Then it validates in bulk: min/max for the vertex range, pairwise comparison
-for self-loops, a set for duplicates and a union-find for connectivity.  After
-the range check every endpoint is mapped through one ``list(range(n + 1))``,
-so the edges hold one int object per label rather than the parser's one per
-endpoint, and the same list then serves as the union-find.  JSON
+for self-loops, a set for duplicates and the kernel's Kruskal scan for
+connectivity.  After the range check every endpoint is mapped through one
+``list(range(n + 1))``, so the edges hold one int object per label rather than
+the parser's one per endpoint, and the same list then serves as the scan's
+union-find.  JSON
 rejects a field with a leading zero (``01``) and ``int`` one with more than
 4,300 digits; such a document, any document that is not plain, and any
 document the bulk checks reject goes through the line-by-line parser and the
@@ -33,6 +34,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+
+from . import kernel
 
 
 class _GraphError(ValueError):
@@ -97,7 +100,8 @@ class Graph:
 
 def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:
     """The edges as (u, v) pairs with u < v when every edge is in range, not a
-    loop, not a duplicate, and the graph on 1..n is connected; else None."""
+    loop, not a duplicate, and the graph on 1..n is connected; else None.
+    Connectivity is ``kernel.kruskal_step`` over every edge."""
     if len(us) < n - 1:
         return None
     ordered = all(map(int.__lt__, us, vs))
@@ -113,24 +117,19 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
     # parser's one per endpoint occurrence.  Only after the range checks: an
     # out-of-range label would index past the list or wrap from its end.
     parent = list(range(n + 1))
-    us, vs = map(parent.__getitem__, us), map(parent.__getitem__, vs)
+    labels = zip(map(parent.__getitem__, us), map(parent.__getitem__, vs))
     if ordered:
-        edges = tuple(zip(us, vs))
+        edges = tuple(labels)
     else:
-        edges = tuple((u, v) if u < v else (v, u) for u, v in zip(us, vs))
+        edges = tuple((u, v) if u < v else (v, u) for u, v in labels)
     if len(set(edges)) != len(edges):
         return None
-    # connected iff a union-find (path halving) on the same list merges n - 1 times
-    merges = 0
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            merges += 1
-    return edges if merges == n - 1 else None
+    # connected iff the kernel's Kruskal scan, on the same list as its
+    # union-find, keeps n - 1 edges; the endpoints need no remap to index it
+    m = len(us)
+    if kernel.kruskal_step(parent, bytearray(m), us, vs, range(m), n - 1) != n - 1:
+        return None
+    return edges
 
 
 def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None) -> tuple[tuple[int, int], ...]:

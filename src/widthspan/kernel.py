@@ -1,35 +1,41 @@
 """The hot loop: greedy spanning tree (union-find Kruskal) and tree-path
 stretch queries (Tarjan's offline LCA), both O(n + m) memory.
 
-Vertices are the graph's own labels 1..n, so ``lowstretch``, the only caller,
-passes its endpoints as they are and every per-vertex list has n + 1 slots,
-slot 0 unused.  ``IMPLEMENTATION`` names the kernel in run records.
+This is the package's one union-find and one tree rooting (the oracle keeps
+its own, as the independent check): other modules merge with
+``kruskal_step``, take roots with ``find`` and root a tree with
+``root_tree``.  ``kruskal_step`` and ``_stretches`` inline their finds,
+because they are the hot loops.
+
+Vertices are the graph's own labels 1..n, so callers pass their endpoints as
+they are and every per-vertex list has n + 1 slots, slot 0 unused.
+``IMPLEMENTATION`` names the kernel in run records.
 """
 from __future__ import annotations
 
 IMPLEMENTATION = "python"
 
 
-def _stretches(n: int, eu, ev, in_tree) -> list[int]:
-    """Tree-path length between the endpoints of every edge.
+def find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find ``parent``, with path halving."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    Tarjan's offline LCA: one iterative DFS from vertex 1 gives parents,
-    depths and a preorder.  Reversed, the preorder is a postorder.  Each
-    non-tree edge waits at its endpoint of smaller preorder index, which
-    finishes after the other; when it finishes, a union-find find on the
-    other endpoint climbs the finished vertices (each linked to its tree
-    parent) to the lowest unfinished ancestor: the LCA.  The adjacency lists
-    are dropped before the query lists are made, so memory is O(n + m).
+
+def root_tree(n: int, eu, ev, in_tree):
+    """Root the spanning tree of the edges marked in ``in_tree`` at vertex 1.
+
+    One iterative DFS gives ``(parent, depth, rank, preorder)``: each
+    vertex's tree parent (0 at the root) and depth, its preorder index, and
+    the vertices in preorder.  The adjacency lists are freed on return.
     """
-    m = len(eu)
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    out = [0] * m
-    for i in range(m):
+    for i in range(len(eu)):
         if in_tree[i]:
             u, v = eu[i], ev[i]
             adj[u].append(v)
             adj[v].append(u)
-            out[i] = 1
     parent = [0] * (n + 1)
     depth = [0] * (n + 1)
     rank = [0] * (n + 1)  # preorder index
@@ -45,10 +51,28 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
                 parent[w] = v
                 depth[w] = d
                 stack.append(w)
-    del adj
+    return parent, depth, rank, preorder
+
+
+def _stretches(n: int, eu, ev, in_tree) -> list[int]:
+    """Tree-path length between the endpoints of every edge.
+
+    Tarjan's offline LCA over ``root_tree``'s rooting.  Reversed, the
+    preorder is a postorder.  Each non-tree edge waits at its endpoint of
+    smaller preorder index, which finishes after the other; when it
+    finishes, a union-find find on the other endpoint climbs the finished
+    vertices (each linked to its tree parent) to the lowest unfinished
+    ancestor: the LCA.  The adjacency lists are gone before the query lists
+    are made, so memory is O(n + m).
+    """
+    m = len(eu)
+    parent, depth, rank, preorder = root_tree(n, eu, ev, in_tree)
+    out = [0] * m
     queries: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(m):
-        if not in_tree[i]:
+        if in_tree[i]:
+            out[i] = 1
+        else:
             u, v = eu[i], ev[i]
             queries[u if rank[u] < rank[v] else v].append(i)
     del rank
@@ -85,15 +109,6 @@ def kruskal_step(parent: list[int], in_tree, eu, ev, order, wanted: int) -> int:
     return picked
 
 
-def spanning_tree(n: int, eu: list[int], ev: list[int], order: list[int]) -> list[int]:
-    """Greedy spanning tree: scan the edge indices in ``order`` and keep each
-    edge that joins two components.  Returns a 0/1 list marking tree edges."""
-    in_tree = [0] * len(eu)
-    if kruskal_step(list(range(n + 1)), in_tree, eu, ev, order, n - 1) != n - 1:
-        raise ValueError("graph is not connected")
-    return in_tree
-
-
 def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread: list[int]):
     """Greedy spanning tree under (height, spread, edge index) order.
 
@@ -103,7 +118,9 @@ def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread
     # (height, spread, index) order: two stable sorts, minor key first
     order = sorted(range(len(eu)), key=spread.__getitem__)
     order.sort(key=height.__getitem__)
-    in_tree = spanning_tree(n, eu, ev, order)
+    in_tree = [0] * len(eu)
+    if kruskal_step(list(range(n + 1)), in_tree, eu, ev, order, n - 1) != n - 1:
+        raise ValueError("graph is not connected")
     del order
     return in_tree, _stretches(n, eu, ev, in_tree)
 

@@ -237,33 +237,27 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
     component containing a vertex within b positions of each interval end,
     where b is the arrangement's bandwidth.  Components are maintained by a
     single union-find over the node intervals, children first: sibling
-    intervals are vertex disjoint, so one global structure is sound.  A
-    node's charge compares its count with its children's, already known.
+    intervals are vertex disjoint, so one global structure is sound.  Each
+    node's split edges are merged by ``kernel.kruskal_step`` and its end
+    vertices' components taken by ``kernel.find``; the counts depend only on
+    the partition.  A node's charge compares its count with its children's,
+    already known.
     """
     b, _ = widths(g, a)
-    split_at: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for edge, node in zip(g.edges, split_nodes(g, a)):
-        split_at.setdefault(node, []).append(edge)
+    split_at: dict[tuple[int, int], list[int]] = {}
+    for i, node in enumerate(split_nodes(g, a)):
+        split_at.setdefault(node, []).append(i)
+    eu, ev = _kernel_edges(g)
     parent = list(range(g.n + 1))
-
-    def find(x: int) -> int:
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        while parent[x] != r:
-            parent[x], x = r, parent[x]
-        return r
-
+    merged = bytearray(g.m)
     long_of: dict[tuple[int, int], int] = {}
     nodes: list[NodeCharge] = []
     total = 0
     for lo, hi in tree_intervals(1, g.n):
-        for u, v in split_at.get((lo, hi), ()):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        left_roots = {find(a.vertex_at[k]) for k in range(lo, min(lo + b, hi + 1))}
-        right_roots = {find(a.vertex_at[k]) for k in range(max(hi - b + 1, lo), hi + 1)}
+        split = split_at.get((lo, hi), ())
+        kernel.kruskal_step(parent, merged, eu, ev, split, len(split))
+        left_roots = {kernel.find(parent, a.vertex_at[k]) for k in range(lo, min(lo + b, hi + 1))}
+        right_roots = {kernel.find(parent, a.vertex_at[k]) for k in range(max(hi - b + 1, lo), hi + 1)}
         lx = long_of[(lo, hi)] = len(left_roots & right_roots)
         charge = 0
         if lo < hi:
@@ -286,24 +280,12 @@ def fundamental_cycle_spans(g: Graph, a: LinearArrangement, report: StretchRepor
 
     The fundamental cycle of a non-tree edge has length stretch + 1; its
     spread is the position range covered by the cycle's vertices, obtained by
-    walking the actual tree path.
+    walking the actual tree path up to the LCA through the parents and depths
+    of ``kernel.root_tree``.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.n + 1)}
-    for eid in report.tree_edges:
-        u, v = g.edges[eid - 1]
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    # parent pointers from vertex 1
-    par = {1: 0}
-    depth = {1: 0}
-    stack = [1]
-    while stack:
-        x = stack.pop()
-        for y, _ in adj[x]:
-            if y not in par:
-                par[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
+    eu, ev = _kernel_edges(g)
+    in_tree = [eid in report.tree_edges for eid in range(1, g.m + 1)]
+    par, depth, _, _ = kernel.root_tree(g.n, eu, ev, in_tree)
     out = []
     for eid, (u, v) in enumerate(g.edges, start=1):
         if eid in report.tree_edges:

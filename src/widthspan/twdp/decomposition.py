@@ -1,4 +1,4 @@
-"""Tree decompositions: PACE-format I/O, validation, and nice-ification.
+"""Tree decompositions: PACE-format parsing, validation, and nice-ification.
 
 ``load_td`` parses a document and checks its header and lines.  ``make_nice``
 checks the decomposition against the graph (``_rooted``, which roots the bag
@@ -27,10 +27,6 @@ class TreeDecompositionError(ValueError):
 class TreeDecomposition:
     bags: dict[int, frozenset[int]]
     edges: tuple[tuple[int, int], ...]
-
-    @property
-    def width(self) -> int:
-        return max(len(b) for b in self.bags.values()) - 1
 
 
 def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
@@ -163,16 +159,6 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
     if g is not None and n != g.n:
         raise TreeDecompositionError(f"line {header_line}: 's td' gives n = {n}, the graph has {g.n} vertices")
     return TreeDecomposition(bags=bags, edges=tuple(edges))
-
-
-def dump_td(td: TreeDecomposition, n: int) -> str:
-    width_plus_1 = max(len(b) for b in td.bags.values())
-    out = [f"s td {len(td.bags)} {width_plus_1} {n}"]
-    for i in sorted(td.bags):
-        out.append("b " + " ".join([str(i)] + [str(v) for v in sorted(td.bags[i])]))
-    for i, j in td.edges:
-        out.append(f"{i} {j}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .. import kernel
 from ..graph import Graph
 from ..lowstretch import stretch_of
 from .decomposition import NiceNode, TreeDecomposition, make_nice
@@ -413,13 +414,6 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     keys = [k for k, (cost, _) in edges.items() if not _shared(k, cost)]
     index = {k: i for i, k in enumerate(keys)}
     parent = list(range(len(keys)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_steiner: dict[int, list[int]] = {}
     for k in keys:
         for x in k:
@@ -427,11 +421,11 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
                 by_steiner.setdefault(x, []).append(index[k])
     for members in by_steiner.values():
         for i in members[1:]:
-            parent[find(members[0])] = find(i)
+            parent[kernel.find(parent, members[0])] = kernel.find(parent, i)
 
     groups: dict[int, list] = {}
     for k in keys:
-        groups.setdefault(find(index[k]), []).append(k)
+        groups.setdefault(kernel.find(parent, index[k]), []).append(k)
     out = []
     for members in groups.values():
         tags = {edges[k][1] for k in members}

@@ -44,6 +44,17 @@ def make_graph(n: int, edges) -> Graph:
     return _build_graph(n, list(edges))
 
 
+def dump_td(td, n: int) -> str:
+    """A tree decomposition as a PACE ``.td`` document for an n-vertex graph."""
+    width_plus_1 = max(len(b) for b in td.bags.values())
+    out = [f"s td {len(td.bags)} {width_plus_1} {n}"]
+    for i in sorted(td.bags):
+        out.append("b " + " ".join([str(i)] + [str(v) for v in sorted(td.bags[i])]))
+    for i, j in td.edges:
+        out.append(f"{i} {j}")
+    return "\n".join(out) + "\n"
+
+
 @pytest.fixture(scope="session")
 def atlas_corpus():
     """All connected graphs on 2..6 vertices, one per isomorphism class."""

@@ -17,9 +17,9 @@ from widthspan.arrangement import LinearArrangement, dump_arrangement, load_arra
 from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.lowstretch import build_tree_padded
 from widthspan.twdp import decomposition
-from widthspan.twdp.decomposition import dump_td, min_fill_td
+from widthspan.twdp.decomposition import min_fill_td
 
-from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
+from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
 from test_graph import _ALL_KINDS, _mutated_documents
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -235,6 +236,47 @@ def test_fundamental_cycle_span_bounds(n, seed):
     for _eid, span, length in fundamental_cycle_spans(g, a, r):
         assert 2 * span <= length * bw
         assert length <= span + 1
+
+
+def _path_positions(g, a, tree_edges, u, v):
+    """Arrangement positions of the tree path from u to v, by a BFS from u."""
+    adj = {x: [] for x in range(1, g.n + 1)}
+    for eid in tree_edges:
+        x, y = g.edges[eid - 1]
+        adj[x].append(y)
+        adj[y].append(x)
+    came = {u: None}
+    queue = [u]
+    for x in queue:
+        for y in adj[x]:
+            if y not in came:
+                came[y] = x
+                queue.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(came[path[-1]])
+    return [a.position_of[x] for x in path]
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("family,n,kw", [
+    ("random_bandwidth", 40, {"b": 3, "p": 0.7}),
+    ("grid", 30, {}),
+    ("cycle", 17, {}),
+])
+def test_fundamental_cycle_spans_follow_the_tree_path(family, n, kw, shuffled):
+    g, order = generate(family, n, seed=5, **kw)
+    if shuffled:
+        random.Random(n).shuffle(order)
+    a = LinearArrangement.from_order(order)
+    r = build_tree(g, a)
+    expected = []
+    for eid, (u, v) in enumerate(g.edges, start=1):
+        if eid not in r.tree_edges:
+            positions = _path_positions(g, a, r.tree_edges, u, v)
+            expected.append((eid, max(positions) - min(positions), len(positions)))
+    assert expected
+    assert fundamental_cycle_spans(g, a, r) == expected
 
 
 def test_avg_stretch_cubic_bound_small_families():

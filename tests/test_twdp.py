@@ -17,7 +17,6 @@ from widthspan.twdp.decomposition import (
     TreeDecomposition,
     TreeDecompositionError,
     _rooted,
-    dump_td,
     load_td,
     make_nice,
     min_fill_td,
@@ -37,7 +36,7 @@ from widthspan.twdp.solver import (
     _vertices,
 )
 
-from conftest import GRID_4X3_EDGES, GRID_4X3_TD, make_graph
+from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
 
 # ---------------------------------------------------------------------------
 # The trace of a concrete spanning tree, computed without the DP: the
@@ -141,7 +140,7 @@ def p3():
 
 def test_load_td_basic():
     td = load_td(P3_TD, p3())
-    assert td.width == 1
+    assert max(map(len, td.bags.values())) - 1 == 1
     assert td.bags == {1: frozenset({1, 2}), 2: frozenset({2, 3})}
     assert td.edges == ((1, 2),)
 
@@ -331,7 +330,7 @@ def test_load_td_checks_the_header():
         load_td("c two bags\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     # its n is checked only against a given graph
     doc = "s td 2 2 9\nb 1 1 2\nb 2 2 3\n1 2\n"
-    assert load_td(doc).width == 1
+    assert max(map(len, load_td(doc).bags.values())) - 1 == 1
     with pytest.raises(TreeDecompositionError, match="line 1: 's td' gives n = 9, the graph has 3"):
         load_td(doc, p3())
 
@@ -431,7 +430,7 @@ def test_make_nice_preserves_width_on_min_fill():
         td = min_fill_td(g)
         _rooted(td, g)
         nodes = make_nice(td, g)
-        assert _width(nodes) == td.width
+        assert _width(nodes) == max(map(len, td.bags.values())) - 1
         _check_nice(nodes, g)
 
 
