@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .graph import Graph
 
@@ -32,16 +31,24 @@ class ArrangementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class LinearArrangement:
-    """Bijection between vertices 1..n and positions 1..n.
+    """Immutable bijection between vertices 1..n and positions 1..n.
 
     position_of[v] is the position of vertex v; vertex_at[k] is the vertex at
-    position k.  Index 0 of both tuples is unused padding.
+    position k.  Index 0 of both tuples is unused padding.  Arrangements are
+    equal when both tuples are.
     """
 
-    position_of: tuple[int, ...]
-    vertex_at: tuple[int, ...]
+    def __init__(self, position_of: tuple[int, ...], vertex_at: tuple[int, ...]):
+        vars(self).update(position_of=position_of, vertex_at=vertex_at)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearArrangement is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not LinearArrangement:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def n(self) -> int:

@@ -15,7 +15,6 @@ exhaustion, and ``sample_tree`` gives one sampled shift.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
@@ -25,14 +24,16 @@ from .graph import Graph
 from .lowstretch import StretchReport, build_tree_padded, padded_stretch_rows
 
 
-@dataclass(frozen=True)
 class DistributionReport:
-    """Exact statistics of the full shift distribution."""
+    """Exact statistics of the full shift distribution; immutable."""
 
-    shifts: int
-    per_edge_expected_stretch: tuple[Fraction, ...]
-    per_shift_avg_stretch: tuple[Fraction, ...]
-    best_shift: int
+    def __init__(self, shifts: int, per_edge_expected_stretch: tuple[Fraction, ...],
+                 per_shift_avg_stretch: tuple[Fraction, ...], best_shift: int):
+        vars(self).update(shifts=shifts, per_edge_expected_stretch=per_edge_expected_stretch,
+                          per_shift_avg_stretch=per_shift_avg_stretch, best_shift=best_shift)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DistributionReport is immutable: cannot set {name!r}")
 
     @property
     def max_expected_stretch(self) -> Fraction:

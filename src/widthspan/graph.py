@@ -32,7 +32,6 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import kernel
@@ -53,18 +52,28 @@ class GraphValidationError(_GraphError):
     """Structurally invalid graph (loop, duplicate, disconnected, bad label)."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Immutable simple connected graph.
 
     edges[i] is the endpoint pair of the edge with ID i+1.  ``incident[v]``
     lists the IDs of edges touching vertex v; it is built on first use (by
     ``degree``, ``neighbors``, the exact DP, the oracle and ``verify``), so a
-    run that never asks for it never pays for it.
+    run that never asks for it never pays for it.  Graphs are equal when
+    their n and edges are.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        # __setattr__ refuses; the cached properties store into __dict__ too
+        vars(self).update(n=n, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not Graph:
+            return NotImplemented
+        # not vars(): that holds the cached properties, once built
+        return self.n == other.n and self.edges == other.edges
 
     @property
     def m(self) -> int:

@@ -13,7 +13,6 @@ node and the node charges they induce.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import not_
@@ -33,18 +32,24 @@ from .arrangement import (
 from .graph import Graph
 
 
-@dataclass(frozen=True)
 class StretchReport:
-    """A spanning tree with per-edge stretch and cycle-basis accounting."""
+    """An immutable spanning tree with per-edge stretch and cycle-basis
+    accounting, checked against the cycle-basis identity when built, and
+    equal to another with the same five fields."""
 
-    tree_edges: frozenset[int]
-    per_edge_stretch: tuple[int, ...]
-    total_stretch: int
-    avg_stretch: Fraction
-    fcb_weight: int
+    def __init__(self, tree_edges: frozenset[int], per_edge_stretch: tuple[int, ...],
+                 total_stretch: int, avg_stretch: Fraction, fcb_weight: int):
+        _check_cycle_basis(fcb_weight, total_stretch, len(per_edge_stretch), len(tree_edges) + 1)
+        vars(self).update(tree_edges=tree_edges, per_edge_stretch=per_edge_stretch,
+                          total_stretch=total_stretch, avg_stretch=avg_stretch, fcb_weight=fcb_weight)
 
-    def __post_init__(self):
-        _check_cycle_basis(self.fcb_weight, self.total_stretch, self.m, self.n)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StretchReport is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not StretchReport:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def m(self) -> int:
@@ -210,24 +215,31 @@ def lemma31_check(g: Graph, a: LinearArrangement, shift: int, report: StretchRep
 # Charging diagnostics: long components and node charges.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NodeCharge:
-    lo: int
-    hi: int
-    leaf_count: int
-    long_components: int
-    charge: int
+    """One arrangement-tree node's interval, leaf count, long components and
+    charge; immutable, and equal to another with the same five fields."""
+
+    def __init__(self, lo: int, hi: int, leaf_count: int, long_components: int, charge: int):
+        vars(self).update(lo=lo, hi=hi, leaf_count=leaf_count, long_components=long_components, charge=charge)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NodeCharge is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not NodeCharge:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class ChargeReport:
-    bandwidth: int
-    nodes: tuple[NodeCharge, ...]
-    total_charge: int
+    """Immutable charging diagnostics: the bandwidth, every node's charge,
+    children first (so the root is last), and their total."""
 
-    @property
-    def root(self) -> NodeCharge:
-        return max(self.nodes, key=lambda nc: nc.leaf_count)
+    def __init__(self, bandwidth: int, nodes: tuple[NodeCharge, ...], total_charge: int):
+        vars(self).update(bandwidth=bandwidth, nodes=nodes, total_charge=total_charge)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ChargeReport is immutable: cannot set {name!r}")
 
 
 def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:

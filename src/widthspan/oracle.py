@@ -9,7 +9,6 @@ validated against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import LinearArrangement, shift_count
@@ -23,12 +22,17 @@ class OracleCapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class OracleResult:
-    spanning_tree_count: int
-    min_total_stretch: int
-    argmin_trees: tuple[frozenset[int], ...]
-    per_tree_totals: tuple[int, ...] | None = None
+    """The exhaustive minimum: tree count, least total stretch, every tree
+    attaining it and, on request, every tree's total; immutable."""
+
+    def __init__(self, spanning_tree_count: int, min_total_stretch: int,
+                 argmin_trees: tuple[frozenset[int], ...], per_tree_totals: tuple[int, ...] | None = None):
+        vars(self).update(spanning_tree_count=spanning_tree_count, min_total_stretch=min_total_stretch,
+                          argmin_trees=argmin_trees, per_tree_totals=per_tree_totals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OracleResult is immutable: cannot set {name!r}")
 
 
 def spanning_tree_count(g: Graph) -> int:

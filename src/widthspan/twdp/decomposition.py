@@ -14,8 +14,6 @@ meets every node after its children.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..graph import Graph
 
 
@@ -23,10 +21,20 @@ class TreeDecompositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TreeDecomposition:
-    bags: dict[int, frozenset[int]]
-    edges: tuple[tuple[int, int], ...]
+    """Bags by id and the bag-tree edges; immutable, and equal to another
+    with equal bags and edges."""
+
+    def __init__(self, bags: dict[int, frozenset[int]], edges: tuple[tuple[int, int], ...]):
+        vars(self).update(bags=bags, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TreeDecomposition is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not TreeDecomposition:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
@@ -165,14 +173,23 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
 # Nice form.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class NiceNode:
-    kind: str  # leaf | introduce | forget | join
-    bag: frozenset[int]
-    size: int  # |D|, D = D(node): the bag plus every vertex of a bag below it
-    inside: int  # the number of graph edges with both ends in D
-    children: tuple[int, ...] = ()
-    vertex: int | None = None  # the vertex introduced/forgotten
+    """One node of a nice decomposition; equal to another with the same
+    fields."""
+
+    def __init__(self, kind: str, bag: frozenset[int], size: int, inside: int,
+                 children: tuple[int, ...] = (), vertex: int | None = None):
+        self.kind = kind  # leaf | introduce | forget | join
+        self.bag = bag
+        self.size = size  # |D|, D = D(node): the bag plus every vertex of a bag below it
+        self.inside = inside  # the number of graph edges with both ends in D
+        self.children = children
+        self.vertex = vertex  # the vertex introduced/forgotten
+
+    def __eq__(self, other):
+        if type(other) is not NiceNode:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:

@@ -60,7 +60,6 @@ first, and the pruned entries can change that order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import kernel
@@ -557,15 +556,26 @@ def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
     return upper - unch - (girth - 2) * max(0, unch - free)
 
 
-@dataclass
 class DPResult:
-    min_total_stretch: int
-    min_avg_stretch: Fraction
-    tree_edges: frozenset[int]
-    width: int
-    table_sizes: tuple[int, ...]
-    tables: list | None = None
-    nodes: list[NiceNode] | None = None
+    """The DP's optimum, a witness tree, the width and table sizes and, with
+    ``keep_tables``, the tables and nice nodes; equal to another with the
+    same fields."""
+
+    def __init__(self, min_total_stretch: int, min_avg_stretch: Fraction, tree_edges: frozenset[int],
+                 width: int, table_sizes: tuple[int, ...], tables: list | None = None,
+                 nodes: list[NiceNode] | None = None):
+        self.min_total_stretch = min_total_stretch
+        self.min_avg_stretch = min_avg_stretch
+        self.tree_edges = tree_edges
+        self.width = width
+        self.table_sizes = table_sizes
+        self.tables = tables
+        self.nodes = nodes
+
+    def __eq__(self, other):
+        if type(other) is not DPResult:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def dp_min_stretch(
