@@ -24,6 +24,7 @@ import json
 import re
 from collections.abc import Iterator
 
+from . import _Record
 from .graph import Graph
 
 
@@ -31,7 +32,7 @@ class ArrangementError(ValueError):
     pass
 
 
-class LinearArrangement:
+class LinearArrangement(_Record):
     """Immutable bijection between vertices 1..n and positions 1..n.
 
     position_of[v] is the position of vertex v; vertex_at[k] is the vertex at
@@ -41,14 +42,6 @@ class LinearArrangement:
 
     def __init__(self, position_of: tuple[int, ...], vertex_at: tuple[int, ...]):
         vars(self).update(position_of=position_of, vertex_at=vertex_at)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LinearArrangement is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not LinearArrangement:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def n(self) -> int:

@@ -58,20 +58,17 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 def _json_default(value):
-    """``json.dumps`` hook: a ``Fraction`` becomes an int or ``"p/q"``; a set
-    (of edge IDs, in every report) becomes its sorted list."""
+    """``json.dumps`` hook: a ``Fraction`` becomes an int or ``"p/q"``."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dumps(obj) -> str:
     """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
-    with ``_json_default`` for fractions and sets; the one writer of every
+    with ``_json_default`` for fractions; the one writer of every
     report and manifest.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, and a report's

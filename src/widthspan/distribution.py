@@ -19,21 +19,19 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
+from . import _Record
 from .arrangement import LinearArrangement, shift_count
 from .graph import Graph
 from .lowstretch import StretchReport, build_tree_padded, padded_stretch_rows
 
 
-class DistributionReport:
+class DistributionReport(_Record):
     """Exact statistics of the full shift distribution; immutable."""
 
     def __init__(self, shifts: int, per_edge_expected_stretch: tuple[Fraction, ...],
                  per_shift_avg_stretch: tuple[Fraction, ...], best_shift: int):
         vars(self).update(shifts=shifts, per_edge_expected_stretch=per_edge_expected_stretch,
                           per_shift_avg_stretch=per_shift_avg_stretch, best_shift=best_shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"DistributionReport is immutable: cannot set {name!r}")
 
     @property
     def max_expected_stretch(self) -> Fraction:

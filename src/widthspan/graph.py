@@ -34,7 +34,7 @@ import random
 import re
 from functools import cached_property
 
-from . import kernel
+from . import _Record, kernel
 
 
 class _GraphError(ValueError):
@@ -52,7 +52,7 @@ class GraphValidationError(_GraphError):
     """Structurally invalid graph (loop, duplicate, disconnected, bad label)."""
 
 
-class Graph:
+class Graph(_Record):
     """Immutable simple connected graph.
 
     edges[i] is the endpoint pair of the edge with ID i+1.  ``incident[v]``
@@ -63,11 +63,8 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
-        # __setattr__ refuses; the cached properties store into __dict__ too
+        # cached_property stores into __dict__ too, past _Record.__setattr__
         vars(self).update(n=n, edges=edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
 
     def __eq__(self, other):
         if type(other) is not Graph:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import not_
 
-from . import kernel
+from . import _Record, kernel
 from .arrangement import (
     LinearArrangement,
     edge_spreads,
@@ -32,7 +32,7 @@ from .arrangement import (
 from .graph import Graph
 
 
-class StretchReport:
+class StretchReport(_Record):
     """An immutable spanning tree with per-edge stretch and cycle-basis
     accounting, checked against the cycle-basis identity when built, and
     equal to another with the same five fields."""
@@ -42,14 +42,6 @@ class StretchReport:
         _check_cycle_basis(fcb_weight, total_stretch, len(per_edge_stretch), len(tree_edges) + 1)
         vars(self).update(tree_edges=tree_edges, per_edge_stretch=per_edge_stretch,
                           total_stretch=total_stretch, avg_stretch=avg_stretch, fcb_weight=fcb_weight)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"StretchReport is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not StretchReport:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def m(self) -> int:
@@ -215,31 +207,20 @@ def lemma31_check(g: Graph, a: LinearArrangement, shift: int, report: StretchRep
 # Charging diagnostics: long components and node charges.
 # ---------------------------------------------------------------------------
 
-class NodeCharge:
+class NodeCharge(_Record):
     """One arrangement-tree node's interval, leaf count, long components and
     charge; immutable, and equal to another with the same five fields."""
 
     def __init__(self, lo: int, hi: int, leaf_count: int, long_components: int, charge: int):
         vars(self).update(lo=lo, hi=hi, leaf_count=leaf_count, long_components=long_components, charge=charge)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"NodeCharge is immutable: cannot set {name!r}")
 
-    def __eq__(self, other):
-        if type(other) is not NodeCharge:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class ChargeReport:
+class ChargeReport(_Record):
     """Immutable charging diagnostics: the bandwidth, every node's charge,
     children first (so the root is last), and their total."""
 
     def __init__(self, bandwidth: int, nodes: tuple[NodeCharge, ...], total_charge: int):
         vars(self).update(bandwidth=bandwidth, nodes=nodes, total_charge=total_charge)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ChargeReport is immutable: cannot set {name!r}")
 
 
 def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _Record
 from .arrangement import LinearArrangement, shift_count
 from .graph import Graph
 
@@ -22,7 +23,7 @@ class OracleCapExceeded(RuntimeError):
         self.cap = cap
 
 
-class OracleResult:
+class OracleResult(_Record):
     """The exhaustive minimum: tree count, least total stretch, every tree
     attaining it and, on request, every tree's total; immutable."""
 
@@ -30,9 +31,6 @@ class OracleResult:
                  argmin_trees: tuple[frozenset[int], ...], per_tree_totals: tuple[int, ...] | None = None):
         vars(self).update(spanning_tree_count=spanning_tree_count, min_total_stretch=min_total_stretch,
                           argmin_trees=argmin_trees, per_tree_totals=per_tree_totals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"OracleResult is immutable: cannot set {name!r}")
 
 
 def spanning_tree_count(g: Graph) -> int:

@@ -14,6 +14,7 @@ meets every node after its children.
 """
 from __future__ import annotations
 
+from .. import _Record
 from ..graph import Graph
 
 
@@ -21,20 +22,12 @@ class TreeDecompositionError(ValueError):
     pass
 
 
-class TreeDecomposition:
+class TreeDecomposition(_Record):
     """Bags by id and the bag-tree edges; immutable, and equal to another
     with equal bags and edges."""
 
     def __init__(self, bags: dict[int, frozenset[int]], edges: tuple[tuple[int, int], ...]):
         vars(self).update(bags=bags, edges=edges)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TreeDecomposition is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not TreeDecomposition:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
@@ -173,23 +166,17 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
 # Nice form.
 # ---------------------------------------------------------------------------
 
-class NiceNode:
-    """One node of a nice decomposition; equal to another with the same
-    fields."""
+class NiceNode(_Record):
+    """One node of a nice decomposition.
+
+    kind is leaf, introduce, forget or join; vertex is the vertex introduced
+    or forgotten.  With D = D(node), the bag plus every vertex of a bag below
+    it, size is |D| and inside the number of graph edges with both ends in D.
+    """
 
     def __init__(self, kind: str, bag: frozenset[int], size: int, inside: int,
                  children: tuple[int, ...] = (), vertex: int | None = None):
-        self.kind = kind  # leaf | introduce | forget | join
-        self.bag = bag
-        self.size = size  # |D|, D = D(node): the bag plus every vertex of a bag below it
-        self.inside = inside  # the number of graph edges with both ends in D
-        self.children = children
-        self.vertex = vertex  # the vertex introduced/forgotten
-
-    def __eq__(self, other):
-        if type(other) is not NiceNode:
-            return NotImplemented
-        return vars(self) == vars(other)
+        vars(self).update(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex)
 
 
 def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:
@@ -217,15 +204,6 @@ def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:
                 inside += sum(1 for u in child.bag if g.has_edge(vertex, u))
         nodes.append(NiceNode(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex))
         return len(nodes) - 1
-
-    def leaf_chain(bag: frozenset[int]) -> int:
-        vs = sorted(bag)
-        node = add("leaf", frozenset([vs[0]]))
-        current = {vs[0]}
-        for v in vs[1:]:
-            current.add(v)
-            node = add("introduce", frozenset(current), (node,), v)
-        return node
 
     def morph(node: int, src: frozenset[int], dst: frozenset[int]) -> int:
         """Forget src-only vertices then introduce dst-only ones."""
@@ -273,16 +251,13 @@ def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:
             for k in kids[1:]:
                 node = add("join", bag, (node, top_of[k]))
         else:
-            node = leaf_chain(bag)
+            first = frozenset([min(bag)])
+            node = morph(add("leaf", first), first, bag)
         up = parent[bag_id]
         top_of[bag_id] = node if up is None else morph(node, bag, bags[up])
 
-    top = top_of[root_bag]
     # reduce the root to a single vertex by forgetting
-    bag = set(bags[root_bag])
-    for v in sorted(bag)[:-1]:
-        bag.remove(v)
-        top = add("forget", frozenset(bag), (top,), v)
+    morph(top_of[root_bag], bags[root_bag], frozenset([max(bags[root_bag])]))
     return nodes
 
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .. import kernel
+from .. import _Record, kernel
 from ..graph import Graph
 from ..lowstretch import stretch_of
 from .decomposition import NiceNode, TreeDecomposition, make_nice
@@ -94,6 +94,23 @@ def _vertices(bag: frozenset[int], edges: EdgeMap) -> set[int]:
         verts.add(a)
         verts.add(b)
     return verts
+
+
+def _fresh(edges: EdgeMap) -> int:
+    """A Steiner label the trace does not use: one below its least."""
+    return min((x for k in edges for x in k if x < 0), default=0) - 1
+
+
+def _contract(edges: EdgeMap, x: int, arms: list) -> None:
+    """Contract x, left with the two realized arms ``arms`` ((key, (cost,
+    realized)) pairs): drop them from ``edges`` where they still are and join
+    their other ends by one realized edge of their summed cost."""
+    (k1, (c1, _)), (k2, (c2, _)) = arms
+    edges.pop(k1, None)
+    edges.pop(k2, None)
+    a = k1[0] if k1[1] == x else k1[1]
+    b = k2[0] if k2[1] == x else k2[1]
+    edges[_ekey(a, b)] = (c1 + c2, True)
 
 
 def _adjacency(edges: EdgeMap) -> dict[int, list[tuple[int, int, bool]]]:
@@ -314,7 +331,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
 
     # a fresh Above vertex subdivides a promised edge and v hangs off it
     if room_verts >= 2:
-        fresh = min((x for x in verts if x < 0), default=0) - 1
+        fresh = _fresh(edges_j)
         for a, b, total, on_a, on_b, base in promised:
             for alpha in range(1, total):
                 charge = base + on_a * alpha + on_b * (total - alpha)
@@ -375,22 +392,14 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
         if len(incident) == 1:
             (k, _), = incident
             x = k[0] if k[1] == v else k[1]
-            if x < 0:
+            if x < 0:  # the Steiner vertex v's leaf arm hung from
                 rest = [(kk, cv) for kk, cv in edges.items() if x in kk]
                 if len(rest) == 2:
-                    (k1, (c1, _)), (k2, (c2, _)) = rest
-                    a = k1[0] if k1[1] == x else k1[1]
-                    b = k2[0] if k2[1] == x else k2[1]
-                    del edges[k1]
-                    del edges[k2]
-                    edges[_ekey(a, b)] = (c1 + c2, True)
+                    _contract(edges, x, rest)
         elif len(incident) == 2:
-            (k1, (c1, _)), (k2, (c2, _)) = incident
-            a = k1[0] if k1[1] == v else k1[1]
-            b = k2[0] if k2[1] == v else k2[1]
-            edges[_ekey(a, b)] = (c1 + c2, True)
+            _contract(edges, v, incident)
         elif len(incident) >= 3:
-            fresh = min((x for x in _vertices(bag_i, edges) if x < 0), default=0) - 1
+            fresh = _fresh(edges)
             for k, cv in incident:
                 x = k[0] if k[1] == v else k[1]
                 edges[_ekey(fresh, x)] = cv
@@ -556,26 +565,15 @@ def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
     return upper - unch - (girth - 2) * max(0, unch - free)
 
 
-class DPResult:
+class DPResult(_Record):
     """The DP's optimum, a witness tree, the width and table sizes and, with
-    ``keep_tables``, the tables and nice nodes; equal to another with the
-    same fields."""
+    ``keep_tables``, the tables and nice nodes."""
 
     def __init__(self, min_total_stretch: int, min_avg_stretch: Fraction, tree_edges: frozenset[int],
                  width: int, table_sizes: tuple[int, ...], tables: list | None = None,
                  nodes: list[NiceNode] | None = None):
-        self.min_total_stretch = min_total_stretch
-        self.min_avg_stretch = min_avg_stretch
-        self.tree_edges = tree_edges
-        self.width = width
-        self.table_sizes = table_sizes
-        self.tables = tables
-        self.nodes = nodes
-
-    def __eq__(self, other):
-        if type(other) is not DPResult:
-            return NotImplemented
-        return vars(self) == vars(other)
+        vars(self).update(min_total_stretch=min_total_stretch, min_avg_stretch=min_avg_stretch,
+                          tree_edges=tree_edges, width=width, table_sizes=table_sizes, tables=tables, nodes=nodes)
 
 
 def dp_min_stretch(
