@@ -312,8 +312,6 @@ def generate(
     elif family == "grid":
         cols = _largest_divisor_at_most(n, math.isqrt(n))
         rows = n // cols
-        if rows < 2 or cols < 1:
-            raise ValueError(f"cannot factor n={n} into a grid")
         edges = []
         for r in range(rows):
             for col in range(cols):

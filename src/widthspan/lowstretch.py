@@ -43,14 +43,6 @@ class StretchReport(_Record):
         vars(self).update(tree_edges=tree_edges, per_edge_stretch=per_edge_stretch,
                           total_stretch=total_stretch, avg_stretch=avg_stretch, fcb_weight=fcb_weight)
 
-    @property
-    def m(self) -> int:
-        return len(self.per_edge_stretch)
-
-    @property
-    def n(self) -> int:
-        return len(self.tree_edges) + 1
-
 
 # Per-edge stretches, total and average stretch of one shift's tree.
 ShiftRow = tuple[list[int], int, Fraction]

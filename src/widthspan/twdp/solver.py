@@ -64,7 +64,7 @@ from fractions import Fraction
 
 from .. import _Record, kernel
 from ..graph import Graph
-from ..lowstretch import stretch_of
+from ..lowstretch import _kernel_edges, stretch_of
 from .decomposition import NiceNode, TreeDecomposition, make_nice
 
 ABOVE = "above"
@@ -212,8 +212,8 @@ def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple) -> N
 
 
 def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
-                      nbrs: list[int], max_extra: int, max_charge: float,
-                      max_need: float, max_verts: int):
+                      nbrs: list[int], max_extra: int, max_charge: int,
+                      max_need: int, max_verts: int):
     """Every way v can be placed into the trace whose charge, future need and
     vertex count are at most max_charge, max_need and max_verts.
 
@@ -248,7 +248,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
         top = min(max_extra, max_need - need_j + 1)
         if charge > max_charge:
             return 0
-        if deg and max_charge != float("inf"):
+        if deg:
             return min(top, (max_charge - charge) // deg)
         return top
 
@@ -350,24 +350,23 @@ def introduce_step(
     bag_j: frozenset[int],
     g: Graph,
     *,
-    future_budget: int | None = None,
-    limit: int | None = None,
+    future_budget: int,
+    limit: int,
 ) -> dict:
     """All parent entries for introducing v above bag_j; charges each graph
     edge between v and the bag with its trace distance.  Entries that cost
-    more than ``limit`` are dropped."""
+    more than ``limit``, and traces that commit to more than
+    ``future_budget`` vertices still to be introduced, are dropped."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
-    max_need = float("inf") if future_budget is None else future_budget
     table_i: dict = {}
     for key_j, entry in table_j.items():
         existing = sum(cost for cost, _ in entry.edges.values())
         max_extra = (n - 1) - existing
-        max_charge = float("inf") if limit is None else limit - entry.cost
         for edges_i, pairs, charge in _intro_candidates(
-            entry.edges, bag_j, v, g, nbrs, max_extra, max_charge, max_need, cap
+            entry.edges, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap
         ):
             adj = _adjacency(edges_i)
             for x in adj:  # the Steiner tag check, on every trace the table keeps
@@ -472,15 +471,16 @@ def _partners(edges_j: EdgeMap, order: list, candidates: list):
 
 
 def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
-              *, limit: int | None = None) -> dict:
+              *, limit: int) -> dict:
     """Combine complementary children: each block realized below exactly one
     child (or promised in both), bag-internal charges subtracted once.
     Entries that cost more than ``limit`` are dropped."""
-    # the bag-internal graph edges, grouped by their first endpoint
-    bag_pairs: dict[int, list[int]] = {}
-    for u, w in g.edges:
-        if u in bag and w in bag:
-            bag_pairs.setdefault(u, []).append(w)
+    # the bag-internal graph edges, grouped by their lesser endpoint
+    bag_pairs = []
+    for u in bag:
+        ws = [w for w in bag if u < w and g.has_edge(u, w)]
+        if ws:
+            bag_pairs.append((u, ws))
     by_shape: dict = {}
     for key_k, entry_k in table_k.items():
         by_shape.setdefault(key_k[0], []).append((key_k, entry_k))
@@ -501,11 +501,11 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
                 # merged trace has entry_j's edges and costs, so it has the
                 # same distances
                 dup = 0
-                for u, ws in bag_pairs.items():
+                for u, ws in bag_pairs:
                     dist = _distances(adj_j, u)
                     dup += sum(dist[w] for w in ws)
             cost_i = entry_j.cost + entry_k.cost - dup
-            if limit is not None and cost_i > limit:
+            if cost_i > limit:
                 continue
             # parent tag: realized below either child, so the merged trace's
             # realized edges are the union of both children's
@@ -530,27 +530,32 @@ def _bounds(g: Graph) -> tuple[int, int]:
     the first search meets a cycle.  A tree is its own only spanning tree,
     each edge of stretch 1: no search, and girth 2, so that ``_limit``'s term
     vanishes."""
-    if g.m == g.n - 1:
+    n = g.n
+    if g.m == n - 1:
         return g.m, 2
+    eu, ev = _kernel_edges(g)
     upper = girth = None
-    for root in range(1, g.n + 1):
-        depth = {root: 0}
-        via = {root: 0}
+    for root in range(1, n + 1):
+        depth = [-1] * (n + 1)
+        via = [0] * (n + 1)  # the edge ID that first reached each vertex
+        in_tree = bytearray(g.m)
+        depth[root] = 0
         queue = [root]
         for x in queue:
+            dx = depth[x]
             for eid in g.incident[x]:
                 if eid == via[x]:
                     continue
                 a, b = g.edges[eid - 1]
                 y = b if a == x else a
-                if y not in depth:
-                    depth[y] = depth[x] + 1
+                if depth[y] < 0:
+                    depth[y] = dx + 1
                     via[y] = eid
+                    in_tree[eid - 1] = 1
                     queue.append(y)
-                elif girth is None or depth[x] + depth[y] + 1 < girth:
-                    girth = depth[x] + depth[y] + 1
-        del via[root]
-        total = stretch_of(g, via.values()).total_stretch
+                elif girth is None or dx + depth[y] + 1 < girth:
+                    girth = dx + depth[y] + 1
+        total = sum(kernel._stretches(n, eu, ev, in_tree))
         if upper is None or total < upper:
             upper = total
     return upper, girth
@@ -566,8 +571,9 @@ def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
 
 
 class DPResult(_Record):
-    """The DP's optimum, a witness tree, the width and table sizes and, with
-    ``keep_tables``, the tables and nice nodes."""
+    """The DP's optimum, a witness tree, the width, the table sizes, and the
+    tables and nice nodes themselves (the witness walk reads every table, so
+    they are all alive until the DP returns)."""
 
     def __init__(self, min_total_stretch: int, min_avg_stretch: Fraction, tree_edges: frozenset[int],
                  width: int, table_sizes: tuple[int, ...], tables: list | None = None,
@@ -581,7 +587,6 @@ def dp_min_stretch(
     decomposition: TreeDecomposition,
     *,
     enforce_limits: bool = True,
-    keep_tables: bool = False,
 ) -> DPResult:
     """Leaf-to-root DP over the nice form of ``decomposition``, a tree
     decomposition of g that ``make_nice`` checks; returns the exact optimum
@@ -612,7 +617,6 @@ def dp_min_stretch(
     tables: list[dict | None] = [None] * len(nodes)
     for node_id, nd in enumerate(nodes):
         if nd.kind == "leaf":
-            (v,) = nd.bag
             tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",))}
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
@@ -659,17 +663,17 @@ def dp_min_stretch(
         raise RuntimeError(f"witness has {len(pairs)} edges, expected {n - 1}; this is a bug")
     by_pair = {edge: eid for eid, edge in enumerate(g.edges, start=1)}
     tree_ids = frozenset(by_pair[p] for p in pairs)
-    check = stretch_of(g, tree_ids).total_stretch
-    if check != entry.cost:
+    check = stretch_of(g, tree_ids)
+    if check.total_stretch != entry.cost:
         raise RuntimeError(
-            f"witness stretch {check} disagrees with DP optimum {entry.cost}; this is a bug"
+            f"witness stretch {check.total_stretch} disagrees with DP optimum {entry.cost}; this is a bug"
         )
     return DPResult(
         min_total_stretch=entry.cost,
-        min_avg_stretch=Fraction(entry.cost, g.m) if g.m else Fraction(0),
+        min_avg_stretch=check.avg_stretch,
         tree_edges=tree_ids,
         width=width,
         table_sizes=tuple(len(t) for t in tables),
-        tables=tables if keep_tables else None,
-        nodes=nodes if keep_tables else None,
+        tables=tables,
+        nodes=nodes,
     )

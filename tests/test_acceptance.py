@@ -73,7 +73,8 @@ def test_criterion_1_cycle_basis_identity_everywhere(capsys):
         reports.append(build_tree(g, a))
         reports.append(stretch_of(g, build_tree(g, a).tree_edges))
     ok = len(reports) >= 200 and all(
-        r.fcb_weight == r.total_stretch + r.m - 2 * r.n + 2 for r in reports
+        r.fcb_weight == r.total_stretch + len(r.per_edge_stretch) - 2 * (len(r.tree_edges) + 1) + 2
+        for r in reports
     )
     _announce(capsys, "criterion 1: exact cycle-basis identity on every code path",
               ok, f"{len(reports)} trees")

@@ -38,6 +38,10 @@ from widthspan.twdp.solver import (
 
 from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
 
+# A bound no entry can reach: passed to a DP step where a test means it to
+# prune nothing.
+UNBOUNDED = 10**9
+
 # ---------------------------------------------------------------------------
 # The trace of a concrete spanning tree, computed without the DP: the
 # conformity reference the DP's tables are checked against.
@@ -479,7 +483,9 @@ def test_empty_bags_change_nothing_on_the_4x3_grid():
     _rooted(padded, g)
     assert make_nice(padded, g) == make_nice(td, g)
     res = dp_min_stretch(g, padded)
-    assert res == dp_min_stretch(g, td)
+    plain = dp_min_stretch(g, td)
+    assert (res.min_total_stretch, res.tree_edges, res.width, _table_digest(res)) == (
+        plain.min_total_stretch, plain.tree_edges, plain.width, _table_digest(plain))
     assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch
 
 
@@ -545,11 +551,23 @@ def test_canonical_key_random_relabeling():
 def test_introduce_step_k2():
     g = make_graph(2, [(1, 2)])
     leaf_table = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
-    table = introduce_step(leaf_table, 2, frozenset({1}), g)
+    table = introduce_step(leaf_table, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
     realized = _canon(frozenset({1, 2}), {(1, 2): (1, True)})
     assert realized in table
     assert table[realized].cost == 1
     assert table[realized].back[2] == ((2, 1),)
+
+
+def test_dp_steps_refuse_to_run_unbounded():
+    # the DP has one configuration: every introduce and join step is bounded
+    g = make_graph(2, [(1, 2)])
+    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    for bounds in ({}, {"future_budget": UNBOUNDED}, {"limit": UNBOUNDED}):
+        with pytest.raises(TypeError):
+            introduce_step(leaf, 2, frozenset({1}), g, **bounds)
+    table = introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+    with pytest.raises(TypeError):
+        solver.join_step(table, table, frozenset({1, 2}), g)
 
 
 def test_forget_step_rejects_promised_arms():
@@ -590,7 +608,7 @@ def test_dp_small_exact_values():
 def test_witness_mismatch_raises(monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     g, _ = generate("complete", 4)
-    # the bounds go through stretch_of too; keep them at K4's true UB and girth
+    # K4's true UB and girth, so that only the witness check can fail
     monkeypatch.setattr(solver, "_bounds", lambda g: (9, 3))
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
@@ -699,8 +717,9 @@ def test_bounds_of_a_tree_price_no_bfs_tree(monkeypatch):
     # a tree is its own only spanning tree, so UB = m and the girth is 2
     # without a search; a graph with a cycle still prices one tree per root
     calls = []
-    real = solver.stretch_of
-    monkeypatch.setattr(solver, "stretch_of", lambda g, tree: calls.append(g.n) or real(g, tree))
+    real = solver.kernel._stretches
+    monkeypatch.setattr(solver.kernel, "_stretches",
+                        lambda n, eu, ev, in_tree: calls.append(n) or real(n, eu, ev, in_tree))
     assert solver._bounds(generate("path", 1600)[0]) == (1599, 2)
     assert calls == []
     assert solver._bounds(generate("cycle", 5)[0]) == (8, 5)
@@ -713,10 +732,10 @@ def _bounded_and_unbounded(monkeypatch, g, td):
     as the girth is at most n, m * n exceeds each entry's cost plus the least
     charge ``_limit`` reserves for the edges still to come."""
     upper, girth = _reference_upper_bound(g), _reference_girth(g)
-    bounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    bounded = dp_min_stretch(g, td, enforce_limits=False)
     with monkeypatch.context() as m:
         _without_bound(m)
-        unbounded = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+        unbounded = dp_min_stretch(g, td, enforce_limits=False)
     limits = [
         solver._limit(g, upper, girth, _reference_counts(g, nd.bag, below))
         if nd.kind in ("introduce", "join") else None
@@ -815,7 +834,7 @@ PINNED_ATLAS_TABLES = [  # every 5th atlas graph, under min_fill_td
 @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
 def test_tables_are_pinned(name):
     g, td = _pinned(name)
-    res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    res = dp_min_stretch(g, td, enforce_limits=False)
     assert (sum(res.table_sizes), _table_digest(res)) == PINNED_TABLES[name]
 
 
@@ -834,14 +853,14 @@ def test_deep_tables_are_pinned(name):
     family, n = name.split()
     g, _ = generate(family, int(n))
     td = _path_td(g.n) if family == "path" else min_fill_td(g)
-    res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+    res = dp_min_stretch(g, td, enforce_limits=False)
     assert (sum(res.table_sizes), _table_digest(res)) == PINNED_DEEP_TABLES[name]
 
 
 def test_atlas_tables_are_pinned(atlas_corpus):
     got = []
     for g in atlas_corpus[::5]:
-        res = dp_min_stretch(g, min_fill_td(g), enforce_limits=False, keep_tables=True)
+        res = dp_min_stretch(g, min_fill_td(g), enforce_limits=False)
         got.append((sum(res.table_sizes), _table_digest(res)))
     assert got == PINNED_ATLAS_TABLES
 
@@ -858,10 +877,11 @@ def _without_bound(m):
 
 
 def _without_future_budget(m):
-    """Run every introduce step of the DP without its future budget."""
+    """Run every introduce step of the DP with a future budget that prunes
+    nothing."""
     step = solver.introduce_step
     m.setattr(solver, "introduce_step",
-              lambda *args, future_budget=None, **kwargs: step(*args, **kwargs))
+              lambda *args, future_budget, **kwargs: step(*args, future_budget=UNBOUNDED, **kwargs))
 
 
 def _kept_exactly_within(every, built, keep):
@@ -882,14 +902,13 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
     # bound, the future budget and the vertex cap must each keep exactly the
     # candidates whose built charge, future need and vertex count are within
     # them.
-    inf = float("inf")
     kinds = set()
     for g in atlas_corpus:
         td = min_fill_td(g)
         with monkeypatch.context() as m:
             _without_bound(m)
             _without_future_budget(m)
-            res = dp_min_stretch(g, td, enforce_limits=False, keep_tables=True)
+            res = dp_min_stretch(g, td, enforce_limits=False)
         for nd in res.nodes:
             if nd.kind != "introduce":
                 continue
@@ -902,7 +921,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
                 need_j = solver._future_need(bag_j, entry.edges, adj_j)
                 verts_j = len(bag_j | adj_j.keys())
 
-                def candidates(charge=inf, need=inf, verts=inf):
+                def candidates(charge=UNBOUNDED, need=UNBOUNDED, verts=UNBOUNDED):
                     return list(solver._intro_candidates(
                         entry.edges, bag_j, v, g, nbrs, max_extra, charge, need, verts))
 
@@ -925,7 +944,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
 
 
 def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
-                 limit: int | None = None) -> dict:
+                 limit: int) -> dict:
     """The reference join: for each entry of the first child, each subset
     of its promised blocks, by size and then lexicographically, realized
     below the second child, looked up by its canonical key."""
@@ -955,7 +974,7 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                 if entry_k is None:
                     continue
                 cost_i = entry_j.cost + entry_k.cost - dup
-                if limit is not None and cost_i > limit:
+                if cost_i > limit:
                     continue
                 merged: EdgeMap = {
                     k: (cost, realized or partner[k][1])
@@ -978,7 +997,7 @@ def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
                 if nd.kind != "join":
                     continue
                 j, k = (res.tables[c] for c in nd.children)
-                limit = limits[node_id] if res is bounded else None
+                limit = limits[node_id] if res is bounded else g.m * g.n
                 got = solver.join_step(j, k, nd.bag, g, limit=limit)
                 assert _rows(got) == _rows(res.tables[node_id])
                 assert _rows(got) == _rows(_subset_join(j, k, nd.bag, g, limit=limit))
@@ -1004,7 +1023,7 @@ def test_introduce_raises_on_a_trace_with_a_non_bag_leaf(monkeypatch):
     monkeypatch.setattr(solver, "_intro_candidates",
                         lambda *a: iter([(STEINER_LEAF, ((2, 1),), 1)]))
     with pytest.raises(RuntimeError, match="trace with a non-bag leaf"):
-        introduce_step(leaf, 2, frozenset({1}), g)
+        introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
 
 def test_shape_join_partners_realize_whole_blocks():
@@ -1022,12 +1041,12 @@ def test_shape_join_partners_realize_whole_blocks():
                         ((False, True, True, True), 6), ((True, False, False, True), 5)):
         edges = {k: (c, flag) for (k, (c, _)), flag in zip(star.items(), flags)}
         table_k[_canon(bag, edges)] = _Entry(cost, edges, ("leaf",))
-    got = solver.join_step(table_j, table_k, bag, g)
+    got = solver.join_step(table_j, table_k, bag, g, limit=UNBOUNDED)
     assert [(e.cost, e.edges) for e in got.values()] == [
         (5 + 7 - 1, star),
         (5 + 7 - 1, {(1, 2): (1, True), (-1, 2): (2, True), (-1, 3): (2, True), (-1, 4): (1, True)}),
     ]
-    assert _rows(got) == _rows(_subset_join(table_j, table_k, bag, g))
+    assert _rows(got) == _rows(_subset_join(table_j, table_k, bag, g, limit=UNBOUNDED))
 
 
 def test_join_checks_the_blocks_of_every_entry_with_a_partner():
@@ -1037,7 +1056,7 @@ def test_join_checks_the_blocks_of_every_entry_with_a_partner():
     mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
     table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
     with pytest.raises(RuntimeError, match="join block with mixed"):
-        solver.join_step(table, table, bag, g)
+        solver.join_step(table, table, bag, g, limit=UNBOUNDED)
 
 
 def test_introduce_checks_the_steiner_tags_of_its_parents():
@@ -1047,7 +1066,7 @@ def test_introduce_checks_the_steiner_tags_of_its_parents():
     mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
     table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
-        introduce_step(table, 4, bag, g)
+        introduce_step(table, 4, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
 
 def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
@@ -1058,7 +1077,7 @@ def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
     monkeypatch.setattr(solver, "_intro_candidates",
                         lambda *a: iter([(mixed, (), 0)]))
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
-        introduce_step(leaf, 2, frozenset({1}), g)
+        introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
 @pytest.mark.parametrize("name", ["cycle 8", "grid 9", "caterpillar 9", "grid 4x3"])
 def test_bound_only_removes_entries(monkeypatch, name):
@@ -1176,7 +1195,7 @@ def test_optimal_trace_is_in_every_table():
     # instrumentation: conforming the witness tree at each bag must hit a
     # table entry whose cost is at most the witness stretch inside D(B)
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    res = _dp(g, keep_tables=True)
+    res = _dp(g)
     tree_pairs = [g.edges[eid - 1] for eid in res.tree_edges]
     full = stretch_of(g, res.tree_edges)
     below = _reference_below(res.nodes)
