@@ -107,7 +107,7 @@ class Graph(_Record):
 def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:
     """The edges as (u, v) pairs with u < v when every edge is in range, not a
     loop, not a duplicate, and the graph on 1..n is connected; else None.
-    Connectivity is ``kernel.kruskal_step`` over every edge."""
+    Connectivity is ``kernel.kruskal_step`` over every built pair."""
     if len(us) < n - 1:
         return None
     ordered = all(map(int.__lt__, us, vs))
@@ -130,10 +130,10 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
         edges = tuple((u, v) if u < v else (v, u) for u, v in labels)
     if len(set(edges)) != len(edges):
         return None
-    # connected iff the kernel's Kruskal scan, on the same list as its
-    # union-find, keeps n - 1 edges; the endpoints need no remap to index it
-    m = len(us)
-    if kernel.kruskal_step(parent, bytearray(m), us, vs, range(m), n - 1) != n - 1:
+    # connected iff the kernel's Kruskal scan over the pairs just built, with
+    # the label list as its union-find, keeps n - 1 edges
+    m = len(edges)
+    if kernel.kruskal_step(parent, bytearray(m), edges, range(m), n - 1) != n - 1:
         return None
     return edges
 

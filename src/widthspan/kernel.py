@@ -7,8 +7,10 @@ its own, as the independent check): other modules merge with
 ``root_tree``.  ``kruskal_step`` and ``_stretches`` inline their finds,
 because they are the hot loops.
 
-Vertices are the graph's own labels 1..n, so callers pass their endpoints as
-they are and every per-vertex list has n + 1 slots, slot 0 unused.
+The edges come as ``Graph.edges`` holds them, one tuple of (u, v) pairs, and
+callers pass that tuple as it is; an edge's index in it is its ID less one.
+Vertices are the graph's own labels 1..n, so every per-vertex list has n + 1
+slots, slot 0 unused.
 ``IMPLEMENTATION`` names the kernel in run records.
 """
 from __future__ import annotations
@@ -23,7 +25,7 @@ def find(parent: list[int], x: int) -> int:
     return x
 
 
-def root_tree(n: int, eu, ev, in_tree):
+def root_tree(n: int, edges, in_tree):
     """Root the spanning tree of the edges marked in ``in_tree`` at vertex 1.
 
     One iterative DFS gives ``(parent, depth, rank, preorder)``: each
@@ -31,9 +33,8 @@ def root_tree(n: int, eu, ev, in_tree):
     the vertices in preorder.  The adjacency lists are freed on return.
     """
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(len(eu)):
-        if in_tree[i]:
-            u, v = eu[i], ev[i]
+    for (u, v), t in zip(edges, in_tree):
+        if t:
             adj[u].append(v)
             adj[v].append(u)
     parent = [0] * (n + 1)
@@ -54,7 +55,7 @@ def root_tree(n: int, eu, ev, in_tree):
     return parent, depth, rank, preorder
 
 
-def _stretches(n: int, eu, ev, in_tree) -> list[int]:
+def _stretches(n: int, edges, in_tree) -> list[int]:
     """Tree-path length between the endpoints of every edge.
 
     Tarjan's offline LCA over ``root_tree``'s rooting.  Reversed, the
@@ -65,21 +66,22 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     ancestor: the LCA.  The adjacency lists are gone before the query lists
     are made, so memory is O(n + m).
     """
-    m = len(eu)
-    parent, depth, rank, preorder = root_tree(n, eu, ev, in_tree)
+    m = len(edges)
+    parent, depth, rank, preorder = root_tree(n, edges, in_tree)
     out = [0] * m
     queries: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(m):
         if in_tree[i]:
             out[i] = 1
         else:
-            u, v = eu[i], ev[i]
+            u, v = edges[i]
             queries[u if rank[u] < rank[v] else v].append(i)
     del rank
     uf = list(range(n + 1))
     for v in reversed(preorder):
         for i in queries[v]:
-            u = eu[i] if ev[i] == v else ev[i]  # finished earlier
+            a, b = edges[i]
+            u = a if b == v else b  # finished earlier
             r = u
             while uf[r] != r:  # find, with path halving
                 uf[r] = r = uf[uf[r]]
@@ -88,16 +90,15 @@ def _stretches(n: int, eu, ev, in_tree) -> list[int]:
     return out
 
 
-def kruskal_step(parent: list[int], in_tree, eu, ev, order, wanted: int) -> int:
+def kruskal_step(parent: list[int], in_tree, edges, order, wanted: int) -> int:
     """Scan the edge indices in ``order`` and keep each edge that joins two
     components of the union-find ``parent``: link them and mark the edge in
     ``in_tree``.  Stops once ``wanted`` edges are kept; returns how many were."""
     picked = 0
     for i in order:
-        ru = eu[i]
+        ru, rv = edges[i]
         while parent[ru] != ru:  # find, with path halving
             parent[ru] = ru = parent[parent[ru]]
-        rv = ev[i]
         while parent[rv] != rv:
             parent[rv] = rv = parent[parent[rv]]
         if ru != rv:
@@ -109,23 +110,23 @@ def kruskal_step(parent: list[int], in_tree, eu, ev, order, wanted: int) -> int:
     return picked
 
 
-def tree_stretch(n: int, eu: list[int], ev: list[int], height: list[int], spread: list[int]):
+def tree_stretch(n: int, edges, height: list[int], spread: list[int]):
     """Greedy spanning tree under (height, spread, edge index) order.
 
     Returns (in_tree, stretch): a 0/1 list marking tree edges and the exact
     tree-path length between every edge's endpoints.
     """
     # (height, spread, index) order: two stable sorts, minor key first
-    order = sorted(range(len(eu)), key=spread.__getitem__)
+    order = sorted(range(len(edges)), key=spread.__getitem__)
     order.sort(key=height.__getitem__)
-    in_tree = [0] * len(eu)
-    if kruskal_step(list(range(n + 1)), in_tree, eu, ev, order, n - 1) != n - 1:
+    in_tree = [0] * len(edges)
+    if kruskal_step(list(range(n + 1)), in_tree, edges, order, n - 1) != n - 1:
         raise ValueError("graph is not connected")
     del order
-    return in_tree, _stretches(n, eu, ev, in_tree)
+    return in_tree, _stretches(n, edges, in_tree)
 
 
-def distances_in_tree(n: int, eu: list[int], ev: list[int], in_tree: list[int]):
+def distances_in_tree(n: int, edges, in_tree: list[int]):
     """Tree-path length between the endpoints of every edge.
 
     ``in_tree`` must mark exactly the n-1 edges of a spanning tree.
@@ -134,6 +135,6 @@ def distances_in_tree(n: int, eu: list[int], ev: list[int], in_tree: list[int]):
     if len(marked) != n - 1:
         raise ValueError("edge set does not have n - 1 tree edges")
     # n - 1 edges are acyclic, so a spanning tree, when the scan keeps them all
-    if kruskal_step(list(range(n + 1)), [0] * len(eu), eu, ev, marked, n - 1) != n - 1:
+    if kruskal_step(list(range(n + 1)), [0] * len(edges), edges, marked, n - 1) != n - 1:
         raise ValueError("edge set contains a cycle")
-    return _stretches(n, eu, ev, in_tree)
+    return _stretches(n, edges, in_tree)

@@ -74,12 +74,6 @@ def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
     )
 
 
-def _kernel_edges(g: Graph) -> tuple[list[int], list[int]]:
-    eu = [u for u, _ in g.edges]
-    ev = [v for _, v in g.edges]
-    return eu, ev
-
-
 def build_tree(g: Graph, a: LinearArrangement) -> StretchReport:
     """MST under (split height, spread, edge ID) order for the raw (unpadded)
     arrangement tree, which is the padded tree at shift 0."""
@@ -94,8 +88,7 @@ def build_tree_padded(g: Graph, a: LinearArrangement, shift: int) -> StretchRepo
 
 
 def _build(g: Graph, a: LinearArrangement, heights: list[int]) -> StretchReport:
-    eu, ev = _kernel_edges(g)
-    in_tree, stretch = kernel.tree_stretch(g.n, eu, ev, heights, edge_spreads(g, a))
+    in_tree, stretch = kernel.tree_stretch(g.n, g.edges, heights, edge_spreads(g, a))
     return _make_report(in_tree, stretch)
 
 
@@ -124,17 +117,16 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     costs the stretch queries and the cycle-basis identity check, which
     every tree is held to, as a report is.
     """
-    n, m = g.n, g.m
-    eu, ev = _kernel_edges(g)
+    n, m, edges = g.n, g.m, g.edges
     zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
-    xu = [zero[u] for u, _ in g.edges]
-    xv = [zero[v] for _, v in g.edges]
+    xu = [zero[u] for u, _ in edges]
+    xv = [zero[v] for _, v in edges]
     by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
     last = row = None
-    leaves = _trie_leaves(eu, ev, xu, xv, shift_count(n), 0, 0, list(range(n + 1)), bytearray(m), n - 1, by_spread)
+    leaves = _trie_leaves(edges, xu, xv, shift_count(n), 0, 0, list(range(n + 1)), bytearray(m), n - 1, by_spread)
     for shifts, in_tree in leaves:
         if in_tree != last:
-            stretch = kernel._stretches(n, eu, ev, in_tree)
+            stretch = kernel._stretches(n, edges, in_tree)
             total = sum(stretch)
             _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
             last, row = in_tree, (stretch, total, _avg(total, m))
@@ -143,7 +135,7 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
 
 
 def _trie_leaves(
-    eu, ev, xu, xv, count, depth, residue, parent, in_tree, wanted, pending
+    edges, xu, xv, count, depth, residue, parent, in_tree, wanted, pending
 ) -> Iterator[tuple[range, bytearray]]:
     """``(shifts, in_tree)`` for each leaf below the trie node of
     ``padded_stretch_rows`` at ``depth`` and ``residue``, whose forest is the
@@ -162,8 +154,8 @@ def _trie_leaves(
         for i in pending:
             (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
         forest, tree = parent.copy(), in_tree.copy()
-        added = kernel.kruskal_step(forest, tree, eu, ev, joined, wanted)
-        yield from _trie_leaves(eu, ev, xu, xv, count, level, r, forest, tree, wanted - added, rest)
+        added = kernel.kruskal_step(forest, tree, edges, joined, wanted)
+        yield from _trie_leaves(edges, xu, xv, count, level, r, forest, tree, wanted - added, rest)
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:
@@ -173,8 +165,7 @@ def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport
         if not (1 <= eid <= g.m):
             raise ValueError(f"edge ID {eid} out of range")
         in_tree[eid - 1] = 1
-    eu, ev = _kernel_edges(g)
-    stretch = kernel.distances_in_tree(g.n, eu, ev, in_tree)
+    stretch = kernel.distances_in_tree(g.n, g.edges, in_tree)
     return _make_report(in_tree, stretch)
 
 
@@ -232,7 +223,6 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
     split_at: dict[tuple[int, int], list[int]] = {}
     for i, node in enumerate(split_nodes(g, a)):
         split_at.setdefault(node, []).append(i)
-    eu, ev = _kernel_edges(g)
     parent = list(range(g.n + 1))
     merged = bytearray(g.m)
     long_of: dict[tuple[int, int], int] = {}
@@ -240,7 +230,7 @@ def charge_diagnostics(g: Graph, a: LinearArrangement) -> ChargeReport:
     total = 0
     for lo, hi in tree_intervals(1, g.n):
         split = split_at.get((lo, hi), ())
-        kernel.kruskal_step(parent, merged, eu, ev, split, len(split))
+        kernel.kruskal_step(parent, merged, g.edges, split, len(split))
         left_roots = {kernel.find(parent, a.vertex_at[k]) for k in range(lo, min(lo + b, hi + 1))}
         right_roots = {kernel.find(parent, a.vertex_at[k]) for k in range(max(hi - b + 1, lo), hi + 1)}
         lx = long_of[(lo, hi)] = len(left_roots & right_roots)
@@ -268,9 +258,8 @@ def fundamental_cycle_spans(g: Graph, a: LinearArrangement, report: StretchRepor
     walking the actual tree path up to the LCA through the parents and depths
     of ``kernel.root_tree``.
     """
-    eu, ev = _kernel_edges(g)
     in_tree = [eid in report.tree_edges for eid in range(1, g.m + 1)]
-    par, depth, _, _ = kernel.root_tree(g.n, eu, ev, in_tree)
+    par, depth, _, _ = kernel.root_tree(g.n, g.edges, in_tree)
     out = []
     for eid, (u, v) in enumerate(g.edges, start=1):
         if eid in report.tree_edges:

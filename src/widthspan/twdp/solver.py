@@ -64,7 +64,7 @@ from fractions import Fraction
 
 from .. import _Record, kernel
 from ..graph import Graph
-from ..lowstretch import _kernel_edges, stretch_of
+from ..lowstretch import stretch_of
 from .decomposition import NiceNode, TreeDecomposition, make_nice
 
 ABOVE = "above"
@@ -533,7 +533,6 @@ def _bounds(g: Graph) -> tuple[int, int]:
     n = g.n
     if g.m == n - 1:
         return g.m, 2
-    eu, ev = _kernel_edges(g)
     upper = girth = None
     for root in range(1, n + 1):
         depth = [-1] * (n + 1)
@@ -555,7 +554,7 @@ def _bounds(g: Graph) -> tuple[int, int]:
                     queue.append(y)
                 elif girth is None or dx + depth[y] + 1 < girth:
                     girth = dx + depth[y] + 1
-        total = sum(kernel._stretches(n, eu, ev, in_tree))
+        total = sum(kernel._stretches(n, g.edges, in_tree))
         if upper is None or total < upper:
             upper = total
     return upper, girth
@@ -571,15 +570,19 @@ def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
 
 
 class DPResult(_Record):
-    """The DP's optimum, a witness tree, the width, the table sizes, and the
-    tables and nice nodes themselves (the witness walk reads every table, so
-    they are all alive until the DP returns)."""
+    """The DP's optimum, a witness tree, the width, and the tables and nice
+    nodes themselves (the witness walk reads every table, so they are all
+    alive until the DP returns)."""
 
     def __init__(self, min_total_stretch: int, min_avg_stretch: Fraction, tree_edges: frozenset[int],
-                 width: int, table_sizes: tuple[int, ...], tables: list | None = None,
-                 nodes: list[NiceNode] | None = None):
+                 width: int, tables: list[dict], nodes: list[NiceNode]):
         vars(self).update(min_total_stretch=min_total_stretch, min_avg_stretch=min_avg_stretch,
-                          tree_edges=tree_edges, width=width, table_sizes=table_sizes, tables=tables, nodes=nodes)
+                          tree_edges=tree_edges, width=width, tables=tables, nodes=nodes)
+
+    @property
+    def table_sizes(self) -> tuple[int, ...]:
+        """The number of entries of each node's table, in node order."""
+        return tuple(len(t) for t in self.tables)
 
 
 def dp_min_stretch(
@@ -673,7 +676,6 @@ def dp_min_stretch(
         min_avg_stretch=check.avg_stretch,
         tree_edges=tree_ids,
         width=width,
-        table_sizes=tuple(len(t) for t in tables),
         tables=tables,
         nodes=nodes,
     )

@@ -150,8 +150,8 @@ def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
     # the check is a raise, so it also holds under python -O
     real = kernel._stretches
 
-    def inconsistent(n, eu, ev, in_tree):
-        stretch = real(n, eu, ev, in_tree)
+    def inconsistent(n, edges, in_tree):
+        stretch = real(n, edges, in_tree)
         stretch[in_tree.index(1)] = 2
         return stretch
 
@@ -172,8 +172,8 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
     first = trees.index(target)
     real = kernel._stretches
 
-    def inconsistent(n, eu, ev, in_tree):
-        stretch = real(n, eu, ev, in_tree)
+    def inconsistent(n, edges, in_tree):
+        stretch = real(n, edges, in_tree)
         if {i + 1 for i, t in enumerate(in_tree) if t} == target:
             stretch[in_tree.index(1)] = 2
         return stretch

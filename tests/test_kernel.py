@@ -6,7 +6,7 @@ from widthspan.kernel import IMPLEMENTATION, distances_in_tree, tree_stretch
 
 
 def _random_instance(rng, n):
-    """Random connected graph in kernel form (endpoint lists, labels 1..n)."""
+    """Random connected graph in kernel form ((u, v) pairs, labels 1..n)."""
     edges = set()
     for v in range(2, n + 1):
         edges.add((rng.randrange(1, v), v))
@@ -16,12 +16,10 @@ def _random_instance(rng, n):
         v = rng.randrange(1, n + 1)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    edge_list = sorted(edges)
-    eu = [u for u, _ in edge_list]
-    ev = [v for _, v in edge_list]
+    edge_list = tuple(sorted(edges))
     height = [rng.randrange(1, 8) for _ in edge_list]
     spread = [rng.randrange(1, n + 1) for _ in edge_list]
-    return eu, ev, height, spread
+    return edge_list, height, spread
 
 
 def test_active_implementation_reported():
@@ -30,11 +28,10 @@ def test_active_implementation_reported():
 
 def test_tiny_example():
     # square with a chord; the path edges win on height, the rest stretch
-    eu = [1, 2, 3, 1, 1]
-    ev = [2, 3, 4, 4, 3]
+    edges = ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3))
     height = [1, 1, 1, 2, 3]
     spread = [1, 1, 1, 3, 2]
-    in_tree, stretch = tree_stretch(4, eu, ev, height, spread)
+    in_tree, stretch = tree_stretch(4, edges, height, spread)
     assert in_tree == [1, 1, 1, 0, 0]
     assert stretch == [1, 1, 1, 3, 2]
 
@@ -43,17 +40,17 @@ def test_stretch_matches_bfs_walk():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randrange(3, 25)
-        eu, ev, height, spread = _random_instance(rng, n)
-        in_tree, stretch = tree_stretch(n, eu, ev, height, spread)
+        edges, height, spread = _random_instance(rng, n)
+        in_tree, stretch = tree_stretch(n, edges, height, spread)
         adj = {v: [] for v in range(1, n + 1)}
-        for i, keep in enumerate(in_tree):
+        for (u, v), keep in zip(edges, in_tree):
             if keep:
-                adj[eu[i]].append(ev[i])
-                adj[ev[i]].append(eu[i])
-        for i in range(len(eu)):
+                adj[u].append(v)
+                adj[v].append(u)
+        for i, (u, v) in enumerate(edges):
             # BFS distance in the tree
-            dist = {eu[i]: 0}
-            frontier = [eu[i]]
+            dist = {u: 0}
+            frontier = [u]
             while frontier:
                 nxt = []
                 for x in frontier:
@@ -62,41 +59,40 @@ def test_stretch_matches_bfs_walk():
                             dist[y] = dist[x] + 1
                             nxt.append(y)
                 frontier = nxt
-            assert stretch[i] == dist[ev[i]]
+            assert stretch[i] == dist[v]
 
 
 def test_label_n_is_a_vertex():
     # the kernel takes the graph's labels 1..n as they are; here every tree
     # edge and the one chord's path run through vertex n = 3
-    eu, ev = [1, 2, 1], [3, 3, 2]
-    in_tree, stretch = tree_stretch(3, eu, ev, [1, 1, 2], [2, 1, 1])
+    edges = ((1, 3), (2, 3), (1, 2))
+    in_tree, stretch = tree_stretch(3, edges, [1, 1, 2], [2, 1, 1])
     assert in_tree == [1, 1, 0]
     assert stretch == [1, 1, 2]
-    assert distances_in_tree(3, eu, ev, in_tree) == [1, 1, 2]
+    assert distances_in_tree(3, edges, in_tree) == [1, 1, 2]
 
 
 def test_not_connected_raises():
     with pytest.raises(ValueError, match="not connected"):
-        tree_stretch(4, [1, 3], [2, 4], [1, 1], [1, 1])
+        tree_stretch(4, ((1, 2), (3, 4)), [1, 1], [1, 1])
 
 
 def test_distances_in_tree_validation():
-    eu = [1, 2, 1]
-    ev = [2, 3, 3]
+    edges = ((1, 2), (2, 3), (1, 3))
     with pytest.raises(ValueError, match="n - 1"):
-        distances_in_tree(3, eu, ev, [1, 1, 1])
+        distances_in_tree(3, edges, [1, 1, 1])
     with pytest.raises(ValueError, match="cycle"):
-        distances_in_tree(4, eu + [3], ev + [4], [1, 1, 1, 0])
-    assert list(distances_in_tree(3, eu, ev, [1, 1, 0])) == [1, 1, 2]
+        distances_in_tree(4, edges + ((3, 4),), [1, 1, 1, 0])
+    assert list(distances_in_tree(3, edges, [1, 1, 0])) == [1, 1, 2]
 
 
-def _parent_walk_distances(n, eu, ev, in_tree):
+def _parent_walk_distances(n, edges, in_tree):
     """Reference: root the tree at 1, then walk both endpoints up to meet."""
     adj = [[] for _ in range(n + 1)]
-    for i, keep in enumerate(in_tree):
+    for (u, v), keep in zip(edges, in_tree):
         if keep:
-            adj[eu[i]].append(ev[i])
-            adj[ev[i]].append(eu[i])
+            adj[u].append(v)
+            adj[v].append(u)
     parent = [-1] * (n + 1)
     depth = [0] * (n + 1)
     seen = [False] * (n + 1)
@@ -111,7 +107,7 @@ def _parent_walk_distances(n, eu, ev, in_tree):
                 depth[y] = depth[x] + 1
                 stack.append(y)
     out = []
-    for u, v in zip(eu, ev):
+    for u, v in edges:
         steps = 0
         while u != v:
             if depth[u] < depth[v]:
@@ -123,7 +119,7 @@ def _parent_walk_distances(n, eu, ev, in_tree):
 
 
 def _tree_with_chords(rng, tree_edges, n):
-    """Kernel-form edge lists: the given tree edges plus random chords."""
+    """Kernel-form (u, v) pairs: the given tree edges plus random chords."""
     edges = {(min(u, v), max(u, v)) for u, v in tree_edges}
     tree = set(edges)
     for _ in range(2 * n if n > 2 else 0):
@@ -131,9 +127,7 @@ def _tree_with_chords(rng, tree_edges, n):
         edges.add((min(u, v), max(u, v)))
     edge_list = list(edges)
     rng.shuffle(edge_list)
-    eu = [u for u, _ in edge_list]
-    ev = [v for _, v in edge_list]
-    return eu, ev, [1 if e in tree else 0 for e in edge_list]
+    return tuple(edge_list), [1 if e in tree else 0 for e in edge_list]
 
 
 def test_offline_lca_matches_parent_walk():
@@ -151,6 +145,6 @@ def test_offline_lca_matches_parent_walk():
         rng.shuffle(labels)
         trees.append((n, [(labels[rng.randrange(v)], labels[v]) for v in range(1, n)]))
     for n, tree_edges in trees:
-        eu, ev, in_tree = _tree_with_chords(rng, tree_edges, n)
-        expected = _parent_walk_distances(n, eu, ev, in_tree)
-        assert distances_in_tree(n, eu, ev, in_tree) == expected
+        edges, in_tree = _tree_with_chords(rng, tree_edges, n)
+        expected = _parent_walk_distances(n, edges, in_tree)
+        assert distances_in_tree(n, edges, in_tree) == expected

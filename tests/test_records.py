@@ -33,7 +33,7 @@ def _immutable_records():
         (min_fill_td(g), ("bags", "edges")),
         (make_nice(min_fill_td(g), g)[-1], ("kind", "bag", "size", "inside", "children", "vertex")),
         (dp_min_stretch(g, min_fill_td(g)),
-         ("min_total_stretch", "min_avg_stretch", "tree_edges", "width", "table_sizes", "tables", "nodes")),
+         ("min_total_stretch", "min_avg_stretch", "tree_edges", "width", "tables", "nodes")),
     ]
 
 
@@ -79,10 +79,11 @@ def test_records_from_equal_fields_are_equal():
         kind="introduce", bag=frozenset([2, 1]), size=2, inside=1, children=(0,), vertex=2)
     assert NiceNode("introduce", bag, 2, 1, (0,), 2) != NiceNode("introduce", bag, 2, 1, (0,), 1)
     assert NiceNode("leaf", frozenset({1}), 1, 0) == NiceNode("leaf", frozenset({1}), 1, 0, (), None)
-    assert DPResult(4, Fraction(4, 3), bag, 1, (1, 2, 1)) == DPResult(
+    tables = [{"a": 0}, {"b": 1, "c": 2}, {"d": 3}]
+    assert DPResult(4, Fraction(4, 3), bag, 1, tables, []) == DPResult(
         min_total_stretch=4, min_avg_stretch=Fraction(4, 3), tree_edges=bag, width=1,
-        table_sizes=(1, 2, 1), tables=None, nodes=None)
-    assert DPResult(4, Fraction(4, 3), bag, 1, (1, 2, 1)) != DPResult(4, Fraction(4, 3), bag, 1, (1, 2, 2))
+        tables=[dict(t) for t in tables], nodes=[])
+    assert DPResult(4, Fraction(4, 3), bag, 1, tables, []) != DPResult(4, Fraction(4, 3), bag, 1, tables[:2], [])
     assert NodeCharge(1, 4, 4, 2, 3) != ChargeReport(1, (), 3)
 
 

@@ -608,8 +608,8 @@ def test_dp_small_exact_values():
 def test_witness_mismatch_raises(monkeypatch):
     # the check must survive python -O, so it cannot be an assert
     g, _ = generate("complete", 4)
-    # K4's true UB and girth, so that only the witness check can fail
-    monkeypatch.setattr(solver, "_bounds", lambda g: (9, 3))
+    # the bounds price their trees through the kernel, not stretch_of, so
+    # they stay K4's true UB and girth and only the witness check can fail
     monkeypatch.setattr(solver, "stretch_of", lambda g, tree: SimpleNamespace(total_stretch=8))
     with pytest.raises(RuntimeError, match="witness stretch 8 disagrees with DP optimum 9"):
         _dp(g)
@@ -719,7 +719,7 @@ def test_bounds_of_a_tree_price_no_bfs_tree(monkeypatch):
     calls = []
     real = solver.kernel._stretches
     monkeypatch.setattr(solver.kernel, "_stretches",
-                        lambda n, eu, ev, in_tree: calls.append(n) or real(n, eu, ev, in_tree))
+                        lambda n, edges, in_tree: calls.append(n) or real(n, edges, in_tree))
     assert solver._bounds(generate("path", 1600)[0]) == (1599, 2)
     assert calls == []
     assert solver._bounds(generate("cycle", 5)[0]) == (8, 5)
