@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import re
 from functools import cached_property
@@ -110,14 +111,14 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
     Connectivity is ``kernel.kruskal_step`` over every built pair."""
     if len(us) < n - 1:
         return None
-    ordered = all(map(int.__lt__, us, vs))
+    ordered = all(map(operator.lt, us, vs))
     if ordered:
         if us and (min(us) < 1 or max(vs) > n):
             return None
     else:
         if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
             return None
-        if not all(map(int.__ne__, us, vs)):
+        if not all(map(operator.ne, us, vs)):
             return None
     # one int object per label: the edges share this list's ints, not the
     # parser's one per endpoint occurrence.  Only after the range checks: an

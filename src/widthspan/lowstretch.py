@@ -108,8 +108,18 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     copies the forest, adds in that order the pending edges whose endpoints
     lie in one block of 2**(h + 1) positions under it, and passes the rest
     down.  A node whose forest spans is a leaf: every shift of its residue
-    has that tree.  One forest is alive per level, and none is changed once
-    passed down.  Shifts come in walk order, not in increasing order.
+    has that tree.  So is a node at depth h when the bandwidth is at most
+    2**h and each aligned block of 2**h positions is one component of its
+    forest (it lacks one edge per block boundary):
+    - every pending edge then joins two neighbouring blocks;
+    - the edges across one boundary share their split height for each
+      shift, so they are scanned together, in (spread, edge ID) order;
+    - so every shift of the residue keeps the first pending edge across
+      each boundary, and one Kruskal scan over the pending edges, in
+      their order, finishes the tree of them all.
+    One forest is alive per level, and none is changed once passed down
+    (a leaf finishes its own).  Shifts come in walk order, not in
+    increasing order.
 
     Consecutive leaves often hold the same tree, and a row depends only on
     the tree, so a leaf whose tree equals the previous leaf's reuses its
@@ -121,9 +131,12 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
     xu = [zero[u] for u, _ in edges]
     xv = [zero[v] for _, v in edges]
-    by_spread = sorted(range(m), key=edge_spreads(g, a).__getitem__)
+    spreads = edge_spreads(g, a)
+    by_spread = sorted(range(m), key=spreads.__getitem__)
+    w = max(spreads, default=0)  # the bandwidth
     last = row = None
-    leaves = _trie_leaves(edges, xu, xv, shift_count(n), 0, 0, list(range(n + 1)), bytearray(m), n - 1, by_spread)
+    leaves = _trie_leaves(edges, xu, xv, n, w, shift_count(n), 0, 0,
+                          list(range(n + 1)), bytearray(m), n - 1, by_spread)
     for shifts, in_tree in leaves:
         if in_tree != last:
             stretch = kernel._stretches(n, edges, in_tree)
@@ -135,14 +148,22 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
 
 
 def _trie_leaves(
-    edges, xu, xv, count, depth, residue, parent, in_tree, wanted, pending
+    edges, xu, xv, n, w, count, depth, residue, parent, in_tree, wanted, pending
 ) -> Iterator[tuple[range, bytearray]]:
     """``(shifts, in_tree)`` for each leaf below the trie node of
     ``padded_stretch_rows`` at ``depth`` and ``residue``, whose forest is the
     union-find ``parent`` with ``in_tree`` marking its edges and lacks
-    ``wanted`` edges of a spanning tree.  A module-level generator, not a
-    closure: a recursive closure refers to itself through its cell, a cycle
-    that only the cyclic collector frees, and the edge lists with it."""
+    ``wanted`` edges of a spanning tree; the graph has ``n`` vertices and
+    bandwidth ``w``.  A module-level generator, not a closure: a recursive
+    closure refers to itself through its cell, a cycle that only the cyclic
+    collector frees, and the edge lists with it."""
+    if wanted and w <= 1 << depth and wanted == (residue + n - 1) >> depth:
+        # each block of 2**depth positions is one component and every
+        # pending edge joins two neighbouring blocks: the tree is the same
+        # for every shift of this residue
+        if kernel.kruskal_step(parent, in_tree, edges, pending, wanted) != wanted:
+            raise ValueError("graph is not connected")
+        wanted = 0
     if not wanted:
         yield range(residue, count, 1 << depth), in_tree
         return
@@ -155,7 +176,7 @@ def _trie_leaves(
             (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
         forest, tree = parent.copy(), in_tree.copy()
         added = kernel.kruskal_step(forest, tree, edges, joined, wanted)
-        yield from _trie_leaves(edges, xu, xv, count, level, r, forest, tree, wanted - added, rest)
+        yield from _trie_leaves(edges, xu, xv, n, w, count, level, r, forest, tree, wanted - added, rest)
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

@@ -3,7 +3,10 @@ import gc
 import io
 import json
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -442,6 +445,27 @@ def test_bad_graph_file_exits_one(tmp_path, capsys):
     assert main(["stats", "--graph", str(graph)]) == 1
     assert "error:" in capsys.readouterr().err
     assert main(["stats", "--graph", str(tmp_path / "missing.gr")]) == 1
+
+
+@pytest.mark.parametrize("suffix", ["gr", "arr", "td"])
+def test_input_that_is_not_utf8_is_cli_error(tmp_path, suffix):
+    # run as a subprocess, so stderr is what a user sees, traceback included
+    graph = tmp_path / "k4.gr"
+    graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    bad = tmp_path / f"bad.{suffix}"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "gr": ["stats", "--graph", str(bad)],
+        "arr": ["stats", "--graph", str(graph), "--arrangement", str(bad)],
+        "td": ["dp-min-stretch", "--graph", str(graph), "--td", str(bad)],
+    }[suffix]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "widthspan.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: cannot read {bad}: ")
+    assert "can't decode byte 0xff in position 0" in proc.stderr
 
 
 def test_bad_usage_exits_two():

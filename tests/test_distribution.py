@@ -145,6 +145,68 @@ def test_disconnected_graph_is_an_error():
         cutwidth_tree(g, a)
 
 
+def _raising_node(g):
+    """Depth and pending edges of the trie node whose walk raised."""
+    with pytest.raises(ValueError, match="^graph is not connected$") as info:
+        list(padded_stretch_rows(g, LinearArrangement.identity(g.n)))
+    tb = info.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "_trie_leaves"
+    return tb.tb_frame.f_locals["depth"], list(tb.tb_frame.f_locals["pending"])
+
+
+def test_both_disconnection_checks_are_reached():
+    # bandwidth 1: the root is a spanning leaf, and its one Kruskal scan over
+    # both pending edges keeps 2 of the 3 edges it wants
+    assert _raising_node(Graph(n=4, edges=((1, 2), (3, 4)))) == (0, [0, 1])
+    # bandwidth 2 with 3 components: no node's blocks are its components,
+    # and a depth-2 node has joined both edges with 2 still wanted
+    assert _raising_node(Graph(n=5, edges=((1, 3), (2, 4)))) == (2, [])
+
+
+def _leaf_rule_cases():
+    graphs = [("random_bandwidth", {"seed": b, "b": b, "p": 0.6}) for b in (1, 2, 3, 4, 5)]
+    graphs += [("path", {}), ("grid", {}), ("caterpillar", {}), ("cycle", {})]
+    for family, kwargs in graphs:
+        for n in (31, 32, 33, 64, 65):
+            g, order = generate(family, n, **kwargs)
+            shuffled = order.copy()
+            random.Random(n).shuffle(shuffled)
+            for name, o in (("identity", order), ("reversed", order[::-1]), ("shuffled", shuffled)):
+                yield pytest.param(g, o, id=f"{family}-{kwargs.get('b', '')}-{n}-{name}")
+
+
+@pytest.mark.parametrize("g,order", _leaf_rule_cases())
+def test_spanning_leaves_give_each_shifts_tree(g, order):
+    # random_bandwidth with bandwidth b ends branches at depth ceil(log2 b);
+    # the folded cycle's blocks are its components only once two are left,
+    # at nodes that hold one shift, so there the rule saves next to nothing
+    a = LinearArrangement.from_order(order)
+    for shift, (per_edge, total, avg) in enumerate(_rows_by_shift(g, a)):
+        rep = build_tree_padded(g, a, shift)
+        assert (tuple(per_edge), total, avg) == (rep.per_edge_stretch, rep.total_stretch, rep.avg_stretch)
+
+
+def test_one_tree_walk_ends_at_the_bandwidth_depth(monkeypatch):
+    # bandwidth 4: the four depth-2 nodes are leaves, 2 + 4 + 4 Kruskal
+    # scans in all, where a walk to the spanning forests makes 1,533
+    calls = {"kruskal_step": 0, "_stretches": 0}
+    for name in calls:
+        real = getattr(kernel, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    g, order = generate("random_bandwidth", 512, seed=2, b=4, p=0.7)
+    rows = _rows_by_shift(g, LinearArrangement.from_order(order))
+    assert len(rows) == 512
+    assert calls["kruskal_step"] <= 16
+    assert calls["_stretches"] == 1
+
+
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
     # a tree edge whose stretch is not 1 breaks FCB(T) = stretch(T) + m - 2n + 2;
     # the check is a raise, so it also holds under python -O
