@@ -73,17 +73,25 @@ def _dumps(obj) -> str:
 
     With ``indent`` set, ``json`` runs its pure-Python encoder, and a report's
     per-edge lists hold one entry per edge.  So each member of a top-level
-    dict is written on its own: a non-empty list of exact ints (a bool stays
-    ``true``) by the C encoder, with the indented layout in its separator, and
-    every other value by the indenting call, re-indented one level.  The bytes
-    are the same as one indenting call over the whole object.
+    dict is written on its own.  A non-empty list or tuple of exact ints (a
+    bool stays ``true``), or of exact ``Fraction``s, goes through the C
+    encoder, with the indented layout in its separator; the fractions are
+    first mapped through ``_json_default``, the hook the indenting call would
+    call on each of them, to ints and ``"p/q"`` strings, which hold nothing to
+    escape.  Every other value goes through the indenting call, re-indented
+    one level.  ``json`` writes a tuple as an array, and a flat array's
+    indented layout is only its separator, so the bytes are the same as one
+    indenting call over the whole object.
     """
     if type(obj) is not dict or not all(type(key) is str for key in obj):
         return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
     members = []
     for key in sorted(obj):
         value = obj[key]
-        if type(value) is list and set(map(type, value)) == {int}:
+        kinds = set(map(type, value)) if type(value) in (list, tuple) else None
+        if kinds == {Fraction}:
+            value = list(map(_json_default, value))
+        if kinds == {int} or kinds == {Fraction}:
             text = "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
         else:
             text = json.dumps(value, sort_keys=True, indent=2, default=_json_default).replace("\n", "\n  ")
@@ -162,7 +170,7 @@ def _stretch_report_dict(g: Graph, report: StretchReport) -> dict:
         "n": g.n,
         "m": g.m,
         "tree_edges": sorted(report.tree_edges),
-        "per_edge_stretch": list(report.per_edge_stretch),
+        "per_edge_stretch": report.per_edge_stretch,
         "total_stretch": report.total_stretch,
         "avg_stretch": report.avg_stretch,
         "fcb_weight": report.fcb_weight,
@@ -230,8 +238,8 @@ def _cmd_distribution(args, run: _Run) -> int:
         report = {
             "mode": "explicit",
             "shifts": dist.shifts,
-            "per_edge_expected_stretch": list(dist.per_edge_expected_stretch),
-            "per_shift_avg_stretch": list(dist.per_shift_avg_stretch),
+            "per_edge_expected_stretch": dist.per_edge_expected_stretch,
+            "per_shift_avg_stretch": dist.per_shift_avg_stretch,
             "best_shift": dist.best_shift,
             "max_expected_stretch": dist.max_expected_stretch,
         }

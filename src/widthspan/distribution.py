@@ -54,6 +54,10 @@ def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
 
     The walk yields a run of shifts with one tree as one row object, so each
     run's per-edge stretches are added into the sums once, times its length.
+    Edges share few distinct sums (4 over the 1,577 edges of an n = 512
+    bandwidth-4 graph), so one ``Fraction`` is built per distinct sum and
+    shared by its edges; the table is keyed by the int sum, which hashes in C
+    where a ``Fraction`` hashes in Python.
     """
     count = shift_count(g.n)
     sums = [0] * g.m
@@ -66,9 +70,10 @@ def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
             totals[shift] = total
             length += 1
         sums = [s + length * x for s, x in zip(sums, per_edge)]
+    expected = {s: Fraction(s, count) for s in set(sums)}
     return DistributionReport(
         shifts=count,
-        per_edge_expected_stretch=tuple(Fraction(s, count) for s in sums),
+        per_edge_expected_stretch=tuple(map(expected.__getitem__, sums)),
         per_shift_avg_stretch=tuple(per_shift),
         best_shift=_best_shift(totals),
     )

@@ -66,7 +66,7 @@ def _avg(total: int, m: int) -> Fraction:
 def _make_report(in_tree: list[int], stretch: list[int]) -> StretchReport:
     total = sum(stretch)
     return StretchReport(
-        tree_edges=frozenset(i + 1 for i, t in enumerate(in_tree) if t),
+        tree_edges=frozenset(compress(range(1, len(in_tree) + 1), in_tree)),
         per_edge_stretch=tuple(stretch),
         total_stretch=total,
         avg_stretch=_avg(total, len(stretch)),

@@ -590,6 +590,14 @@ def _jsonable(value):
     {"outer": {"inner": [1, 2, 3]}, "rows": [[1, 2], [3]]},
     [3, 1, {"b": [2], "a": []}],
     {},
+    {"per_edge_expected_stretch": [Fraction(i * 7919 % 1013 - 500, i % 7 + 1) for i in range(1000)]
+     + [Fraction(2**70 + 1, 3), Fraction(-(2**65), 1), Fraction(10**30 + 7, 2**64 + 1)],
+     "shifts": 512},
+    {"integral": [Fraction(4), Fraction(-2, 1), Fraction(0), Fraction(2**80, 2)]},
+    {"per_shift_avg_stretch": (Fraction(3, 2), Fraction(1), Fraction(-7, 4))},
+    {"flags": [True, Fraction(1, 2)]},
+    {"outer": {"inner": [Fraction(1, 3), Fraction(2)]}},
+    {"empty": ()},
 ])
 def test_dumps_matches_recursive_prepass(report):
     expected = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"

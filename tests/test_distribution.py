@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from widthspan import kernel
+from widthspan import distribution, kernel
 from widthspan.arrangement import LinearArrangement, shift_count
 from widthspan.distribution import cutwidth_tree, explicit_distribution, sample_tree
 from widthspan.graph import Graph, generate
@@ -205,6 +205,26 @@ def test_one_tree_walk_ends_at_the_bandwidth_depth(monkeypatch):
     assert len(rows) == 512
     assert calls["kruskal_step"] <= 16
     assert calls["_stretches"] == 1
+
+
+def test_one_fraction_per_distinct_expected_sum(monkeypatch):
+    # 1,577 edges share 4 distinct sums over the 512 shifts: the expectations
+    # are built once per sum, plus the Fraction(0) that fills the per-shift list
+    g, order = generate("random_bandwidth", 512, seed=2, b=4, p=0.7)
+    a = LinearArrangement.from_order(order)
+    sums = [0] * g.m
+    for _, (per_edge, _, _) in padded_stretch_rows(g, a):
+        sums = [s + x for s, x in zip(sums, per_edge)]
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(distribution, "Fraction", counted)
+    dist = explicit_distribution(g, a)
+    assert len(made) <= len(set(sums)) + 1
+    assert list(dist.per_edge_expected_stretch) == [Fraction(s, dist.shifts) for s in sums]
 
 
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
