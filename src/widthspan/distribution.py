@@ -35,7 +35,12 @@ class DistributionReport(_Record):
 
     @property
     def max_expected_stretch(self) -> Fraction:
-        return max(self.per_edge_expected_stretch, default=Fraction(0))
+        """The largest per-edge expectation.  Edges share one ``Fraction``
+        per distinct value (``explicit_distribution``), so each object is
+        compared once, in the order of its first edge: ``max`` then returns
+        the object it would return over every edge."""
+        distinct = {id(f): f for f in self.per_edge_expected_stretch}
+        return max(distinct.values(), default=Fraction(0))
 
 
 def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, StretchReport]:

@@ -22,17 +22,40 @@ children are subtracted once.
 An introduce candidate is priced from its parent trace before it is built:
 its charge from the parent's distances to v's bag neighbours, its future
 need and its vertex count as changes to the parent's.  Only candidates
-within the bound, the future budget and the vertex cap are built and
-canonicalized.
+within the bound, the future budget and the vertex cap are built and keyed.
 
-A table's key is the one canonical form of a trace, its shape and its
-realized mask (``_canon``).  A join indexes the second child's table by
-shape, skips an entry of the first child with no entry of its shape, and
-takes as partners the entries whose realized bits are the shared edges plus
-whole promised blocks.  A merged trace keeps the shape and has the union of
-both masks, so its key needs no second canonicalization.  Partners are
-merged in the order of an enumeration of the subsets of promised blocks, by
-size and then lexicographically.
+A table's key is the one canonical form of a trace, its splits
+(``_canon``).  Each trace edge is named by its split, the bag vertices
+beyond it as seen from the least bag vertex, as a mask whose bit i stands
+for the i-th least bag label.  The key is the (split, cost) pairs in split
+order, flattened into one tuple (the trace's shape), and the realized flags
+as bits in that order.  It is canonical by Buneman's splits-equivalence
+theorem: a tree whose unlabeled vertices all have degree >= 3 is fixed by
+its splits.  In normal form every Steiner vertex has degree >= 3 and every
+leaf is a bag vertex, so no split is empty and no two edges share one; only
+a chain of degree-2 Steiner vertices, which normal form contracts, gives its
+edges one split, and ``_canon`` orders those root-down.
+
+Each entry keeps its edges in the split order of its key, so its splits
+need no walk.  An introduce candidate is one local edit of its parent, so
+its splits come from the parent's (``_edit_splits``): v's bit is inserted
+at its rank in every split, and OR-ed into the split of each edge on the
+edit site's root path, the edges whose split contains the site's own; when
+v is the least bag label, each split that holds v's bit is complemented
+against the full bag.  A trace's splits follow from its edges and the bag
+alone, so an introduce step derives them once per edge set, from the first
+parent whose candidate has it, and a forget step computes them from scratch
+once per edge set.  Introduced edges go in as key and value tuples shared
+across the step (``_put``), so that the collector never tracks the edge
+maps.
+
+A join indexes the second child's table by its (split, cost) pairs, skips an
+entry of the first child with none alike, and takes as partners the entries
+whose realized bits are the shared edges plus whole promised blocks: alike
+entries have their edges in one split order.  A merged trace keeps the
+pairs and has the union of both masks, so its key needs no second
+canonicalization.  Partners are merged in the order of an enumeration of the
+subsets of promised blocks, by size and then lexicographically.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root; the same searches give the girth (``_bounds``).
@@ -135,43 +158,57 @@ def _distances(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> dict[int,
     return dist
 
 
-def _canon(bag: frozenset[int], edges: EdgeMap, adj: dict | None = None) -> tuple:
-    """The table key of a trace: (shape, realized).  The shape is the trace
-    rooted at the least bag vertex with Steiner vertices anonymous and flags
-    erased (``_walk``); realized holds the realized flags as bits, in the
-    shape's edge order.  ``adj`` is ``_adjacency(edges)`` when the caller
-    already has it."""
-    if adj is None:
-        adj = _adjacency(edges)
-    _, shape, order = _walk(bag, adj, min(bag), None)
-    return shape, sum(1 << i for i, k in enumerate(order) if edges[k][1])
+def _split_order(bag: frozenset[int], adj: dict) -> list[tuple[int, tuple[int, int]]]:
+    """The trace's (split, edge) pairs in split order, from scratch.  Rooted
+    at the least bag vertex, the split of the edge from a vertex toward the
+    root is the mask of the bag vertices in the vertex's subtree, bit i for
+    the i-th least bag label; one with no bag bit lies above a non-bag leaf,
+    which raises.  Two edges share a split only along a chain of degree-2
+    Steiner vertices, which normal form contracts; such edges come
+    root-down, as the stable sort keeps breadth-first order.  ``adj`` is
+    ``_adjacency(edges)``."""
+    labels = sorted(bag)
+    root = labels[0]
+    up = {root: root}  # each vertex's neighbour toward the root
+    down = [root]
+    for x in down:
+        for y, _, _ in adj.get(x, ()):
+            if y not in up:
+                up[y] = x
+                down.append(y)
+    sub = {x: 1 << i for i, x in enumerate(labels)}
+    for y in down[:0:-1]:  # children before their parents
+        mask = sub.get(y, 0)
+        if not mask:
+            raise RuntimeError("trace with a non-bag leaf")
+        x = up[y]
+        sub[x] = sub.get(x, 0) | mask
+    return [(sub[y], _ekey(up[y], y)) for y in sorted(down[1:], key=sub.__getitem__)]
 
 
-def _walk(bag: frozenset[int], adj: dict, v: int, parent: int | None) -> tuple:
-    """(least, shape, order) of the subtree at v entered from parent: the
-    least bag label in it, its shape, and its edges in shape order, each
-    child's edge followed by the child's own.  In normal form every leaf is
-    a bag vertex with its own label, so sibling subtrees hold disjoint label
-    sets and the order by least label is canonical; a non-bag leaf raises.
-    A module-level function, not a closure: a recursive closure refers to
-    itself through its cell, a cycle only the cyclic collector frees."""
-    kids = []
-    for w, cost, _ in adj.get(v, ()):
-        if w != parent:
-            kids.append((*_walk(bag, adj, w, v), cost, (v, w) if v < w else (w, v)))
-    if not kids:
-        if v in bag:
-            return v, (v, ()), ()
-        raise RuntimeError("trace with a non-bag leaf")
-    kids.sort()
-    order = []
-    for _, _, below, _, k in kids:
-        order.append(k)
-        order += below
-    shape = tuple([(cost, kid) for _, kid, _, cost, _ in kids])
-    if v in bag:
-        return min(v, kids[0][0]), (v, shape), order
-    return kids[0][0], (0, shape), order
+def _key(edges: EdgeMap, ranked: list) -> tuple:
+    """The table key of a trace whose (split, edge) pairs in split order are
+    ``ranked``: its splits and costs, interleaved in that order, and its
+    realized flags as bits in that order."""
+    shape = []
+    realized = 0
+    bit = 1
+    for split, k in ranked:
+        cost, done = edges[k]
+        shape.append(split)
+        shape.append(cost)
+        if done:
+            realized |= bit
+        bit <<= 1
+    return tuple(shape), realized
+
+
+def _canon(bag: frozenset[int], edges: EdgeMap) -> tuple:
+    """The table key of a trace, from scratch: its splits and costs in split
+    order, and its realized flags as bits in that order (``_key``).  Edges
+    that share a split, along a chain of degree-2 Steiner vertices, come
+    root-down; a trace with a non-bag leaf raises (``_split_order``)."""
+    return _key(edges, _split_order(bag, _adjacency(edges)))
 
 
 def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
@@ -197,23 +234,51 @@ def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
 # ---------------------------------------------------------------------------
 
 class _Entry:
-    __slots__ = ("cost", "edges", "back")
+    """A table entry: the least cost of a trace, its edge map, and its back
+    pointer.  ``order`` holds its edges in the split order of its key, or
+    None for an entry built without it, which then gets it from scratch
+    (``_order``)."""
 
-    def __init__(self, cost: int, edges: EdgeMap, back: tuple):
+    __slots__ = ("cost", "edges", "back", "order")
+
+    def __init__(self, cost: int, edges: EdgeMap, back: tuple, order: tuple | None = None):
         self.cost = cost
         self.edges = edges
         self.back = back
+        self.order = order
 
 
-def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple) -> None:
+def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple,
+           order: tuple | None = None) -> None:
     old = table.get(key)
     if old is None or cost < old.cost:
-        table[key] = _Entry(cost, edges, back)
+        table[key] = _Entry(cost, edges, back, order)
+
+
+def _order(entry: _Entry, bag: frozenset[int]) -> tuple:
+    """The entry's edges in the split order of its key."""
+    if entry.order is None:
+        return tuple(k for _, k in _split_order(bag, _adjacency(entry.edges)))
+    return entry.order
+
+
+def _put(out: EdgeMap, shared: tuple[dict, dict], a: int, b: int, cost: int,
+         realized: bool) -> None:
+    """Add the edge (a, b) of (cost, realized) to ``out`` as the one key
+    tuple and value tuple that ``shared`` keeps for an introduce step.  The
+    collector untracks a tuple of ints once it has seen it, and a dict that
+    holds only untracked objects is never tracked, so the step's edge maps
+    are not among the objects every full collection visits."""
+    keys, values = shared
+    k = (a, b) if a < b else (b, a)
+    cv = (cost, realized)
+    out[keys.setdefault(k, k)] = values.setdefault(cv, cv)
 
 
 def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                       nbrs: list[int], max_extra: int, max_charge: int,
-                      max_need: int, max_verts: int):
+                      max_need: int, max_verts: int,
+                      shared: tuple[dict, dict] | None = None):
     """Every way v can be placed into the trace whose charge, future need and
     vertex count are at most max_charge, max_need and max_verts.
 
@@ -232,8 +297,11 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
 
     Yields (new_edges, realized_pairs, charge): realized_pairs are the graph
     edges that become tree edges at this step; charge is the sum of the
-    trace distances from v to nbrs.
+    trace distances from v to nbrs.  New edges go in by ``_put``, through
+    ``shared``, which an introduce step passes to each of its parents.
     """
+    if shared is None:
+        shared = ({}, {})
     verts = _vertices(bag_j, edges_j)
     adj = _adjacency(edges_j)
     above = {s for s in verts if s not in bag_j and _steiner_tag(adj, s) == ABOVE}
@@ -261,14 +329,14 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
             if x in bag_j:
                 if g.has_edge(v, x) and deg + base <= max_charge and need_j <= max_need:
                     out = dict(edges_j)
-                    out[_ekey(v, x)] = (1, True)
+                    _put(out, shared, v, x, 1, True)
                     yield out, ((v, x),), deg + base
                 first = 2
             else:
                 first = 1
             for length in range(first, longest(base) + 1):
                 out = dict(edges_j)
-                out[_ekey(v, x)] = (length, False)
+                _put(out, shared, v, x, length, False)
                 yield out, (), deg * length + base
 
     # v takes the place of an Above vertex: unit arms to bag vertices become
@@ -285,10 +353,10 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
             pairs = []
             for w, cost, _ in arms:
                 if cost == 1 and w in bag_j:
-                    out[_ekey(v, w)] = (1, True)
+                    _put(out, shared, v, w, 1, True)
                     pairs.append((v, w))
                 else:
-                    out[_ekey(v, w)] = (cost, False)
+                    _put(out, shared, v, w, cost, False)
             yield out, tuple(pairs), charge
 
     # the charge of a point at offset alpha on a promised edge (a, b): each
@@ -324,7 +392,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                 del out[_ekey(a, b)]
                 pairs = []
                 for endpoint, cost, realized in sides:
-                    out[_ekey(v, endpoint)] = (cost, realized)
+                    _put(out, shared, v, endpoint, cost, realized)
                     if realized:
                         pairs.append((v, endpoint))
                 yield out, tuple(pairs), charge
@@ -338,10 +406,103 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                 for length in range(1, longest(charge) + 1):
                     out = dict(edges_j)
                     del out[_ekey(a, b)]
-                    out[_ekey(fresh, a)] = (alpha, False)
-                    out[_ekey(fresh, b)] = (total - alpha, False)
-                    out[_ekey(fresh, v)] = (length, False)
+                    _put(out, shared, fresh, a, alpha, False)
+                    _put(out, shared, fresh, b, total - alpha, False)
+                    _put(out, shared, fresh, v, length, False)
                     yield out, (), deg * length + charge
+
+
+def _check_trace(edges: EdgeMap) -> None:
+    """The checks on the traces an introduce step builds, in one pass over
+    an edge map: each Steiner vertex has its edges all realized or all
+    promised (its tag), and more than one of them, as one with a single
+    edge is a non-bag leaf."""
+    arms: dict[int, list[bool]] = {}
+    for (a, b), (_, realized) in edges.items():
+        if a < 0:
+            arms.setdefault(a, []).append(realized)
+            if b < 0:
+                arms.setdefault(b, []).append(realized)
+    for flags in arms.values():
+        if len(flags) == 1:
+            raise RuntimeError("trace with a non-bag leaf")
+        if flags.count(flags[0]) != len(flags):
+            raise RuntimeError("Steiner vertex with mixed realized/promised edges")
+
+
+def _edit_splits(split_j: dict, bits: dict, edges_j: EdgeMap, edges_i: EdgeMap,
+                 v: int, vbit: int, full: int) -> list:
+    """The (split, edge) pairs, in split order, of an introduce candidate
+    ``edges_i`` of the parent trace ``edges_j``.  ``split_j`` holds the
+    parent's splits with v's bit ``vbit`` inserted at its rank, ``bits``
+    each bag label's bit, and ``full`` the mask of the whole bag.
+
+    The candidate must be one of the four edits of ``_intro_candidates``,
+    each of which puts v below a site: v hung off a vertex x, in the place
+    of an Above vertex s, or on a promised edge (a, b), itself or hung off a
+    fresh Above vertex there.  v's bit then joins the split of every parent
+    edge above the site, which in normal form are the edges whose split
+    contains the site's mask: x's bit or the split of the edge from x toward
+    the root, the split of the edge from s toward the root, or the split of
+    (a, b).  A new edge takes the split of the parent edge it continues,
+    with v's bit if that edge is above the site, or v's bit alone if v hangs
+    from it.  Seen from the parent's root, v's side of an edge holds v's
+    bit; when v is the least bag label, its bit is bit 0, and such a split
+    is complemented against the full bag, to be seen from v."""
+
+    def mask(x: int) -> int:
+        """A bag label's bit, or the split of a Steiner vertex's edge toward
+        the root, the largest of its edges'."""
+        return bits[x] if x in bits else max(split for k, split in split_j.items() if x in k)
+
+    added = [k for k in edges_i if k not in edges_j]
+    gone = [k for k in edges_j if k not in edges_i]
+    verts = bits.keys() | {x for k in edges_j for x in k}
+    new: dict = {}
+    if not gone and len(added) == 1:  # v hung off x
+        k, = added
+        x = k[0] if k[1] == v else k[1]
+        if v in k and x in verts:
+            top = mask(x)
+            new = {k: vbit}
+    elif len(gone) == 1 and len(added) in (2, 3):  # on the promised edge (a, b)
+        # the vertex on the edge, which all the new edges meet at: v, or a
+        # fresh Above vertex that v hangs off
+        common = set(added[0]).intersection(*added)
+        mid = common.pop() if len(common) == 1 else None
+        ends = [k[0] if k[1] == mid else k[1] for k in added]
+        if len(added) == 3 and mid not in verts and v in ends:
+            ends.remove(v)
+        if mid is not None and len(ends) == 2 and _ekey(*ends) == gone[0]:
+            a, b = ends
+            top = split_j[gone[0]]
+            if top & mask(a) == mask(a):  # a is the lower end
+                a, b = b, a
+            new = {_ekey(mid, b): top, _ekey(mid, a): top | vbit}
+            if mid != v:
+                new[_ekey(mid, v)] = vbit
+    elif len(gone) == len(added) > 1:  # v in the place of the Steiner vertex s
+        common = set(gone[0]).intersection(*gone)
+        s = common.pop() if len(common) == 1 else 0
+        if s < 0 and not any(s in k for k in edges_i):
+            top = mask(s)
+            for k in gone:
+                split = split_j[k]
+                new[_ekey(v, k[0] if k[1] == s else k[1])] = split | vbit if split == top else split
+    if not new or new.keys() != set(added):
+        raise RuntimeError("introduce candidate that is not one edit of its parent")
+    ranked = []
+    for k in edges_i:
+        split = split_j.get(k)
+        if split is None:
+            split = new[k]
+        elif split & top == top:
+            split |= vbit
+        if split & 1:
+            split ^= full
+        ranked.append((split, k))
+    ranked.sort()
+    return ranked
 
 
 def introduce_step(
@@ -356,24 +517,53 @@ def introduce_step(
     """All parent entries for introducing v above bag_j; charges each graph
     edge between v and the bag with its trace distance.  Entries that cost
     more than ``limit``, and traces that commit to more than
-    ``future_budget`` vertices still to be introduced, are dropped."""
+    ``future_budget`` vertices still to be introduced, are dropped.  A
+    candidate's splits come from its parent's by its edit
+    (``_edit_splits``)."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
+    labels = sorted(bag_i)
+    bits = {x: 1 << i for i, x in enumerate(labels) if x != v}
+    vbit = 1 << labels.index(v)
+    full = (1 << len(labels)) - 1
     table_i: dict = {}
+    shared: tuple[dict, dict] = ({}, {})
+    # per edge set, in insertion order: its (split, edge) pairs, its edges in
+    # split order, and the realized masks whose traces passed the checks.
+    # A trace's splits follow from its edges and the bag alone, and the
+    # checks read only its edges and their flags, so candidates with one
+    # edge set share them, whichever parent they come from.
+    groups: dict = {}
     for key_j, entry in table_j.items():
-        existing = sum(cost for cost, _ in entry.edges.values())
-        max_extra = (n - 1) - existing
+        edges_j = entry.edges
+        split_j = None
+        max_extra = (n - 1) - sum(cost for cost, _ in edges_j.values())
         for edges_i, pairs, charge in _intro_candidates(
-            entry.edges, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap
+            edges_j, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
         ):
-            adj = _adjacency(edges_i)
-            for x in adj:  # the Steiner tag check, on every trace the table keeps
-                if x < 0:
-                    _steiner_tag(adj, x)
-            _merge(table_i, _canon(bag_i, edges_i, adj), edges_i, entry.cost + charge,
-                   ("intro", key_j, pairs))
+            names = tuple(edges_i)
+            group = groups.get(names)
+            if group is None:
+                _check_trace(edges_i)
+                if split_j is None:
+                    # the parent's splits with a 0 inserted at v's rank:
+                    # their bits from there up move one place up
+                    split_j = {k: split + (split & -vbit)
+                               for k, split in zip(_order(entry, bag_j), key_j[0][::2])}
+                    # equal splits: a vertex with one child and no bag bit
+                    if len(set(split_j.values())) != len(split_j):
+                        raise RuntimeError("trace with a degree-2 Steiner vertex")
+                ranked = _edit_splits(split_j, bits, edges_j, edges_i, v, vbit, full)
+                key = _key(edges_i, ranked)
+                group = groups[names] = ranked, tuple(k for _, k in ranked), {key[1]}
+            else:
+                key = _key(edges_i, group[0])
+                if key[1] not in group[2]:
+                    _check_trace(edges_i)
+                    group[2].add(key[1])
+            _merge(table_i, key, edges_i, entry.cost + charge, ("intro", key_j, pairs), group[1])
     return table_i
 
 
@@ -381,8 +571,10 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
     """Drop v from the trace: a vertex with promised edges cannot be
     forgotten (its future arms could never be realized); a realized leaf arm
     is removed, a degree-2 vertex is contracted, and a branch vertex becomes
-    an anonymous Below Steiner vertex."""
+    an anonymous Below Steiner vertex.  A trace's splits follow from its
+    edges and the bag alone, so traces with one edge set share them."""
     table_i: dict = {}
+    orders: dict = {}  # per edge set: its (split, edge) pairs and its edges in split order
     for key_j, entry in table_j.items():
         incident = [(k, cv) for k, cv in entry.edges.items() if v in k]
         if any(not realized for _, (_, realized) in incident):
@@ -404,7 +596,12 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
                 edges[_ekey(fresh, x)] = cv
         else:  # isolated v: impossible, the trace is connected and spans the bag
             raise RuntimeError("forgetting an isolated vertex")
-        _merge(table_i, _canon(bag_i, edges), edges, entry.cost, ("forget", key_j))
+        names = tuple(edges)
+        known = orders.get(names)
+        if known is None:
+            ranked = _split_order(bag_i, _adjacency(edges))
+            known = orders[names] = ranked, tuple(k for _, k in ranked)
+        _merge(table_i, _key(edges, known[0]), edges, entry.cost, ("forget", key_j), known[1])
     return table_i
 
 
@@ -443,8 +640,9 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
 
 
 def _partners(edges_j: EdgeMap, order: list, candidates: list):
-    """The join partners of a trace among the entries of its shape: the
-    edges in shape order correspond one to one, so an entry is a partner
+    """The join partners of a trace among the entries of its shape, its
+    (split, cost) pairs: ``order`` holds its edges in split order, which
+    correspond one to one to theirs, so an entry is a partner
     when its realized edges are the shared edges plus a union of promised
     blocks.  Yields (flip, key_k, entry_k), flip the edges those blocks
     hold, by the number of blocks and then by their indices in ``_blocks``
@@ -484,7 +682,6 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
     by_shape: dict = {}
     for key_k, entry_k in table_k.items():
         by_shape.setdefault(key_k[0], []).append((key_k, entry_k))
-    root = min(bag)
     table_i: dict = {}
     for key_j, entry_j in table_j.items():
         shape, realized_j = key_j
@@ -492,8 +689,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
         if candidates is None:
             continue  # no entry of its shape, so no partner
         edges_j = entry_j.edges
-        adj_j = _adjacency(edges_j)
-        order = _walk(bag, adj_j, root, None)[2]
+        order = _order(entry_j, bag)
         dup = None
         for flip, key_k, entry_k in _partners(edges_j, order, candidates):
             if dup is None:
@@ -501,6 +697,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
                 # merged trace has entry_j's edges and costs, so it has the
                 # same distances
                 dup = 0
+                adj_j = _adjacency(edges_j)
                 for u, ws in bag_pairs:
                     dist = _distances(adj_j, u)
                     dup += sum(dist[w] for w in ws)
@@ -514,7 +711,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
                 for k, (cost, realized) in edges_j.items()
             }
             _merge(table_i, (shape, realized_j | key_k[1]), merged, cost_i,
-                   ("join", key_j, key_k))
+                   ("join", key_j, key_k), order)
     return table_i
 
 
@@ -620,7 +817,7 @@ def dp_min_stretch(
     tables: list[dict | None] = [None] * len(nodes)
     for node_id, nd in enumerate(nodes):
         if nd.kind == "leaf":
-            tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",))}
+            tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",), ())}
         elif nd.kind == "forget":
             tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
         else:

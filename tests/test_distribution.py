@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from widthspan import distribution, kernel
 from widthspan.arrangement import LinearArrangement, shift_count
-from widthspan.distribution import cutwidth_tree, explicit_distribution, sample_tree
+from widthspan.distribution import (
+    DistributionReport,
+    cutwidth_tree,
+    explicit_distribution,
+    sample_tree,
+)
 from widthspan.graph import Graph, generate
 from widthspan.lowstretch import build_tree_padded, padded_stretch_rows
 from widthspan.oracle import expected_stretch_oracle
@@ -225,6 +230,23 @@ def test_one_fraction_per_distinct_expected_sum(monkeypatch):
     dist = explicit_distribution(g, a)
     assert len(made) <= len(set(sums)) + 1
     assert list(dist.per_edge_expected_stretch) == [Fraction(s, dist.shifts) for s in sums]
+
+
+def test_max_expected_stretch_compares_each_shared_fraction_once(monkeypatch):
+    # the 1,577 edges share 4 Fraction objects, so the maximum takes at most
+    # 3 comparisons, and is the object a scan of every edge returns
+    g, order = generate("random_bandwidth", 512, seed=2, b=4, p=0.7)
+    dist = explicit_distribution(g, LinearArrangement.from_order(order))
+    every = max(dist.per_edge_expected_stretch)
+    compared = []
+    for name in ("__gt__", "__lt__", "__ge__", "__le__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, real=real: compared.append(a) or real(a, b))
+    got = dist.max_expected_stretch
+    monkeypatch.undo()
+    assert got is every
+    assert len(compared) < len({id(f) for f in dist.per_edge_expected_stretch}) <= 4
+    assert DistributionReport(0, (), (), 0).max_expected_stretch == 0
 
 
 def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):

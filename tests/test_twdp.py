@@ -548,6 +548,70 @@ def test_canonical_key_random_relabeling():
         assert conf.canonical_key == Configuration(bag, relabeled).canonical_key
 
 
+def _walk_key(bag: frozenset[int], edges: EdgeMap) -> tuple:
+    """The reference table key, the one the DP used before its split keys:
+    the trace rooted at the least bag vertex, each vertex's children ordered
+    by the least bag label below them, Steiner vertices anonymous and flags
+    erased; and the realized flags as bits in that shape's edge order."""
+    adj = _adjacency(edges)
+
+    def walk(v, parent):
+        kids = []
+        for w, cost, _ in adj.get(v, ()):
+            if w != parent:
+                kids.append((*walk(w, v), cost, _ekey(v, w)))
+        if not kids:
+            if v in bag:
+                return v, (v, ()), ()
+            raise RuntimeError("trace with a non-bag leaf")
+        kids.sort()
+        order = []
+        for _, _, below, _, k in kids:
+            order.append(k)
+            order += below
+        shape = tuple((cost, kid) for _, kid, _, cost, _ in kids)
+        least = kids[0][0]
+        return (min(v, least), (v, shape), order) if v in bag else (least, (0, shape), order)
+
+    _, shape, order = walk(min(bag), None)
+    return shape, sum(1 << i for i, k in enumerate(order) if edges[k][1])
+
+
+def _random_traces(rng, count, labelings):
+    """``count`` traces in normal form, each in ``labelings`` labelings:
+    the trace of a random tree on 1..9 on a random bag, below a random set,
+    with its non-bag vertices given negative labels at random and its edges
+    shuffled."""
+    out = []
+    while len(out) < count * labelings:
+        tree = [(v, rng.randrange(1, v)) for v in range(2, 10)]
+        bag = frozenset(rng.sample(range(1, 10), rng.randint(3, 5)))
+        below = bag | frozenset(v for v in range(1, 10) if rng.random() < 0.5)
+        try:
+            conf = contract_to_configuration(tree, bag, below)
+        except RuntimeError:  # a path through forgotten and future vertices
+            continue
+        for _ in range(labelings):
+            names = rng.sample(range(-9, 0), 9)
+            label = {v: v if v in bag else names[v - 1] for v in range(1, 10)}
+            edges = [(_ekey(label[a], label[b]), (cost, realized))
+                     for a, b, cost, realized in conf.edges]
+            rng.shuffle(edges)
+            out.append((bag, dict(edges)))
+    return out
+
+
+def test_split_keys_and_walk_keys_make_the_same_classes():
+    # Buneman: a tree whose unlabeled vertices all have degree >= 3 is fixed
+    # by its splits, so two traces in normal form have equal split keys
+    # exactly when they have equal walk keys.
+    traces = _random_traces(random.Random(5), 1000, 3)
+    pairs = {(bag, _walk_key(bag, edges), _canon(bag, edges)) for bag, edges in traces}
+    assert len({p[:2] for p in pairs}) == len(pairs) == len({(p[0], p[2]) for p in pairs})
+    assert len(pairs) < 1000  # some random trees leave alike traces
+    assert sum(any(x < 0 for k in edges for x in k) for _, edges in traces) > 1000
+
+
 def test_introduce_step_k2():
     g = make_graph(2, [(1, 2)])
     leaf_table = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
@@ -943,6 +1007,59 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
     assert kinds == {(1, False), (0, True), (1, True), (2, False)}
 
 
+# The edits of ``_intro_candidates`` by the edges they drop from the parent
+# and add: v hung off a vertex, on a promised edge, and off a fresh Above
+# vertex on one; v in the place of an Above vertex drops and adds its arms.
+EDITS = {(0, 1): "hang", (1, 2): "edge", (1, 3): "fresh"}
+
+
+def test_derived_keys_equal_the_keys_from_scratch(monkeypatch, atlas_corpus):
+    # An introduce step derives each candidate's key from its parent's
+    # splits and its edit.  Over the DP of every atlas graph and the pinned
+    # instances, run without a bound or future pruning so that every kind of
+    # edit is there, every candidate's key must equal the one computed from
+    # scratch from the built trace; so must every entry's key and edge order
+    # in the finished tables.
+    step, merge = solver.introduce_step, solver._merge
+    bags, kinds = [], set()
+
+    def introduce(table_j, v, bag_j, g, **kwargs):
+        bags.append((table_j, bag_j | {v}, v))
+        try:
+            return step(table_j, v, bag_j, g, **kwargs)
+        finally:
+            bags.pop()
+
+    def checked(table, key, edges, cost, back, *order):
+        if bags:
+            table_j, bag_i, v = bags[-1]
+            assert key == _canon(bag_i, edges)
+            parent = table_j[back[1]].edges
+            dropped, added = len(parent.keys() - edges.keys()), len(edges.keys() - parent.keys())
+            kinds.add((EDITS.get((dropped, added), "place" if dropped == added else None),
+                       v == min(bag_i)))
+        merge(table, key, edges, cost, back, *order)
+
+    inputs = [_pinned(name) for name in sorted(PINNED_TABLES)]
+    inputs += [(g, min_fill_td(g)) for g in atlas_corpus]
+    for g, td in inputs:
+        with monkeypatch.context() as m:
+            _without_bound(m)
+            _without_future_budget(m)
+            m.setattr(solver, "introduce_step", introduce)
+            m.setattr(solver, "_merge", checked)
+            res = dp_min_stretch(g, td, enforce_limits=False)
+        # every key, and the edge order each entry keeps for its key, as
+        # computed from scratch
+        for nd, table in zip(res.nodes, res.tables):
+            for key, e in table.items():
+                ranked = solver._split_order(nd.bag, _adjacency(e.edges))
+                assert (key, e.order) == (_canon(nd.bag, e.edges), tuple(k for _, k in ranked))
+    # each edit, with v the least bag label and not
+    assert kinds == {(edit, least) for edit in ("hang", "edge", "fresh", "place")
+                     for least in (False, True)}
+
+
 def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                  limit: int) -> dict:
     """The reference join: for each entry of the first child, each subset
@@ -1078,6 +1195,57 @@ def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
                         lambda *a: iter([(mixed, (), 0)]))
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
         introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+
+
+@pytest.mark.parametrize("parent, candidate", [
+    # two new edges and none dropped: a cycle
+    ({(1, 2): (1, True)}, {(1, 2): (1, True), (1, 3): (1, True), (2, 3): (1, True)}),
+    # v on the promised edge (1, 2), which is kept
+    ({(1, 2): (2, False)}, {(1, 2): (2, False), (1, 3): (1, True), (2, 3): (1, True)}),
+    # v on the promised edge (1, 2), which is kept, and (1, 4) dropped
+    ({(1, 2): (2, False), (1, 4): (1, True)},
+     {(1, 2): (2, False), (1, 3): (1, True), (2, 3): (1, True)}),
+    # a Steiner vertex, not v, on the promised edge (1, 2)
+    ({(1, 2): (2, False)}, {(-1, 1): (1, False), (-1, 2): (1, False)}),
+    # the Above vertex -1 dropped, and one of its arms not moved onto v
+    ({(-1, 1): (1, False), (-1, 2): (1, False), (-1, 4): (1, False)},
+     {(1, 3): (1, True), (2, 3): (1, True), (1, 4): (1, True)}),
+])
+def test_introduce_raises_on_a_candidate_that_is_not_one_edit(monkeypatch, parent, candidate):
+    # a candidate's splits are derived from its parent's by its edit, so one
+    # whose edges are no single edit of the parent's cannot be keyed
+    g = make_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
+    bag = frozenset({1, 2, 4} if 4 in {x for k in parent for x in k} else {1, 2})
+    table = {_canon(bag, parent): _Entry(0, parent, ("leaf",))}
+    monkeypatch.setattr(solver, "_intro_candidates", lambda *a: iter([(candidate, (), 0)]))
+    with pytest.raises(RuntimeError, match="not one edit of its parent"):
+        introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+
+
+def test_introduce_checks_every_flag_set_of_an_edge_set(monkeypatch):
+    # candidates with one edge set share their splits, but each set of
+    # flags is checked: here the second candidate's fresh vertex is mixed
+    g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
+    bag = frozenset({1, 2})
+    parent = {(1, 2): (2, False)}
+    table = {_canon(bag, parent): _Entry(0, parent, ("leaf",))}
+    fresh = {(-1, 1): (1, False), (-1, 2): (1, False), (-1, 3): (1, False)}
+    mixed = {**fresh, (-1, 3): (1, True)}
+    monkeypatch.setattr(solver, "_intro_candidates",
+                        lambda *a: iter([(fresh, (), 0), (mixed, (), 0)]))
+    with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
+        introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+
+
+def test_introduce_raises_on_a_parent_with_a_degree_2_steiner_vertex():
+    # the edit rule needs normal form: every vertex's subtree mask its own
+    g = make_graph(3, [(1, 3), (2, 3)])
+    bag = frozenset({1, 2})
+    chain = {(-1, 1): (1, True), (-1, 2): (1, True)}
+    table = {_canon(bag, chain): _Entry(0, chain, ("leaf",))}
+    with pytest.raises(RuntimeError, match="degree-2 Steiner vertex"):
+        introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+
 
 @pytest.mark.parametrize("name", ["cycle 8", "grid 9", "caterpillar 9", "grid 4x3"])
 def test_bound_only_removes_entries(monkeypatch, name):
