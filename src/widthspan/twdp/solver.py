@@ -36,18 +36,12 @@ leaf is a bag vertex, so no split is empty and no two edges share one; only
 a chain of degree-2 Steiner vertices, which normal form contracts, gives its
 edges one split, and ``_canon`` orders those root-down.
 
-Each entry keeps its edges in the split order of its key, so its splits
-need no walk.  An introduce candidate is one local edit of its parent, so
-its splits come from the parent's (``_edit_splits``): v's bit is inserted
-at its rank in every split, and OR-ed into the split of each edge on the
-edit site's root path, the edges whose split contains the site's own; when
-v is the least bag label, each split that holds v's bit is complemented
-against the full bag.  A trace's splits follow from its edges and the bag
-alone, so an introduce step derives them once per edge set, from the first
-parent whose candidate has it, and a forget step computes them from scratch
-once per edge set.  Introduced edges go in as key and value tuples shared
-across the step (``_put``), so that the collector never tracks the edge
-maps.
+Each entry keeps its edges in the split order of its key, so a join needs
+no walk.  A trace's splits follow from its edges and the bag alone, so an
+introduce or forget step computes them from scratch (``_split_order``) once
+per edge set, and the traces of that set share them, whichever parent they
+come from.  Introduced edges go in as key and value tuples shared across the
+step (``_put``), so that the collector never tracks the edge maps.
 
 A join indexes the second child's table by its (split, cost) pairs, skips an
 entry of the first child with none alike, and takes as partners the entries
@@ -218,6 +212,13 @@ def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
     return BELOW if tags.pop() else ABOVE
 
 
+def _check_tags(adj: dict[int, list[tuple[int, int, bool]]]) -> None:
+    """The Steiner tag check on every Steiner vertex of a trace."""
+    for x in adj:
+        if x < 0:
+            _steiner_tag(adj, x)
+
+
 def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
     """Vertices still to be introduced that this trace commits to: internal
     vertices of promised edges plus the Above Steiner vertices themselves.
@@ -256,7 +257,9 @@ def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple,
 
 
 def _order(entry: _Entry, bag: frozenset[int]) -> tuple:
-    """The entry's edges in the split order of its key."""
+    """The entry's edges in the split order of its key.  Every entry the DP
+    builds carries it; only a hand-built ``_Entry(cost, edges, back)``
+    reaches the from-scratch fallback."""
     if entry.order is None:
         return tuple(k for _, k in _split_order(bag, _adjacency(entry.edges)))
     return entry.order
@@ -277,8 +280,7 @@ def _put(out: EdgeMap, shared: tuple[dict, dict], a: int, b: int, cost: int,
 
 def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                       nbrs: list[int], max_extra: int, max_charge: int,
-                      max_need: int, max_verts: int,
-                      shared: tuple[dict, dict] | None = None):
+                      max_need: int, max_verts: int, shared: tuple[dict, dict]):
     """Every way v can be placed into the trace whose charge, future need and
     vertex count are at most max_charge, max_need and max_verts.
 
@@ -300,8 +302,6 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
     trace distances from v to nbrs.  New edges go in by ``_put``, through
     ``shared``, which an introduce step passes to each of its parents.
     """
-    if shared is None:
-        shared = ({}, {})
     verts = _vertices(bag_j, edges_j)
     adj = _adjacency(edges_j)
     above = {s for s in verts if s not in bag_j and _steiner_tag(adj, s) == ABOVE}
@@ -412,99 +412,6 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                     yield out, (), deg * length + charge
 
 
-def _check_trace(edges: EdgeMap) -> None:
-    """The checks on the traces an introduce step builds, in one pass over
-    an edge map: each Steiner vertex has its edges all realized or all
-    promised (its tag), and more than one of them, as one with a single
-    edge is a non-bag leaf."""
-    arms: dict[int, list[bool]] = {}
-    for (a, b), (_, realized) in edges.items():
-        if a < 0:
-            arms.setdefault(a, []).append(realized)
-            if b < 0:
-                arms.setdefault(b, []).append(realized)
-    for flags in arms.values():
-        if len(flags) == 1:
-            raise RuntimeError("trace with a non-bag leaf")
-        if flags.count(flags[0]) != len(flags):
-            raise RuntimeError("Steiner vertex with mixed realized/promised edges")
-
-
-def _edit_splits(split_j: dict, bits: dict, edges_j: EdgeMap, edges_i: EdgeMap,
-                 v: int, vbit: int, full: int) -> list:
-    """The (split, edge) pairs, in split order, of an introduce candidate
-    ``edges_i`` of the parent trace ``edges_j``.  ``split_j`` holds the
-    parent's splits with v's bit ``vbit`` inserted at its rank, ``bits``
-    each bag label's bit, and ``full`` the mask of the whole bag.
-
-    The candidate must be one of the four edits of ``_intro_candidates``,
-    each of which puts v below a site: v hung off a vertex x, in the place
-    of an Above vertex s, or on a promised edge (a, b), itself or hung off a
-    fresh Above vertex there.  v's bit then joins the split of every parent
-    edge above the site, which in normal form are the edges whose split
-    contains the site's mask: x's bit or the split of the edge from x toward
-    the root, the split of the edge from s toward the root, or the split of
-    (a, b).  A new edge takes the split of the parent edge it continues,
-    with v's bit if that edge is above the site, or v's bit alone if v hangs
-    from it.  Seen from the parent's root, v's side of an edge holds v's
-    bit; when v is the least bag label, its bit is bit 0, and such a split
-    is complemented against the full bag, to be seen from v."""
-
-    def mask(x: int) -> int:
-        """A bag label's bit, or the split of a Steiner vertex's edge toward
-        the root, the largest of its edges'."""
-        return bits[x] if x in bits else max(split for k, split in split_j.items() if x in k)
-
-    added = [k for k in edges_i if k not in edges_j]
-    gone = [k for k in edges_j if k not in edges_i]
-    verts = bits.keys() | {x for k in edges_j for x in k}
-    new: dict = {}
-    if not gone and len(added) == 1:  # v hung off x
-        k, = added
-        x = k[0] if k[1] == v else k[1]
-        if v in k and x in verts:
-            top = mask(x)
-            new = {k: vbit}
-    elif len(gone) == 1 and len(added) in (2, 3):  # on the promised edge (a, b)
-        # the vertex on the edge, which all the new edges meet at: v, or a
-        # fresh Above vertex that v hangs off
-        common = set(added[0]).intersection(*added)
-        mid = common.pop() if len(common) == 1 else None
-        ends = [k[0] if k[1] == mid else k[1] for k in added]
-        if len(added) == 3 and mid not in verts and v in ends:
-            ends.remove(v)
-        if mid is not None and len(ends) == 2 and _ekey(*ends) == gone[0]:
-            a, b = ends
-            top = split_j[gone[0]]
-            if top & mask(a) == mask(a):  # a is the lower end
-                a, b = b, a
-            new = {_ekey(mid, b): top, _ekey(mid, a): top | vbit}
-            if mid != v:
-                new[_ekey(mid, v)] = vbit
-    elif len(gone) == len(added) > 1:  # v in the place of the Steiner vertex s
-        common = set(gone[0]).intersection(*gone)
-        s = common.pop() if len(common) == 1 else 0
-        if s < 0 and not any(s in k for k in edges_i):
-            top = mask(s)
-            for k in gone:
-                split = split_j[k]
-                new[_ekey(v, k[0] if k[1] == s else k[1])] = split | vbit if split == top else split
-    if not new or new.keys() != set(added):
-        raise RuntimeError("introduce candidate that is not one edit of its parent")
-    ranked = []
-    for k in edges_i:
-        split = split_j.get(k)
-        if split is None:
-            split = new[k]
-        elif split & top == top:
-            split |= vbit
-        if split & 1:
-            split ^= full
-        ranked.append((split, k))
-    ranked.sort()
-    return ranked
-
-
 def introduce_step(
     table_j: dict,
     v: int,
@@ -518,50 +425,36 @@ def introduce_step(
     edge between v and the bag with its trace distance.  Entries that cost
     more than ``limit``, and traces that commit to more than
     ``future_budget`` vertices still to be introduced, are dropped.  A
-    candidate's splits come from its parent's by its edit
-    (``_edit_splits``)."""
+    trace's splits follow from its edges and the bag alone, and the Steiner
+    tag check reads only its edges and their flags, so candidates with one
+    edge set share their splits, and those with one edge set and realized
+    mask one check, whichever parent they come from."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
-    labels = sorted(bag_i)
-    bits = {x: 1 << i for i, x in enumerate(labels) if x != v}
-    vbit = 1 << labels.index(v)
-    full = (1 << len(labels)) - 1
     table_i: dict = {}
     shared: tuple[dict, dict] = ({}, {})
-    # per edge set, in insertion order: its (split, edge) pairs, its edges in
-    # split order, and the realized masks whose traces passed the checks.
-    # A trace's splits follow from its edges and the bag alone, and the
-    # checks read only its edges and their flags, so candidates with one
-    # edge set share them, whichever parent they come from.
+    # per edge set: its (split, edge) pairs, its edges in split order, and
+    # the realized masks whose traces passed the tag check
     groups: dict = {}
     for key_j, entry in table_j.items():
-        edges_j = entry.edges
-        split_j = None
-        max_extra = (n - 1) - sum(cost for cost, _ in edges_j.values())
+        max_extra = (n - 1) - sum(cost for cost, _ in entry.edges.values())
         for edges_i, pairs, charge in _intro_candidates(
-            edges_j, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
+            entry.edges, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
         ):
             names = tuple(edges_i)
             group = groups.get(names)
             if group is None:
-                _check_trace(edges_i)
-                if split_j is None:
-                    # the parent's splits with a 0 inserted at v's rank:
-                    # their bits from there up move one place up
-                    split_j = {k: split + (split & -vbit)
-                               for k, split in zip(_order(entry, bag_j), key_j[0][::2])}
-                    # equal splits: a vertex with one child and no bag bit
-                    if len(set(split_j.values())) != len(split_j):
-                        raise RuntimeError("trace with a degree-2 Steiner vertex")
-                ranked = _edit_splits(split_j, bits, edges_j, edges_i, v, vbit, full)
+                adj = _adjacency(edges_i)
+                _check_tags(adj)
+                ranked = _split_order(bag_i, adj)
                 key = _key(edges_i, ranked)
                 group = groups[names] = ranked, tuple(k for _, k in ranked), {key[1]}
             else:
                 key = _key(edges_i, group[0])
                 if key[1] not in group[2]:
-                    _check_trace(edges_i)
+                    _check_tags(_adjacency(edges_i))
                     group[2].add(key[1])
             _merge(table_i, key, edges_i, entry.cost + charge, ("intro", key_j, pairs), group[1])
     return table_i

@@ -987,7 +987,8 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
 
                 def candidates(charge=UNBOUNDED, need=UNBOUNDED, verts=UNBOUNDED):
                     return list(solver._intro_candidates(
-                        entry.edges, bag_j, v, g, nbrs, max_extra, charge, need, verts))
+                        entry.edges, bag_j, v, g, nbrs, max_extra, charge, need, verts,
+                        ({}, {})))
 
                 every = candidates()
                 charges, needs, counts = [], [], []
@@ -1007,57 +1008,23 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
     assert kinds == {(1, False), (0, True), (1, True), (2, False)}
 
 
-# The edits of ``_intro_candidates`` by the edges they drop from the parent
-# and add: v hung off a vertex, on a promised edge, and off a fresh Above
-# vertex on one; v in the place of an Above vertex drops and adds its arms.
-EDITS = {(0, 1): "hang", (1, 2): "edge", (1, 3): "fresh"}
-
-
-def test_derived_keys_equal_the_keys_from_scratch(monkeypatch, atlas_corpus):
-    # An introduce step derives each candidate's key from its parent's
-    # splits and its edit.  Over the DP of every atlas graph and the pinned
-    # instances, run without a bound or future pruning so that every kind of
-    # edit is there, every candidate's key must equal the one computed from
-    # scratch from the built trace; so must every entry's key and edge order
-    # in the finished tables.
-    step, merge = solver.introduce_step, solver._merge
-    bags, kinds = [], set()
-
-    def introduce(table_j, v, bag_j, g, **kwargs):
-        bags.append((table_j, bag_j | {v}, v))
-        try:
-            return step(table_j, v, bag_j, g, **kwargs)
-        finally:
-            bags.pop()
-
-    def checked(table, key, edges, cost, back, *order):
-        if bags:
-            table_j, bag_i, v = bags[-1]
-            assert key == _canon(bag_i, edges)
-            parent = table_j[back[1]].edges
-            dropped, added = len(parent.keys() - edges.keys()), len(edges.keys() - parent.keys())
-            kinds.add((EDITS.get((dropped, added), "place" if dropped == added else None),
-                       v == min(bag_i)))
-        merge(table, key, edges, cost, back, *order)
-
+def test_table_keys_equal_the_keys_from_scratch(monkeypatch, atlas_corpus):
+    # Each step keys its entries by splits it computes once per edge set and
+    # shares between the traces of that set.  Over the DP of every atlas
+    # graph and the pinned instances, run without a bound or future pruning,
+    # every entry's key and the edge order it keeps for its key must be the
+    # ones computed from scratch from its own trace.
     inputs = [_pinned(name) for name in sorted(PINNED_TABLES)]
     inputs += [(g, min_fill_td(g)) for g in atlas_corpus]
     for g, td in inputs:
         with monkeypatch.context() as m:
             _without_bound(m)
             _without_future_budget(m)
-            m.setattr(solver, "introduce_step", introduce)
-            m.setattr(solver, "_merge", checked)
             res = dp_min_stretch(g, td, enforce_limits=False)
-        # every key, and the edge order each entry keeps for its key, as
-        # computed from scratch
         for nd, table in zip(res.nodes, res.tables):
             for key, e in table.items():
                 ranked = solver._split_order(nd.bag, _adjacency(e.edges))
                 assert (key, e.order) == (_canon(nd.bag, e.edges), tuple(k for _, k in ranked))
-    # each edit, with v the least bag label and not
-    assert kinds == {(edit, least) for edit in ("hang", "edge", "fresh", "place")
-                     for least in (False, True)}
 
 
 def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
@@ -1124,8 +1091,7 @@ def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
 
 # A Steiner leaf under bag vertex 1.  The DP never makes such a trace: in
 # normal form every leaf is a bag vertex with its own label, which is what
-# makes the order of sibling subtrees by least label, and so the table key,
-# canonical.  The check must survive python -O, so it cannot be an assert.
+# makes every split non-empty, and so the table key, canonical.  The check must survive python -O, so it cannot be an assert.
 STEINER_LEAF = {(1, 2): (1, True), (-1, 1): (2, False)}
 
 
@@ -1197,31 +1163,6 @@ def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
         introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
 
-@pytest.mark.parametrize("parent, candidate", [
-    # two new edges and none dropped: a cycle
-    ({(1, 2): (1, True)}, {(1, 2): (1, True), (1, 3): (1, True), (2, 3): (1, True)}),
-    # v on the promised edge (1, 2), which is kept
-    ({(1, 2): (2, False)}, {(1, 2): (2, False), (1, 3): (1, True), (2, 3): (1, True)}),
-    # v on the promised edge (1, 2), which is kept, and (1, 4) dropped
-    ({(1, 2): (2, False), (1, 4): (1, True)},
-     {(1, 2): (2, False), (1, 3): (1, True), (2, 3): (1, True)}),
-    # a Steiner vertex, not v, on the promised edge (1, 2)
-    ({(1, 2): (2, False)}, {(-1, 1): (1, False), (-1, 2): (1, False)}),
-    # the Above vertex -1 dropped, and one of its arms not moved onto v
-    ({(-1, 1): (1, False), (-1, 2): (1, False), (-1, 4): (1, False)},
-     {(1, 3): (1, True), (2, 3): (1, True), (1, 4): (1, True)}),
-])
-def test_introduce_raises_on_a_candidate_that_is_not_one_edit(monkeypatch, parent, candidate):
-    # a candidate's splits are derived from its parent's by its edit, so one
-    # whose edges are no single edit of the parent's cannot be keyed
-    g = make_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
-    bag = frozenset({1, 2, 4} if 4 in {x for k in parent for x in k} else {1, 2})
-    table = {_canon(bag, parent): _Entry(0, parent, ("leaf",))}
-    monkeypatch.setattr(solver, "_intro_candidates", lambda *a: iter([(candidate, (), 0)]))
-    with pytest.raises(RuntimeError, match="not one edit of its parent"):
-        introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
-
-
 def test_introduce_checks_every_flag_set_of_an_edge_set(monkeypatch):
     # candidates with one edge set share their splits, but each set of
     # flags is checked: here the second candidate's fresh vertex is mixed
@@ -1234,16 +1175,6 @@ def test_introduce_checks_every_flag_set_of_an_edge_set(monkeypatch):
     monkeypatch.setattr(solver, "_intro_candidates",
                         lambda *a: iter([(fresh, (), 0), (mixed, (), 0)]))
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
-        introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
-
-
-def test_introduce_raises_on_a_parent_with_a_degree_2_steiner_vertex():
-    # the edit rule needs normal form: every vertex's subtree mask its own
-    g = make_graph(3, [(1, 3), (2, 3)])
-    bag = frozenset({1, 2})
-    chain = {(-1, 1): (1, True), (-1, 2): (1, True)}
-    table = {_canon(bag, chain): _Entry(0, chain, ("leaf",))}
-    with pytest.raises(RuntimeError, match="degree-2 Steiner vertex"):
         introduce_step(table, 3, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
 
