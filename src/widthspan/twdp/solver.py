@@ -105,14 +105,6 @@ def _ekey(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _vertices(bag: frozenset[int], edges: EdgeMap) -> set[int]:
-    verts = set(bag)
-    for a, b in edges:
-        verts.add(a)
-        verts.add(b)
-    return verts
-
-
 def _fresh(edges: EdgeMap) -> int:
     """A Steiner label the trace does not use: one below its least."""
     return min((x for k in edges for x in k if x < 0), default=0) - 1
@@ -212,22 +204,11 @@ def _steiner_tag(adj: dict[int, list[tuple[int, int, bool]]], s: int) -> str:
     return BELOW if tags.pop() else ABOVE
 
 
-def _check_tags(adj: dict[int, list[tuple[int, int, bool]]]) -> None:
-    """The Steiner tag check on every Steiner vertex of a trace."""
-    for x in adj:
-        if x < 0:
-            _steiner_tag(adj, x)
-
-
-def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
-    """Vertices still to be introduced that this trace commits to: internal
-    vertices of promised edges plus the Above Steiner vertices themselves.
-    ``adj`` is ``_adjacency(edges)``."""
-    need = sum(cost - 1 for cost, realized in edges.values() if not realized)
-    for v in adj:
-        if v not in bag and _steiner_tag(adj, v) == ABOVE:
-            need += 1
-    return need
+def _above(adj: dict[int, list[tuple[int, int, bool]]]) -> list[int]:
+    """The trace's Above Steiner vertices, least label first.  Every Steiner
+    vertex (negative label) is tagged here, so a trace with a mixed one
+    raises: the one place the Steiner tag rule is read."""
+    return [s for s in sorted(x for x in adj if x < 0) if _steiner_tag(adj, s) == ABOVE]
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +216,14 @@ def _future_need(bag: frozenset[int], edges: EdgeMap, adj: dict) -> int:
 # ---------------------------------------------------------------------------
 
 class _Entry:
-    """A table entry: the least cost of a trace, its edge map, and its back
-    pointer.  ``order`` holds its edges in the split order of its key, or
-    None for an entry built without it, which then gets it from scratch
-    (``_order``)."""
+    """A table entry: the least cost of a trace, its edge map, its back
+    pointer, and ``order``, its edges in the split order of its key.  Every
+    entry carries its order: the step that builds it has the splits at hand,
+    and a join reads the order instead of walking the trace."""
 
     __slots__ = ("cost", "edges", "back", "order")
 
-    def __init__(self, cost: int, edges: EdgeMap, back: tuple, order: tuple | None = None):
+    def __init__(self, cost: int, edges: EdgeMap, back: tuple, order: tuple):
         self.cost = cost
         self.edges = edges
         self.back = back
@@ -250,19 +231,10 @@ class _Entry:
 
 
 def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple,
-           order: tuple | None = None) -> None:
+           order: tuple) -> None:
     old = table.get(key)
     if old is None or cost < old.cost:
         table[key] = _Entry(cost, edges, back, order)
-
-
-def _order(entry: _Entry, bag: frozenset[int]) -> tuple:
-    """The entry's edges in the split order of its key.  Every entry the DP
-    builds carries it; only a hand-built ``_Entry(cost, edges, back)``
-    reaches the from-scratch fallback."""
-    if entry.order is None:
-        return tuple(k for _, k in _split_order(bag, _adjacency(entry.edges)))
-    return entry.order
 
 
 def _put(out: EdgeMap, shared: tuple[dict, dict], a: int, b: int, cost: int,
@@ -301,14 +273,19 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
     edges that become tree edges at this step; charge is the sum of the
     trace distances from v to nbrs.  New edges go in by ``_put``, through
     ``shared``, which an introduce step passes to each of its parents.
+
+    The parent's Steiner tags are read once, by one ``_above`` call: its
+    Above vertices are the attach points and places listed above, and with
+    its promised edges they make its future need.
     """
-    verts = _vertices(bag_j, edges_j)
     adj = _adjacency(edges_j)
-    above = {s for s in verts if s not in bag_j and _steiner_tag(adj, s) == ABOVE}
-    need_j = _future_need(bag_j, edges_j, adj)
+    above = _above(adj)
+    # the vertices still to be introduced that the trace commits to: the
+    # internal vertices of its promised edges and its Above vertices
+    need_j = sum(cost - 1 for cost, realized in edges_j.values() if not realized) + len(above)
     dists = [_distances(adj, u) for u in nbrs]
     deg = len(nbrs)
-    room_verts = max_verts - len(verts)
+    room_verts = max_verts - len(bag_j | adj.keys())
 
     def longest(charge: int) -> int:
         """The longest new edge whose charge deg * L + charge and need
@@ -322,9 +299,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
 
     # attach v by a single new edge to a bag vertex or an Above vertex
     if room_verts >= 1:
-        for x in sorted(verts):
-            if x not in bag_j and x not in above:
-                continue
+        for x in above + sorted(bag_j):
             base = sum(d[x] for d in dists)
             if x in bag_j:
                 if g.has_edge(v, x) and deg + base <= max_charge and need_j <= max_need:
@@ -342,7 +317,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
     # v takes the place of an Above vertex: unit arms to bag vertices become
     # realized graph edges, everything else keeps its cost and stays promised
     if room_verts >= 0 and need_j - 1 <= max_need:
-        for s in sorted(above):
+        for s in above:
             arms = adj[s]
             charge = sum(d[s] for d in dists)
             if charge > max_charge:
@@ -426,9 +401,12 @@ def introduce_step(
     more than ``limit``, and traces that commit to more than
     ``future_budget`` vertices still to be introduced, are dropped.  A
     trace's splits follow from its edges and the bag alone, and the Steiner
-    tag check reads only its edges and their flags, so candidates with one
-    edge set share their splits, and those with one edge set and realized
-    mask one check, whichever parent they come from."""
+    tag check (``_above``) reads only its edges and their flags, so
+    candidates with one edge set share their splits, and those with one
+    edge set and realized mask one check, whichever parent they come from.
+    The check comes before the splits, so a mixed trace raises the Steiner
+    message even where it also has a non-bag leaf.  Each entry carries its
+    edges in the split order of its key."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
@@ -447,14 +425,14 @@ def introduce_step(
             group = groups.get(names)
             if group is None:
                 adj = _adjacency(edges_i)
-                _check_tags(adj)
+                _above(adj)
                 ranked = _split_order(bag_i, adj)
                 key = _key(edges_i, ranked)
                 group = groups[names] = ranked, tuple(k for _, k in ranked), {key[1]}
             else:
                 key = _key(edges_i, group[0])
                 if key[1] not in group[2]:
-                    _check_tags(_adjacency(edges_i))
+                    _above(_adjacency(edges_i))
                     group[2].add(key[1])
             _merge(table_i, key, edges_i, entry.cost + charge, ("intro", key_j, pairs), group[1])
     return table_i
@@ -582,7 +560,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
         if candidates is None:
             continue  # no entry of its shape, so no partner
         edges_j = entry_j.edges
-        order = _order(entry_j, bag)
+        order = entry_j.order
         dup = None
         for flip, key_k, entry_k in _partners(edges_j, order, candidates):
             if dup is None:

@@ -33,7 +33,6 @@ from widthspan.twdp.solver import (
     _ekey,
     _Entry,
     _steiner_tag,
-    _vertices,
 )
 
 from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
@@ -72,11 +71,7 @@ class Configuration:
     def steiner_tags(self) -> dict[int, str]:
         edges = self.edge_map()
         adj = _adjacency(edges)
-        return {
-            v: _steiner_tag(adj, v)
-            for v in _vertices(self.bag, edges)
-            if v not in self.bag
-        }
+        return {v: _steiner_tag(adj, v) for v in adj if v not in self.bag}
 
     def stretch_of(self, u: int, v: int) -> int:
         return _dist(self.edge_map(), u, v)
@@ -612,9 +607,20 @@ def test_split_keys_and_walk_keys_make_the_same_classes():
     assert sum(any(x < 0 for k in edges for x in k) for _, edges in traces) > 1000
 
 
+def _split_edges(bag: frozenset[int], edges: EdgeMap) -> tuple:
+    """A trace's edges in the split order of its key, from scratch."""
+    return tuple(k for _, k in solver._split_order(bag, _adjacency(edges)))
+
+
+def _table(bag: frozenset[int], edges: EdgeMap, cost: int = 0) -> dict:
+    """A table of one hand-built entry, which carries its edges in the split
+    order of its key as every entry the DP builds does."""
+    return {_canon(bag, edges): _Entry(cost, edges, ("leaf",), _split_edges(bag, edges))}
+
+
 def test_introduce_step_k2():
     g = make_graph(2, [(1, 2)])
-    leaf_table = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    leaf_table = _table(frozenset({1}), {})
     table = introduce_step(leaf_table, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
     realized = _canon(frozenset({1, 2}), {(1, 2): (1, True)})
     assert realized in table
@@ -625,7 +631,7 @@ def test_introduce_step_k2():
 def test_dp_steps_refuse_to_run_unbounded():
     # the DP has one configuration: every introduce and join step is bounded
     g = make_graph(2, [(1, 2)])
-    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    leaf = _table(frozenset({1}), {})
     for bounds in ({}, {"future_budget": UNBOUNDED}, {"limit": UNBOUNDED}):
         with pytest.raises(TypeError):
             introduce_step(leaf, 2, frozenset({1}), g, **bounds)
@@ -637,10 +643,10 @@ def test_dp_steps_refuse_to_run_unbounded():
 def test_forget_step_rejects_promised_arms():
     bag_j = frozenset({1, 2})
     promised = {(1, 2): (3, False)}
-    table = {_canon(bag_j, promised): _Entry(0, promised, ("leaf",))}
+    table = _table(bag_j, promised)
     assert forget_step(table, 2, frozenset({1})) == {}
     done = {(1, 2): (1, True)}
-    table = {_canon(bag_j, done): _Entry(5, done, ("leaf",))}
+    table = _table(bag_j, done, 5)
     out = forget_step(table, 2, frozenset({1}))
     assert list(out.values())[0].cost == 5
     assert list(out.values())[0].edges == {}
@@ -649,7 +655,7 @@ def test_forget_step_rejects_promised_arms():
 def test_forget_isolated_vertex_raises():
     # the check must survive python -O, so it cannot be an assert
     bag_j = frozenset({1})
-    table = {_canon(bag_j, {}): _Entry(0, {}, ("leaf",))}
+    table = _table(bag_j, {})
     with pytest.raises(RuntimeError, match="forgetting an isolated vertex"):
         forget_step(table, 1, frozenset())
 
@@ -958,6 +964,19 @@ def _kept_exactly_within(every, built, keep):
         assert kept == [row for row, value in zip(rows, built) if value <= bound]
 
 
+def _future_need(bag: frozenset[int], edges: EdgeMap) -> int:
+    """The vertices still to be introduced that a trace commits to, by a
+    scan of its own: the internal vertices of its promised edges, and its
+    Above vertices, the non-bag vertices whose edges are all promised."""
+    flags: dict[int, set[bool]] = {}
+    for k, (_, realized) in edges.items():
+        for x in k:
+            if x not in bag:
+                flags.setdefault(x, set()).add(realized)
+    promised = sum(cost - 1 for cost, realized in edges.values() if not realized)
+    return promised + sum(f == {False} for f in flags.values())
+
+
 def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
     # Every introduce candidate is priced from its parent trace before it is
     # built.  Over the traces of every atlas graph's DP (run without a bound
@@ -981,9 +1000,8 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
             nbrs = [u for u in g.neighbors(v) if u in bag_j]
             for entry in res.tables[nd.children[0]].values():
                 max_extra = (g.n - 1) - sum(cost for cost, _ in entry.edges.values())
-                adj_j = _adjacency(entry.edges)
-                need_j = solver._future_need(bag_j, entry.edges, adj_j)
-                verts_j = len(bag_j | adj_j.keys())
+                need_j = _future_need(bag_j, entry.edges)
+                verts_j = len(bag_j | _adjacency(entry.edges).keys())
 
                 def candidates(charge=UNBOUNDED, need=UNBOUNDED, verts=UNBOUNDED):
                     return list(solver._intro_candidates(
@@ -997,7 +1015,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
                     dist = _distances(adj, v)
                     assert charge == sum(dist[u] for u in nbrs)
                     charges.append(charge)
-                    needs.append(solver._future_need(bag_i, edges_i, adj))
+                    needs.append(_future_need(bag_i, edges_i))
                     counts.append(len(bag_i | adj.keys()))
                     kinds.add((counts[-1] - verts_j, needs[-1] < need_j))
                 _kept_exactly_within(every, charges, lambda b: candidates(charge=b))
@@ -1023,8 +1041,7 @@ def test_table_keys_equal_the_keys_from_scratch(monkeypatch, atlas_corpus):
             res = dp_min_stretch(g, td, enforce_limits=False)
         for nd, table in zip(res.nodes, res.tables):
             for key, e in table.items():
-                ranked = solver._split_order(nd.bag, _adjacency(e.edges))
-                assert (key, e.order) == (_canon(nd.bag, e.edges), tuple(k for _, k in ranked))
+                assert (key, e.order) == (_canon(nd.bag, e.edges), _split_edges(nd.bag, e.edges))
 
 
 def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
@@ -1065,7 +1082,7 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                     for k, (cost, realized) in entry_j.edges.items()
                 }
                 solver._merge(table_i, _canon(bag, merged), merged, cost_i,
-                              ("join", key_j, key_k))
+                              ("join", key_j, key_k), _split_edges(bag, merged))
     return table_i
 
 
@@ -1102,7 +1119,7 @@ def test_canon_raises_on_a_trace_with_a_non_bag_leaf():
 
 def test_introduce_raises_on_a_trace_with_a_non_bag_leaf(monkeypatch):
     g = make_graph(2, [(1, 2)])
-    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    leaf = _table(frozenset({1}), {})
     monkeypatch.setattr(solver, "_intro_candidates",
                         lambda *a: iter([(STEINER_LEAF, ((2, 1),), 1)]))
     with pytest.raises(RuntimeError, match="trace with a non-bag leaf"):
@@ -1117,13 +1134,13 @@ def test_shape_join_partners_realize_whole_blocks():
     g = make_graph(5, [(1, 2), (2, 5), (3, 5), (4, 5)])
     bag = frozenset({1, 2, 3, 4})
     star = {(1, 2): (1, True), (-1, 2): (2, False), (-1, 3): (2, False), (-1, 4): (1, False)}
-    table_j = {_canon(bag, star): _Entry(5, star, ("leaf",))}
+    table_j = _table(bag, star, 5)
     table_k = {}
     # the cheaper two, were they partners, would replace the full block's
     for flags, cost in (((True, False, False, False), 7), ((True, True, True, True), 7),
                         ((False, True, True, True), 6), ((True, False, False, True), 5)):
         edges = {k: (c, flag) for (k, (c, _)), flag in zip(star.items(), flags)}
-        table_k[_canon(bag, edges)] = _Entry(cost, edges, ("leaf",))
+        table_k.update(_table(bag, edges, cost))
     got = solver.join_step(table_j, table_k, bag, g, limit=UNBOUNDED)
     assert [(e.cost, e.edges) for e in got.values()] == [
         (5 + 7 - 1, star),
@@ -1137,7 +1154,7 @@ def test_join_checks_the_blocks_of_every_entry_with_a_partner():
     g = make_graph(3, [(1, 2), (2, 3)])
     bag = frozenset({1, 2, 3})
     mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
-    table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
+    table = _table(bag, mixed)
     with pytest.raises(RuntimeError, match="join block with mixed"):
         solver.join_step(table, table, bag, g, limit=UNBOUNDED)
 
@@ -1147,7 +1164,7 @@ def test_introduce_checks_the_steiner_tags_of_its_parents():
     g = make_graph(4, [(1, 2), (2, 3), (3, 4)])
     bag = frozenset({1, 2, 3})
     mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
-    table = {_canon(bag, mixed): _Entry(0, mixed, ("leaf",))}
+    table = _table(bag, mixed)
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
         introduce_step(table, 4, bag, g, future_budget=UNBOUNDED, limit=UNBOUNDED)
 
@@ -1155,12 +1172,44 @@ def test_introduce_checks_the_steiner_tags_of_its_parents():
 def test_introduce_checks_the_steiner_tags_of_its_entries(monkeypatch):
     # every trace an introduce step keeps is checked, not only its parents
     g = make_graph(2, [(1, 2)])
-    leaf = {_canon(frozenset({1}), {}): _Entry(0, {}, ("leaf",))}
+    leaf = _table(frozenset({1}), {})
     mixed = {(-1, 1): (1, True), (-1, 2): (2, False), (-1, 3): (1, False)}
     monkeypatch.setattr(solver, "_intro_candidates",
                         lambda *a: iter([(mixed, (), 0)]))
     with pytest.raises(RuntimeError, match="Steiner vertex with mixed"):
         introduce_step(leaf, 2, frozenset({1}), g, future_budget=UNBOUNDED, limit=UNBOUNDED)
+
+
+def test_candidates_read_each_steiner_tag_of_their_parent_once(monkeypatch):
+    # a parent's tags make both its Above vertices and its future need, from
+    # one reading per Steiner vertex: here -1 is Below and -2 Above, on the
+    # hand-built parent and then on every parent of the 4x3 grid's DP
+    calls = []
+    tag = solver._steiner_tag
+    monkeypatch.setattr(solver, "_steiner_tag", lambda adj, s: calls.append(s) or tag(adj, s))
+    g = make_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (4, 6)])
+    bag = frozenset({1, 2, 3, 4, 5})
+    parent = {(-1, 1): (1, True), (-1, 2): (2, True), (-1, 3): (1, True),
+              (-2, 3): (2, False), (-2, 4): (1, False), (-2, 5): (3, False)}
+    parents = [(bag, g, 6, parent)]
+    grid, td = _pinned("grid 4x3")
+    res = dp_min_stretch(grid, td)
+    for nd in res.nodes:
+        if nd.kind == "introduce":
+            bag_j = nd.bag - {nd.vertex}
+            parents += [(bag_j, grid, nd.vertex, e.edges) for e in res.tables[nd.children[0]].values()]
+    above = 0
+    for bag_j, graph, v, edges in parents:
+        nbrs = [u for u in graph.neighbors(v) if u in bag_j]
+        calls.clear()
+        every = list(solver._intro_candidates(edges, bag_j, v, graph, nbrs, graph.n, UNBOUNDED,
+                                              UNBOUNDED, UNBOUNDED, ({}, {})))
+        steiner = sorted({x for k in edges for x in k if x < 0})
+        assert sorted(calls) == steiner
+        above += any(all(not realized for k, (_, realized) in edges.items() if s in k)
+                     for s in steiner)
+        assert every
+    assert above > 1
 
 
 def test_introduce_checks_every_flag_set_of_an_edge_set(monkeypatch):
@@ -1169,7 +1218,7 @@ def test_introduce_checks_every_flag_set_of_an_edge_set(monkeypatch):
     g = make_graph(3, [(1, 2), (1, 3), (2, 3)])
     bag = frozenset({1, 2})
     parent = {(1, 2): (2, False)}
-    table = {_canon(bag, parent): _Entry(0, parent, ("leaf",))}
+    table = _table(bag, parent)
     fresh = {(-1, 1): (1, False), (-1, 2): (1, False), (-1, 3): (1, False)}
     mixed = {**fresh, (-1, 3): (1, True)}
     monkeypatch.setattr(solver, "_intro_candidates",
