@@ -5,8 +5,9 @@ The base arrangement is embedded in a power-of-two total of padded positions
 arrangement-tree MST.  Sampling draws a shift uniformly; explicit mode builds
 every shift's tree and reports exact per-edge expected stretches as
 rationals.  All shifts come from one serial walk over the shift bits
-(``lowstretch.padded_stretch_rows``), in walk order, so the per-shift lists
-are filled by index.
+(``lowstretch.padded_reports``), which gives one report per run of
+consecutive shifts with one tree; the per-shift list is filled by index,
+and the best shift is the least (total stretch, shift) over the runs.
 
 The same machinery, keyed on a cutwidth witness instead of a bandwidth one,
 gives the cutwidth construction: ``cutwidth_tree`` takes the best shift by
@@ -16,13 +17,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from . import _Record
 from .arrangement import LinearArrangement, shift_count
 from .graph import Graph
-from .lowstretch import StretchReport, build_tree_padded, padded_stretch_rows
+from .lowstretch import StretchReport, build_tree_padded, padded_reports
 
 
 class DistributionReport(_Record):
@@ -49,47 +48,38 @@ def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, Stretch
     return shift, build_tree_padded(g, a, shift)
 
 
-def _best_shift(totals: list[int]) -> int:
-    """The shift of minimum total stretch; ties go to the lowest shift."""
-    return min(range(len(totals)), key=totals.__getitem__)
-
-
 def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
     """Build the tree of every shift; exact expectations, no sampling error.
 
-    The walk yields a run of shifts with one tree as one row object, so each
-    run's per-edge stretches are added into the sums once, times its length.
-    Edges share few distinct sums (4 over the 1,577 edges of an n = 512
-    bandwidth-4 graph), so one ``Fraction`` is built per distinct sum and
-    shared by its edges; the table is keyed by the int sum, which hashes in C
-    where a ``Fraction`` hashes in Python.
+    The walk yields each run of shifts with one tree once, with its report,
+    so the run's per-edge stretches are added into the sums once, times its
+    length.  Edges share few distinct sums (4 over the 1,577 edges of an
+    n = 512 bandwidth-4 graph), so one ``Fraction`` is built per distinct sum
+    and shared by its edges; the table is keyed by the int sum, which hashes
+    in C where a ``Fraction`` hashes in Python.
     """
     count = shift_count(g.n)
     sums = [0] * g.m
     per_shift: list[Fraction] = [Fraction(0)] * count
-    totals = [0] * count
-    for (per_edge, total, avg), run in groupby(padded_stretch_rows(g, a), key=itemgetter(1)):
-        length = 0
-        for shift, _ in run:
-            per_shift[shift] = avg
-            totals[shift] = total
-            length += 1
-        sums = [s + length * x for s, x in zip(sums, per_edge)]
+    best = (float("inf"), 0)
+    for shifts, report in padded_reports(g, a):
+        for shift in shifts:
+            per_shift[shift] = report.avg_stretch
+        length = len(shifts)
+        sums = [s + length * x for s, x in zip(sums, report.per_edge_stretch)]
+        best = min(best, (report.total_stretch, min(shifts)))
     expected = {s: Fraction(s, count) for s in set(sums)}
     return DistributionReport(
         shifts=count,
         per_edge_expected_stretch=tuple(map(expected.__getitem__, sums)),
         per_shift_avg_stretch=tuple(per_shift),
-        best_shift=_best_shift(totals),
+        best_shift=best[1],
     )
 
 
 def cutwidth_tree(g: Graph, a: LinearArrangement) -> tuple[int, StretchReport]:
     """Cutwidth-witness spanning tree, derandomized by exhaustion: the tree
     of the shift of minimum average stretch (lowest shift on ties)."""
-    # only the totals are kept, so the winning tree is built once more
-    totals = [0] * shift_count(g.n)
-    for shift, (_, total, _) in padded_stretch_rows(g, a):
-        totals[shift] = total
-    shift = _best_shift(totals)
-    return shift, build_tree_padded(g, a, shift)
+    _, shift, report = min((report.total_stretch, min(shifts), report)
+                           for shifts, report in padded_reports(g, a))
+    return shift, report

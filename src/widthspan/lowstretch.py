@@ -39,19 +39,11 @@ class StretchReport(_Record):
 
     def __init__(self, tree_edges: frozenset[int], per_edge_stretch: tuple[int, ...],
                  total_stretch: int, avg_stretch: Fraction, fcb_weight: int):
-        _check_cycle_basis(fcb_weight, total_stretch, len(per_edge_stretch), len(tree_edges) + 1)
+        # FCB(T) = stretch(T) + m - 2n + 2 exactly, with n - 1 tree edges
+        if fcb_weight != total_stretch + len(per_edge_stretch) - 2 * len(tree_edges):
+            raise ValueError("cycle-basis identity violated")
         vars(self).update(tree_edges=tree_edges, per_edge_stretch=per_edge_stretch,
                           total_stretch=total_stretch, avg_stretch=avg_stretch, fcb_weight=fcb_weight)
-
-
-# Per-edge stretches, total and average stretch of one shift's tree.
-ShiftRow = tuple[list[int], int, Fraction]
-
-
-def _check_cycle_basis(fcb_weight: int, total_stretch: int, m: int, n: int) -> None:
-    # FCB(T) = m * stretch(T) + m - 2n + 2, exactly
-    if fcb_weight != total_stretch + m - 2 * n + 2:
-        raise ValueError("cycle-basis identity violated")
 
 
 def _fcb_weight(in_tree: list[int], stretch: list[int]) -> int:
@@ -92,10 +84,11 @@ def _build(g: Graph, a: LinearArrangement, heights: list[int]) -> StretchReport:
     return _make_report(in_tree, stretch)
 
 
-def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, ShiftRow]]:
-    """``(shift, row)`` for every shift in ``range(shift_count(g.n))``: the
-    per-edge stretches, total and average stretch of the padded tree of
-    ``build_tree_padded``, without the rest of its report.
+def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], StretchReport]]:
+    """``(shifts, report)`` for every run of consecutive walk leaves with one
+    tree: ``report`` is the tree of ``build_tree_padded`` at each of
+    ``shifts``, which lists the run's shifts in walk order.  Over all yields
+    every shift in ``range(shift_count(g.n))`` comes exactly once.
 
     An edge's padded split height is at most h exactly when its endpoints lie
     in one aligned block of 2**h padded positions, and that depends only on
@@ -121,11 +114,10 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     (a leaf finishes its own).  Shifts come in walk order, not in
     increasing order.
 
-    Consecutive leaves often hold the same tree, and a row depends only on
-    the tree, so a leaf whose tree equals the previous leaf's reuses its
-    row, the same object (callers must not mutate rows).  Only a new tree
-    costs the stretch queries and the cycle-basis identity check, which
-    every tree is held to, as a report is.
+    Consecutive leaves often hold the same tree, so the leaves of a run are
+    gathered and their tree costs one report: one pass of stretch queries
+    and the cycle-basis identity check of ``StretchReport``.  Equal trees
+    that are not adjacent in walk order are reported once per run.
     """
     n, m, edges = g.n, g.m, g.edges
     zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
@@ -134,24 +126,23 @@ def padded_stretch_rows(g: Graph, a: LinearArrangement) -> Iterator[tuple[int, S
     spreads = edge_spreads(g, a)
     by_spread = sorted(range(m), key=spreads.__getitem__)
     w = max(spreads, default=0)  # the bandwidth
-    last = row = None
+    last, run = None, []
     leaves = _trie_leaves(edges, xu, xv, n, w, shift_count(n), 0, 0,
                           list(range(n + 1)), bytearray(m), n - 1, by_spread)
     for shifts, in_tree in leaves:
         if in_tree != last:
-            stretch = kernel._stretches(n, edges, in_tree)
-            total = sum(stretch)
-            _check_cycle_basis(_fcb_weight(in_tree, stretch), total, m, n)
-            last, row = in_tree, (stretch, total, _avg(total, m))
-        for shift in shifts:
-            yield shift, row
+            if run:
+                yield run, _make_report(last, kernel._stretches(n, edges, last))
+            last, run = in_tree, []
+        run += shifts
+    yield run, _make_report(last, kernel._stretches(n, edges, last))
 
 
 def _trie_leaves(
     edges, xu, xv, n, w, count, depth, residue, parent, in_tree, wanted, pending
 ) -> Iterator[tuple[range, bytearray]]:
     """``(shifts, in_tree)`` for each leaf below the trie node of
-    ``padded_stretch_rows`` at ``depth`` and ``residue``, whose forest is the
+    ``padded_reports`` at ``depth`` and ``residue``, whose forest is the
     union-find ``parent`` with ``in_tree`` marking its edges and lacks
     ``wanted`` edges of a spanning tree; the graph has ``n`` vertices and
     bandwidth ``w``.  A module-level generator, not a closure: a recursive

@@ -719,17 +719,10 @@ def dp_min_stretch(
     stack = [(root, answer_key)]
     while stack:
         node_id, key = stack.pop()
-        e = tables[node_id][key]
-        nd = nodes[node_id]
-        tag = e.back[0]
-        if tag == "intro":
-            pairs.update(_ekey(a, b) for a, b in e.back[2])
-            stack.append((nd.children[0], e.back[1]))
-        elif tag == "forget":
-            stack.append((nd.children[0], e.back[1]))
-        elif tag == "join":
-            stack.append((nd.children[0], e.back[1]))
-            stack.append((nd.children[1], e.back[2]))
+        back = tables[node_id][key].back
+        if back[0] == "intro":
+            pairs.update(_ekey(a, b) for a, b in back[2])
+        stack.extend(zip(nodes[node_id].children, back[1:]))
     if len(pairs) != n - 1:
         raise RuntimeError(f"witness has {len(pairs)} edges, expected {n - 1}; this is a bug")
     by_pair = {edge: eid for eid, edge in enumerate(g.edges, start=1)}

@@ -439,6 +439,17 @@ def test_verify_suite_dp(capsys):
     assert out.count("PASS") == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "grid", "--n", "1"], "n must be >= 2"),
+    (["gen", "--family", "random_bandwidth", "--n", "5", "--b", "2"], "random_bandwidth requires 0 < p <= 1"),
+    (["oracle", "--cap", "1", "--graph", "C4"], "4 spanning trees exceeds enumeration cap 1"),
+])
+def test_bad_option_values_exit_one_with_one_error_line(c4_files, capsys, argv, message):
+    argv = [c4_files[0] if arg == "C4" else arg for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_bad_graph_file_exits_one(tmp_path, capsys):
     graph = tmp_path / "bad.gr"
     graph.write_text("p 2 1\ne 1 5\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from widthspan import distribution, kernel
+from widthspan import distribution, kernel, lowstretch
 from widthspan.arrangement import LinearArrangement, shift_count
 from widthspan.distribution import (
     DistributionReport,
@@ -15,7 +15,7 @@ from widthspan.distribution import (
     sample_tree,
 )
 from widthspan.graph import Graph, generate
-from widthspan.lowstretch import build_tree_padded, padded_stretch_rows
+from widthspan.lowstretch import build_tree_padded, padded_reports
 from widthspan.oracle import expected_stretch_oracle
 
 from conftest import make_graph
@@ -24,14 +24,19 @@ C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 
 
 def _rows_by_shift(g, a):
-    """The walk's rows, put in shift order; every shift exactly once."""
-    rows = dict(padded_stretch_rows(g, a))
-    assert sorted(rows) == list(range(shift_count(g.n)))
-    return [rows[shift] for shift in range(len(rows))]
+    """The walk's reports as (per-edge stretches, total, average) rows, one
+    row object per run, put in shift order; every shift exactly once."""
+    walked = []
+    for shifts, r in padded_reports(g, a):
+        row = (r.per_edge_stretch, r.total_stretch, r.avg_stretch)
+        walked += ((shift, row) for shift in shifts)
+    assert sorted(shift for shift, _ in walked) == list(range(shift_count(g.n)))
+    return [row for _, row in sorted(walked, key=lambda pair: pair[0])]
 
 
 def _walk_order(g, a):
-    return [shift for shift, _ in padded_stretch_rows(g, a)]
+    """The walk's runs: each one's shifts, in walk order."""
+    return [shifts for shifts, _ in padded_reports(g, a)]
 
 
 def test_trees_have_expectation_one():
@@ -153,7 +158,7 @@ def test_disconnected_graph_is_an_error():
 def _raising_node(g):
     """Depth and pending edges of the trie node whose walk raised."""
     with pytest.raises(ValueError, match="^graph is not connected$") as info:
-        list(padded_stretch_rows(g, LinearArrangement.identity(g.n)))
+        list(padded_reports(g, LinearArrangement.identity(g.n)))
     tb = info.tb
     while tb.tb_next is not None:
         tb = tb.tb_next
@@ -218,7 +223,7 @@ def test_one_fraction_per_distinct_expected_sum(monkeypatch):
     g, order = generate("random_bandwidth", 512, seed=2, b=4, p=0.7)
     a = LinearArrangement.from_order(order)
     sums = [0] * g.m
-    for _, (per_edge, _, _) in padded_stretch_rows(g, a):
+    for per_edge, _, _ in _rows_by_shift(g, a):
         sums = [s + x for s, x in zip(sums, per_edge)]
     made = []
 
@@ -266,12 +271,12 @@ def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
 
 
 def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
-    # a leaf that repeats the previous leaf's tree reuses its row unchecked:
-    # corrupt one tree that recurs and the walk must stop exactly at its
-    # first sight in walk order
-    g, order = generate("grid", 200)
+    # a run of leaves with one tree shares one report, checked once; the
+    # folded cycle meets most trees again in a later run: corrupt one tree
+    # that recurs and the walk must stop exactly at its first run
+    g, order = generate("cycle", 200)
     a = LinearArrangement.from_order(order)
-    trees = [build_tree_padded(g, a, s).tree_edges for s in _walk_order(g, a)]
+    trees = [build_tree_padded(g, a, shifts[0]).tree_edges for shifts in _walk_order(g, a)]
     target = next(t for t in trees if trees.index(t) > 0 and trees.count(t) > 1)
     first = trees.index(target)
     real = kernel._stretches
@@ -283,11 +288,11 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
         return stretch
 
     monkeypatch.setattr(kernel, "_stretches", inconsistent)
-    rows = padded_stretch_rows(g, a)
+    runs = padded_reports(g, a)
     for _ in range(first):
-        next(rows)
+        next(runs)
     with pytest.raises(ValueError, match="cycle-basis identity violated"):
-        next(rows)
+        next(runs)
 
 
 def _distinct_trees(g, a):
@@ -328,23 +333,20 @@ def test_memo_eviction_keeps_rows_exact():
 
 
 def test_walk_holds_one_row_at_a_time(monkeypatch):
-    # every row's stretch list is tracked by a weak reference; while a row
-    # is in hand, the memo holds that row and no other
-    class Stretches(list):
-        pass
-
+    # every run's report is tracked by a weak reference; while a report is
+    # in hand, the walk holds that report and no other
     alive = []
-    real = kernel._stretches
+    real = lowstretch._make_report
 
     def tracked(*args):
-        stretch = Stretches(real(*args))
-        alive.append(weakref.ref(stretch))
-        return stretch
+        report = real(*args)
+        alive.append(weakref.ref(report))
+        return report
 
-    monkeypatch.setattr(kernel, "_stretches", tracked)
+    monkeypatch.setattr(lowstretch, "_make_report", tracked)
     g, order = generate("cycle", 200)
     most = 0
-    for _ in padded_stretch_rows(g, LinearArrangement.from_order(order)):
+    for _ in padded_reports(g, LinearArrangement.from_order(order)):
         most = max(most, sum(ref() is not None for ref in alive))
     assert len(alive) > 100
     assert most == 1
@@ -366,6 +368,28 @@ def test_shuffled_grid_rows_match_each_shift_tree():
     totals = [r.total_stretch for r in reports]
     assert rep.best_shift == totals.index(min(totals))
     assert cutwidth_tree(g, a) == (rep.best_shift, reports[rep.best_shift])
+
+
+@pytest.mark.parametrize("family,n,seed", [("grid", 40, 3), ("cycle", 200, None)])
+def test_cutwidth_tree_returns_the_walks_report(family, n, seed, monkeypatch):
+    # the winning report is the walk's own: no tree is built a second time,
+    # and it equals the tree built for its shift alone
+    g, order = generate(family, n)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    a = LinearArrangement.from_order(order)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build_tree_padded(*args)
+
+    monkeypatch.setattr(distribution, "build_tree_padded", counted)
+    monkeypatch.setattr(lowstretch, "build_tree_padded", counted)
+    shift, report = cutwidth_tree(g, a)
+    monkeypatch.undo()
+    assert built == []
+    assert report == build_tree_padded(g, a, shift)
 
 
 def test_cutwidth_tree_seeded_mode():

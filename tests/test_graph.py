@@ -88,6 +88,8 @@ def test_each_label_is_one_int_object():
         ("p 2 1\nx 1 2\n", "unrecognized"),
         ("p 2 2\ne 1 2\n", "declares 2 edges"),
         ("", "missing 'p' header"),
+        ("p x 2\n", "non-integer header fields"),
+        ("p 2 1\ne 1 x\n", "non-integer edge endpoints"),
     ],
 )
 def test_format_errors(doc, pattern):

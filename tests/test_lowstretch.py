@@ -154,6 +154,8 @@ def test_padded_build_rejects_a_wrong_size_arrangement(order):
         build_tree_padded(g, a, 0)
     with pytest.raises(ArrangementError, match="^arrangement size does not match graph$"):
         lemma31_check(g, a, 0, report)
+    with pytest.raises(ArrangementError, match="^arrangement size does not match graph$"):
+        widths(g, a)
 
 
 def test_charges_vanish_on_paths():

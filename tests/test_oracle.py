@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from widthspan import oracle
 from widthspan.arrangement import LinearArrangement
-from widthspan.graph import generate
+from widthspan.graph import Graph, generate
 from widthspan.lowstretch import stretch_of
 from widthspan.oracle import (
     OracleCapExceeded,
@@ -57,6 +57,9 @@ def test_matrix_tree_values():
     assert spanning_tree_count(g) == 5**3  # Cayley
     g, _ = generate("cycle", 9)
     assert spanning_tree_count(g) == 9
+    # a disconnected graph: the elimination finds no nonzero pivot and
+    # the count is 0 (Graph skips load_graph's connectivity check)
+    assert spanning_tree_count(Graph(n=4, edges=((1, 2), (3, 4)))) == 0
 
 
 def test_enumeration_matches_brute_force_subsets():
