@@ -5,9 +5,9 @@ The base arrangement is embedded in a power-of-two total of padded positions
 arrangement-tree MST.  Sampling draws a shift uniformly; explicit mode builds
 every shift's tree and reports exact per-edge expected stretches as
 rationals.  All shifts come from one serial walk over the shift bits
-(``lowstretch.padded_reports``), which gives one report per run of
-consecutive shifts with one tree; the per-shift list is filled by index,
-and the best shift is the least (total stretch, shift) over the runs.
+(``lowstretch.padded_reports``), which gives one report per distinct tree
+with the shifts that have it; the per-shift list is filled by index, and
+the best shift is the least (total stretch, shift) over the trees.
 
 The same machinery, keyed on a cutwidth witness instead of a bandwidth one,
 gives the cutwidth construction: ``cutwidth_tree`` takes the best shift by
@@ -51,9 +51,9 @@ def sample_tree(g: Graph, a: LinearArrangement, seed: int) -> tuple[int, Stretch
 def explicit_distribution(g: Graph, a: LinearArrangement) -> DistributionReport:
     """Build the tree of every shift; exact expectations, no sampling error.
 
-    The walk yields each run of shifts with one tree once, with its report,
-    so the run's per-edge stretches are added into the sums once, times its
-    length.  Edges share few distinct sums (4 over the 1,577 edges of an
+    The walk yields each distinct tree once, with its report and shifts, so
+    the tree's per-edge stretches are added into the sums once, times its
+    shift count.  Edges share few distinct sums (4 over the 1,577 edges of an
     n = 512 bandwidth-4 graph), so one ``Fraction`` is built per distinct sum
     and shared by its edges; the table is keyed by the int sum, which hashes
     in C where a ``Fraction`` hashes in Python.

@@ -85,10 +85,11 @@ def _build(g: Graph, a: LinearArrangement, heights: list[int]) -> StretchReport:
 
 
 def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], StretchReport]]:
-    """``(shifts, report)`` for every run of consecutive walk leaves with one
-    tree: ``report`` is the tree of ``build_tree_padded`` at each of
-    ``shifts``, which lists the run's shifts in walk order.  Over all yields
-    every shift in ``range(shift_count(g.n))`` comes exactly once.
+    """``(shifts, report)`` once for every distinct tree of the padded
+    shifts, in order of first sight: ``report`` is the tree of
+    ``build_tree_padded`` at each of ``shifts``, which lists the tree's
+    shifts in walk order.  Over all yields every shift in
+    ``range(shift_count(g.n))`` comes exactly once.
 
     An edge's padded split height is at most h exactly when its endpoints lie
     in one aligned block of 2**h padded positions, and that depends only on
@@ -114,10 +115,11 @@ def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], 
     (a leaf finishes its own).  Shifts come in walk order, not in
     increasing order.
 
-    Consecutive leaves often hold the same tree, so the leaves of a run are
-    gathered and their tree costs one report: one pass of stretch queries
-    and the cycle-basis identity check of ``StretchReport``.  Equal trees
-    that are not adjacent in walk order are reported once per run.
+    Many leaves hold the same tree, so the whole trie is walked first and
+    each leaf's shifts are gathered under its tree's edge marks (m bytes per
+    distinct tree).  Then each tree costs one report: one pass of stretch
+    queries and the cycle-basis identity check of ``StretchReport``.  Only
+    one report is alive at a time.
     """
     n, m, edges = g.n, g.m, g.edges
     zero = [p - 1 for p in a.position_of]  # plus the shift: the padded position
@@ -126,16 +128,12 @@ def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], 
     spreads = edge_spreads(g, a)
     by_spread = sorted(range(m), key=spreads.__getitem__)
     w = max(spreads, default=0)  # the bandwidth
-    last, run = None, []
-    leaves = _trie_leaves(edges, xu, xv, n, w, shift_count(n), 0, 0,
-                          list(range(n + 1)), bytearray(m), n - 1, by_spread)
-    for shifts, in_tree in leaves:
-        if in_tree != last:
-            if run:
-                yield run, _make_report(last, kernel._stretches(n, edges, last))
-            last, run = in_tree, []
-        run += shifts
-    yield run, _make_report(last, kernel._stretches(n, edges, last))
+    trees: dict[bytes, list[int]] = {}
+    for shifts, in_tree in _trie_leaves(edges, xu, xv, n, w, shift_count(n), 0, 0,
+                                        list(range(n + 1)), bytearray(m), n - 1, by_spread):
+        trees.setdefault(bytes(in_tree), []).extend(shifts)
+    for in_tree, shifts in trees.items():
+        yield shifts, _make_report(in_tree, kernel._stretches(n, edges, in_tree))
 
 
 def _trie_leaves(

@@ -25,7 +25,8 @@ C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 
 def _rows_by_shift(g, a):
     """The walk's reports as (per-edge stretches, total, average) rows, one
-    row object per run, put in shift order; every shift exactly once."""
+    row object per distinct tree, put in shift order; every shift exactly
+    once."""
     walked = []
     for shifts, r in padded_reports(g, a):
         row = (r.per_edge_stretch, r.total_stretch, r.avg_stretch)
@@ -35,7 +36,7 @@ def _rows_by_shift(g, a):
 
 
 def _walk_order(g, a):
-    """The walk's runs: each one's shifts, in walk order."""
+    """The walk's distinct trees: each one's shifts, in order of first sight."""
     return [shifts for shifts, _ in padded_reports(g, a)]
 
 
@@ -271,14 +272,16 @@ def test_shift_rows_check_the_cycle_basis_identity(monkeypatch):
 
 
 def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
-    # a run of leaves with one tree shares one report, checked once; the
-    # folded cycle meets most trees again in a later run: corrupt one tree
-    # that recurs and the walk must stop exactly at its first run
+    # each distinct tree has one report, checked once; the folded cycle
+    # meets most trees at leaves apart in walk order: corrupt a tree that is
+    # not the first and the walk must stop at its report, after exactly the
+    # trees first seen before it
     g, order = generate("cycle", 200)
     a = LinearArrangement.from_order(order)
     trees = [build_tree_padded(g, a, shifts[0]).tree_edges for shifts in _walk_order(g, a)]
-    target = next(t for t in trees if trees.index(t) > 0 and trees.count(t) > 1)
-    first = trees.index(target)
+    assert len(trees) == len(set(trees)) == _distinct_trees(g, a)
+    first = len(trees) // 2
+    target = trees[first]
     real = kernel._stretches
 
     def inconsistent(n, edges, in_tree):
@@ -288,11 +291,10 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
         return stretch
 
     monkeypatch.setattr(kernel, "_stretches", inconsistent)
-    runs = padded_reports(g, a)
-    for _ in range(first):
-        next(runs)
+    walk = padded_reports(g, a)
+    assert [next(walk)[1].tree_edges for _ in range(first)] == trees[:first]
     with pytest.raises(ValueError, match="cycle-basis identity violated"):
-        next(runs)
+        next(walk)
 
 
 def _distinct_trees(g, a):
@@ -313,17 +315,24 @@ def test_memo_runs_the_distances_once_per_tree(monkeypatch):
     assert len(calls) == 1
     assert all(row is rows[0] for row in rows)
 
-    # the grid's shifts with one tree are consecutive in walk order
     g, order = generate("grid", 200)
     a = LinearArrangement.from_order(order)
     calls.clear()
     _rows_by_shift(g, a)
     assert len(calls) == _distinct_trees(g, a) == 16
 
+    # the folded cycle meets most of its trees at leaves apart in walk order
+    g, order = generate("cycle", 200)
+    a = LinearArrangement.from_order(order)
+    calls.clear()
+    shifts = [s for walked in _walk_order(g, a) for s in walked]
+    assert len(calls) == _distinct_trees(g, a) == 100
+    assert sorted(shifts) == list(range(shift_count(g.n)))
+
 
 def test_memo_eviction_keeps_rows_exact():
-    # the folded cycle has 100 distinct trees, most of them met again after
-    # another tree has replaced them in the one-row memo
+    # the folded cycle has 100 distinct trees, most of them met at leaves
+    # apart in walk order, with other trees between
     g, order = generate("cycle", 200)
     a = LinearArrangement.from_order(order)
     assert _distinct_trees(g, a) == 100
@@ -333,8 +342,8 @@ def test_memo_eviction_keeps_rows_exact():
 
 
 def test_walk_holds_one_row_at_a_time(monkeypatch):
-    # every run's report is tracked by a weak reference; while a report is
-    # in hand, the walk holds that report and no other
+    # every distinct tree's report is tracked by a weak reference; while a
+    # report is in hand, the walk holds that report and no other
     alive = []
     real = lowstretch._make_report
 
@@ -345,10 +354,11 @@ def test_walk_holds_one_row_at_a_time(monkeypatch):
 
     monkeypatch.setattr(lowstretch, "_make_report", tracked)
     g, order = generate("cycle", 200)
+    a = LinearArrangement.from_order(order)
     most = 0
-    for _ in padded_reports(g, LinearArrangement.from_order(order)):
+    for _ in padded_reports(g, a):
         most = max(most, sum(ref() is not None for ref in alive))
-    assert len(alive) > 100
+    assert len(alive) == _distinct_trees(g, a) == 100
     assert most == 1
 
 
