@@ -11,20 +11,29 @@ Edge-list file format (line oriented):
 
 ``load_graph`` has a fast path for the document ``dump_graph`` writes: a
 header line, then only edge lines, each field ASCII digits, separated by one
-space, every line ended by ``\n``.  It turns the edge lines into one JSON
-array of endpoints and converts every field in a single ``json.loads`` call,
-whose C decoder is about twice as fast as ``map(int, ...)`` over a split.
+space, every line ended by ``\n``.  It finds one by deleting the body's
+digits in one ``str.translate`` pass, which leaves ``"e  \n"`` once per line;
+a digit where no field is fails the JSON decoder, the edge count or the test
+of the last character (see ``load_graph``).  It turns the edge
+lines into one JSON array of endpoints and converts every field in a single
+``json.loads`` call, whose C decoder is about twice as fast as
+``map(int, ...)`` over a split.
 Then it validates in bulk: min/max for the vertex range, pairwise comparison
-for self-loops, a set for duplicates and the kernel's Kruskal scan for
-connectivity.  After the range check every endpoint is mapped through one
-``list(range(n + 1))``, so the edges hold one int object per label rather than
-the parser's one per endpoint, and the same list then serves as the scan's
-union-find.  JSON
-rejects a field with a leading zero (``01``) and ``int`` one with more than
-4,300 digits; such a document, any document that is not plain, and any
-document the bulk checks reject goes through the line-by-line parser and the
-per-edge checks, which accept ``01`` as 1 and raise every error with its line
-number.  So the fast path changes no result and no message.
+for self-loops, then duplicates and connectivity, each first by a
+certificate in one pass at C speed.  Pairs in strictly increasing order
+repeat none; only otherwise does a set count the duplicates.  A graph in which
+every label 2..n is the larger end of some edge is connected; only otherwise
+does the kernel's Kruskal scan decide.  A sorted document in which each
+vertex but 1 has a lesser neighbour, such as ``gen --family random_bandwidth``
+writes, passes both.  After the range check every endpoint is mapped through
+one ``list(range(n + 1))``, so the edges hold one int object per label rather
+than the parser's one per endpoint, and the same list then serves as the
+scan's union-find.  JSON rejects a field with a leading zero (``01``) and
+``int`` one with more than 4,300 digits; such a document, any document that is
+not plain, and any document the bulk checks reject goes through the
+line-by-line parser and the per-edge checks, which accept ``01`` as 1 and
+raise every error with its line number.  So the fast path changes no result
+and no message.
 """
 from __future__ import annotations
 
@@ -34,6 +43,7 @@ import operator
 import random
 import re
 from functools import cached_property
+from itertools import islice
 
 from . import _Record, kernel
 
@@ -108,7 +118,11 @@ class Graph(_Record):
 def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:
     """The edges as (u, v) pairs with u < v when every edge is in range, not a
     loop, not a duplicate, and the graph on 1..n is connected; else None.
-    Connectivity is ``kernel.kruskal_step`` over every built pair."""
+    Each of the last two has a certificate, one pass at C speed: pairs in
+    strictly increasing order are distinct, and a graph whose labels 2..n are
+    each the larger end of an edge is connected.  A set over the pairs, and
+    ``kernel.kruskal_step`` over them, run only when their certificate fails,
+    so the answer is the same either way."""
     if len(us) < n - 1:
         return None
     ordered = all(map(operator.lt, us, vs))
@@ -129,12 +143,16 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
         edges = tuple(labels)
     else:
         edges = tuple((u, v) if u < v else (v, u) for u, v in labels)
-    if len(set(edges)) != len(edges):
+    # strictly increasing pairs repeat none; only otherwise count a set
+    if not all(map(operator.lt, edges, islice(edges, 1, None))) and len(set(edges)) != len(edges):
         return None
-    # connected iff the kernel's Kruskal scan over the pairs just built, with
-    # the label list as its union-find, keeps n - 1 edges
+    # connected when every label 2..n is the larger end of an edge: each
+    # vertex then has a lesser neighbour, so by induction it reaches 1.  Only
+    # otherwise run the kernel's Kruskal scan over the pairs just built, with
+    # the label list as its union-find: connected iff it keeps n - 1 edges
     m = len(edges)
-    if kernel.kruskal_step(parent, bytearray(m), edges, range(m), n - 1) != n - 1:
+    if (len(set(vs if ordered else map(max, us, vs))) != n - 1
+            and kernel.kruskal_step(parent, bytearray(m), edges, range(m), n - 1) != n - 1):
         return None
     return edges
 
@@ -190,18 +208,24 @@ def _build_graph(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | No
     return Graph(n=n, edges=edges)
 
 
-# A plain document starts with a header line, and every newline in it is
-# followed by an edge line or by the end of the text.  Both patterns are
-# bounded per line, so the check keeps no state across lines.
+# A plain document is a header line, then "e u v\n" lines only.  With its
+# ASCII digits deleted, the body after the header is "e  \n" once per line.
 _PLAIN_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
-_NOT_PLAIN = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
+_DIGITS = dict.fromkeys(range(ord("0"), ord("9") + 1))
 
 
 def load_graph(text: str) -> Graph:
     """Parse an edge-list document into a validated Graph."""
     header = _PLAIN_HEADER.match(text)
-    if header and _NOT_PLAIN.search(text, header.end() - 1) is None:
-        body = text[header.end():]  # "e u v\n" lines only
+    body = text[header.end():] if header else ""
+    skeleton = body.translate(_DIGITS)
+    # Once the skeleton fits, only digits can be out of place.  After the last
+    # newline the suffix test rejects them.  Before or inside a later line's
+    # "e " they keep its "\ne " from being replaced below, and JSON finds no
+    # comma after the newline.  Before or inside the first line's, cutting
+    # two characters leaves JSON a leading comma or "e", or one number too
+    # many, which the count rejects.  JSON also rejects an empty field.
+    if header and skeleton.count("e  \n") * 4 == len(skeleton) and body[-1:] == skeleton[-1:]:
         try:
             n, m = int(header[1]), int(header[2])
             # one JSON array of every endpoint, converted by the C decoder
@@ -380,4 +404,3 @@ def _largest_divisor_at_most(n: int, k: int) -> int:
     for d in range(k, 0, -1):
         if n % d == 0:
             return d
-    return 1

@@ -4,14 +4,19 @@ stretch queries (Tarjan's offline LCA), both O(n + m) memory.
 This is the package's one union-find and one tree rooting (the oracle keeps
 its own, as the independent check): other modules merge with
 ``kruskal_step``, take roots with ``find`` and root a tree with
-``root_tree``.  ``kruskal_step`` and ``_stretches`` inline their finds,
-because they are the hot loops.
+``root_tree``.  ``load_graph``'s connectivity fallback and
+``charge_diagnostics`` merge with ``kruskal_step``, ``charge_diagnostics``
+and the DP's join blocks take roots with ``find``, and
+``fundamental_cycle_spans`` walks the parents and depths of ``root_tree``;
+``tests/test_one_union_find.py`` keeps it so.  ``kruskal_step`` and
+``_stretches`` inline their finds, because they are the hot loops.
 
 The edges come as ``Graph.edges`` holds them, one tuple of (u, v) pairs, and
 callers pass that tuple as it is; an edge's index in it is its ID less one.
 Vertices are the graph's own labels 1..n, so every per-vertex list has n + 1
 slots, slot 0 unused.
-``IMPLEMENTATION`` names the kernel in run records.
+It is plain Python and the package's only kernel; ``IMPLEMENTATION`` names
+it in run records.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from widthspan.cli import _dumps, main
 from widthspan.arrangement import LinearArrangement, dump_arrangement, load_arrangement, shift_count
 from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.lowstretch import build_tree_padded
+from widthspan.oracle import OracleCapExceeded
 from widthspan.twdp import decomposition
 from widthspan.twdp.decomposition import min_fill_td
 
@@ -183,19 +185,37 @@ def test_cutwidth_tree_best_shift(c4_files, capsys):
     assert report["shift"] == 0
 
 
-def test_dp_min_stretch_with_oracle(tmp_path, capsys):
+@pytest.fixture
+def k4_files(tmp_path):
     graph = tmp_path / "k4.gr"
     graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
     td = tmp_path / "k4.td"
     td.write_text(K4_TD)
-    assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
-                 "--check-oracle"]) == 0
+    return ["dp-min-stretch", "--graph", str(graph), "--td", str(td), "--check-oracle"]
+
+
+def test_dp_min_stretch_with_oracle(k4_files, capsys):
+    assert main(k4_files) == 0
     out = capsys.readouterr().out
     assert "9 = 9" in out
     report = json.loads(out[out.index("{"):])
     assert report["total_stretch"] == 9
     assert report["avg_stretch"] == "3/2"
     assert report["width"] == 3
+
+
+def _over_cap(g):
+    raise OracleCapExceeded(16, 10)
+
+
+@pytest.mark.parametrize("oracle, message", [
+    (_over_cap, "16 spanning trees exceeds enumeration cap 10"),
+    (lambda g: SimpleNamespace(min_total_stretch=8), "DP optimum 9 disagrees with oracle 8"),
+])
+def test_dp_min_stretch_oracle_failure_is_cli_error(k4_files, capsys, monkeypatch, oracle, message):
+    monkeypatch.setattr(cli, "enumerate_min_stretch", oracle)
+    assert main(k4_files) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dp_min_stretch_limit_is_cli_error(tmp_path, capsys):
@@ -439,10 +459,20 @@ def test_verify_suite_dp(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lemma31_check", lambda g, a, shift, report: [(1, 1, False)])
+    assert main(["verify", "--suite", "bandwidth"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  [bandwidth] per-edge stretch <= 2p-1 (padded)" in lines
+    assert sum(line.startswith("FAIL ") for line in lines) == 1
+    assert lines[-1] == "FAILED: 1 failing check(s)"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gen", "--family", "grid", "--n", "1"], "n must be >= 2"),
     (["gen", "--family", "random_bandwidth", "--n", "5", "--b", "2"], "random_bandwidth requires 0 < p <= 1"),
     (["oracle", "--cap", "1", "--graph", "C4"], "4 spanning trees exceeds enumeration cap 1"),
+    (["gen", "--family", "cycle", "--n", "2"], "cycle needs n >= 3"),
 ])
 def test_bad_option_values_exit_one_with_one_error_line(c4_files, capsys, argv, message):
     argv = [c4_files[0] if arg == "C4" else arg for arg in argv]
