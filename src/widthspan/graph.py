@@ -12,11 +12,10 @@ Edge-list file format (line oriented):
 ``load_graph`` has a fast path for the document ``dump_graph`` writes: a
 header line, then only edge lines, each field ASCII digits, separated by one
 space, every line ended by ``\n``.  It finds one by deleting the body's
-digits in one ``str.translate`` pass, which leaves ``"e  \n"`` once per line;
-a digit where no field is fails the JSON decoder, the edge count or the test
-of the last character (see ``load_graph``).  It turns the edge
-lines into one JSON array of endpoints and converts every field in a single
-``json.loads`` call, whose C decoder is about twice as fast as
+digits in one ``str.translate`` pass, which must leave ``"e  \n"`` once per
+line, and by checking that every line starts with ``"e "``.  It turns the
+edge lines into one JSON array of endpoints and converts every field in a
+single ``json.loads`` call, whose C decoder is about twice as fast as
 ``map(int, ...)`` over a split.
 Then it validates in bulk: min/max for the vertex range, pairwise comparison
 for self-loops, then duplicates and connectivity, each first by a
@@ -118,11 +117,8 @@ class Graph(_Record):
 def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:
     """The edges as (u, v) pairs with u < v when every edge is in range, not a
     loop, not a duplicate, and the graph on 1..n is connected; else None.
-    Each of the last two has a certificate, one pass at C speed: pairs in
-    strictly increasing order are distinct, and a graph whose labels 2..n are
-    each the larger end of an edge is connected.  A set over the pairs, and
-    ``kernel.kruskal_step`` over them, run only when their certificate fails,
-    so the answer is the same either way."""
+    Duplicates and connectivity are tried by certificate first (see the
+    module docstring)."""
     if len(us) < n - 1:
         return None
     ordered = all(map(operator.lt, us, vs))
@@ -219,13 +215,12 @@ def load_graph(text: str) -> Graph:
     header = _PLAIN_HEADER.match(text)
     body = text[header.end():] if header else ""
     skeleton = body.translate(_DIGITS)
-    # Once the skeleton fits, only digits can be out of place.  After the last
-    # newline the suffix test rejects them.  Before or inside a later line's
-    # "e " they keep its "\ne " from being replaced below, and JSON finds no
-    # comma after the newline.  Before or inside the first line's, cutting
-    # two characters leaves JSON a leading comma or "e", or one number too
-    # many, which the count rejects.  JSON also rejects an empty field.
-    if header and skeleton.count("e  \n") * 4 == len(skeleton) and body[-1:] == skeleton[-1:]:
+    lines = skeleton.count("e  \n")
+    # Each line is "e  \n" once its digits are deleted, ends the body or is
+    # followed by "e ", and the first starts with "e ": so each line is
+    # "e " digits " " digits "\n".  JSON rejects an empty field.
+    if (header and lines * 4 == len(skeleton) and body[:2] == "e " and body[-1:] == "\n"
+            and body.count("\ne ") == lines - 1):
         try:
             n, m = int(header[1]), int(header[2])
             # one JSON array of every endpoint, converted by the C decoder

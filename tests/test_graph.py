@@ -208,7 +208,7 @@ def _plain_documents(draw):
 
 
 _FIELD_VALUES = [
-    "1", "2", "3", "0", "-1", "10", "99", "x", "1.5", "01", "007", "+1", "1_0", "١", "9" * 5000,
+    "1", "2", "3", "0", "-1", "10", "99", "x", "1.5", "01", "007", "+1", "1_0", "١", "9" * 5000, "",
 ]
 
 
@@ -216,7 +216,7 @@ _FIELD_VALUES = [
 _PLAIN_KINDS = ["loop", "relabel", "repeat-edge", "extra-edge", "drop-edge", "header-count"]
 _ALL_KINDS = _PLAIN_KINDS + [
     "truncate", "duplicate", "swap", "field", "crlf", "tab", "comment", "no-final-newline",
-    "blank", "p00",
+    "blank", "p00", "digits",
 ]
 
 
@@ -281,6 +281,11 @@ def _mutated_documents(draw, kinds):
             body[0] = " ".join(header)
         elif kind == "p00":
             body[0] = "p 0 0"
+        elif kind == "digits":  # digits anywhere in a line, the "e" token too
+            k = draw(st.sampled_from([0, 1]) | st.integers(0, len(body[i])))
+            body[i] = body[i][:k] + draw(st.sampled_from(["5", "51"])) + body[i][k:]
+            if counted and i > 0 and draw(st.booleans()):  # m counts the number they may add
+                body[0] = f"{header[0]} {header[1]} {int(header[2]) + 1}"
         text = "\n".join(body) + end
     return text
 
@@ -306,6 +311,7 @@ def _check_same_outcome(text):
 @settings(max_examples=500, deadline=None)
 @given(text=st.one_of(
     _plain_documents(), _mutated_documents(_PLAIN_KINDS), _mutated_documents(_ALL_KINDS),
+    _mutated_documents(["digits", "field"]),
 ))
 def test_fast_path_matches_line_parser(text):
     _check_same_outcome(text)
@@ -345,6 +351,11 @@ def test_fast_path_matches_line_parser(text):
     "p 3 2\ne 1 2\ne  3\n",
     "p 2 1\ne 1 2 \n",
     "p 2 1\ne 1e0 2\n",
+    "p 3 3\ne51 2 2\ne 3 1\n",
+    "p 3 3\ne51 2 2\ne 3 7\n",
+    "p 3 2\ne 3 \n1e0 2 3\n",
+    "p 3 2\ne 1 \n1e0 2 3\n",
+    "p 3 2\n1e 2 3\ne 1 2\n",
 ])
 def test_fast_path_matches_line_parser_examples(text):
     _check_same_outcome(text)
