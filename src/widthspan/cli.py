@@ -308,12 +308,12 @@ def _cmd_dp_min_stretch(args, run: _Run) -> int:
             oracle = enumerate_min_stretch(g)
         except OracleCapExceeded as exc:
             raise CliError(str(exc)) from exc
-        print(f"{result.min_total_stretch} = {oracle.min_total_stretch}")
         if result.min_total_stretch != oracle.min_total_stretch:
             raise CliError(
                 f"DP optimum {result.min_total_stretch} disagrees with "
                 f"oracle {oracle.min_total_stretch}"
             )
+        print(f"{result.min_total_stretch} = {oracle.min_total_stretch}", file=sys.stderr)
     run.emit(_dumps(report), args.out)
     return 0
 

@@ -66,10 +66,10 @@ class Graph(_Record):
     """Immutable simple connected graph.
 
     edges[i] is the endpoint pair of the edge with ID i+1.  ``incident[v]``
-    lists the IDs of edges touching vertex v; it is built on first use (by
-    ``degree``, ``neighbors``, the exact DP, the oracle and ``verify``), so a
-    run that never asks for it never pays for it.  Graphs are equal when
-    their n and edges are.
+    lists the IDs of edges touching vertex v; it is the graph's only index,
+    built on first use (by ``degree``, ``neighbors``, the exact DP, the
+    oracle and ``verify``), so a run that never asks for it never pays for
+    it.  Graphs are equal when their n and edges are.
     """
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
@@ -79,7 +79,7 @@ class Graph(_Record):
     def __eq__(self, other):
         if type(other) is not Graph:
             return NotImplemented
-        # not vars(): that holds the cached properties, once built
+        # not vars(): that holds incident, once built
         return self.n == other.n and self.edges == other.edges
 
     @property
@@ -103,15 +103,6 @@ class Graph(_Record):
             a, b = self.edges[eid - 1]
             out.append(b if a == v else a)
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
 
 def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], ...] | None:

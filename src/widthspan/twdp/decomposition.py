@@ -195,13 +195,13 @@ def make_nice(td: TreeDecomposition, g: Graph) -> list[NiceNode]:
         elif kind == "join":
             j, k = (nodes[ch] for ch in children)
             size = j.size + k.size - len(bag)
-            inside = j.inside + k.inside - sum(1 for u in bag for w in bag if u < w and g.has_edge(u, w))
+            inside = j.inside + k.inside - sum(1 for u in bag for w in g.neighbors(u) if u < w and w in bag)
         else:
             child = nodes[children[0]]
             size, inside = child.size, child.inside
             if kind == "introduce":
                 size += 1
-                inside += sum(1 for u in child.bag if g.has_edge(vertex, u))
+                inside += sum(1 for u in g.neighbors(vertex) if u in child.bag)
         nodes.append(NiceNode(kind=kind, bag=bag, size=size, inside=inside, children=children, vertex=vertex))
         return len(nodes) - 1
 

@@ -256,11 +256,12 @@ def _put(out: EdgeMap, shared: tuple[dict, dict], a: int, b: int, cost: int,
     out[keys.setdefault(k, k)] = values.setdefault(cv, cv)
 
 
-def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
-                      nbrs: list[int], max_extra: int, max_charge: int,
-                      max_need: int, max_verts: int, shared: tuple[dict, dict]):
+def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: list[int],
+                      max_extra: int, max_charge: int, max_need: int, max_verts: int,
+                      shared: tuple[dict, dict]):
     """Every way v can be placed into the trace whose charge, future need and
-    vertex count are at most max_charge, max_need and max_verts.
+    vertex count are at most max_charge, max_need and max_verts; nbrs are v's
+    graph neighbours in bag_j.
 
     Candidates are priced from the parent trace and built only when they
     fit.  With S(x) the sum of d(x, u) over u in nbrs, and deg = len(nbrs):
@@ -308,7 +309,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
         for x in above + sorted(bag_j):
             base = sum(d[x] for d in dists)
             if x in bag_j:
-                if g.has_edge(v, x) and deg + base <= max_charge and need_j <= max_need:
+                if x in nbrs and deg + base <= max_charge and need_j <= max_need:
                     out = dict(edges_j)
                     _put(out, shared, v, x, 1, True)
                     yield out, ((v, x),), deg + base
@@ -328,7 +329,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
             charge = sum(d[s] for d in dists)
             if charge > max_charge:
                 continue
-            if any(cost == 1 and w in bag_j and not g.has_edge(v, w) for w, cost, _ in arms):
+            if any(cost == 1 and w in bag_j and w not in nbrs for w, cost, _ in arms):
                 continue
             out = {k: cv for k, cv in edges_j.items() if s not in k}
             pairs = []
@@ -361,7 +362,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, g: Graph,
                 ok = True
                 for endpoint, cost in ((a, alpha), (b, total - alpha)):
                     if cost == 1 and endpoint in bag_j:
-                        if not g.has_edge(v, endpoint):
+                        if endpoint not in nbrs:
                             ok = False
                             break
                         sides.append((endpoint, cost, True))
@@ -425,7 +426,7 @@ def introduce_step(
     for key_j, entry in table_j.items():
         max_extra = (n - 1) - sum(cost for cost, _ in entry.edges.values())
         for edges_i, pairs, charge in _intro_candidates(
-            entry.edges, bag_j, v, g, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
+            entry.edges, bag_j, v, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
         ):
             names = tuple(edges_i)
             group = groups.get(names)
@@ -553,7 +554,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
     # the bag-internal graph edges, grouped by their lesser endpoint
     bag_pairs = []
     for u in bag:
-        ws = [w for w in bag if u < w and g.has_edge(u, w)]
+        ws = [w for w in g.neighbors(u) if u < w and w in bag]
         if ws:
             bag_pairs.append((u, ws))
     by_shape: dict = {}

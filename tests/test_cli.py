@@ -195,10 +195,11 @@ def k4_files(tmp_path):
 
 
 def test_dp_min_stretch_with_oracle(k4_files, capsys):
+    # the check line goes to stderr, so stdout is exactly the JSON report
     assert main(k4_files) == 0
-    out = capsys.readouterr().out
-    assert "9 = 9" in out
-    report = json.loads(out[out.index("{"):])
+    out, err = capsys.readouterr()
+    assert err == "9 = 9\n"
+    report = json.loads(out)
     assert report["total_stretch"] == 9
     assert report["avg_stretch"] == "3/2"
     assert report["width"] == 3
@@ -459,11 +460,34 @@ def test_verify_suite_dp(capsys):
     assert out.count("PASS") == 2
 
 
-def test_verify_reports_a_failing_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "lemma31_check", lambda g, a, shift, report: [(1, 1, False)])
-    assert main(["verify", "--suite", "bandwidth"]) == 1
+def _costlier_tree(cutwidth_tree):
+    def patched(g, a):
+        shift, report = cutwidth_tree(g, a)
+        return shift, SimpleNamespace(total_stretch=report.total_stretch + 1)
+    return patched
+
+
+def _other_optimum(enumerate_min_stretch):
+    return lambda g: SimpleNamespace(min_total_stretch=enumerate_min_stretch(g).min_total_stretch + 1)
+
+
+# per suite: the cli dependency to replace, a wrapper making the replacement
+# from the real one, and the check that must then fail
+@pytest.mark.parametrize("suite, target, wrap, label", [
+    pytest.param("bandwidth", "lemma31_check", lambda real: lambda g, a, shift, report: [(1, 1, False)],
+                 "per-edge stretch <= 2p-1 (padded)", id="bandwidth"),
+    pytest.param("cutwidth", "cutwidth_tree", _costlier_tree,
+                 "best-shift tree minimizes over all shifts", id="cutwidth"),
+    pytest.param("distribution", "expected_stretch_oracle", lambda real: lambda g, a: (Fraction(0),) * g.m,
+                 "explicit distribution equals the naive oracle", id="distribution"),
+    pytest.param("dp", "enumerate_min_stretch", _other_optimum,
+                 "DP optimum equals exhaustive oracle", id="dp"),
+])
+def test_verify_reports_a_failing_check(capsys, monkeypatch, suite, target, wrap, label):
+    monkeypatch.setattr(cli, target, wrap(getattr(cli, target)))
+    assert main(["verify", "--suite", suite]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "FAIL  [bandwidth] per-edge stretch <= 2p-1 (padded)" in lines
+    assert f"FAIL  [{suite}] {label}" in lines
     assert sum(line.startswith("FAIL ") for line in lines) == 1
     assert lines[-1] == "FAILED: 1 failing check(s)"
 
@@ -656,9 +680,9 @@ def test_dp_min_stretch_with_empty_bags(tmp_path, capsys, td_text):
     td.write_text(td_text)
     assert main(["dp-min-stretch", "--graph", str(graph), "--td", str(td),
                  "--check-oracle"]) == 0
-    out = capsys.readouterr().out
-    assert "2 = 2" in out
-    assert json.loads(out[out.index("{"):])["total_stretch"] == 2
+    out, err = capsys.readouterr()
+    assert err == "2 = 2\n"
+    assert json.loads(out)["total_stretch"] == 2
 
 
 # ---------------------------------------------------------------------------

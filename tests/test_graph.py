@@ -31,7 +31,7 @@ def test_load_path():
 def test_load_cycle_with_comments():
     g = load_graph("c a comment\n" + C4 + "c trailing\n")
     assert g.m == 4
-    assert g.has_edge(4, 1) and not g.has_edge(1, 3)
+    assert 4 in g.neighbors(1) and 3 not in g.neighbors(1)
 
 
 def test_duplicate_edge_rejected_with_line():
@@ -90,6 +90,7 @@ def test_each_label_is_one_int_object():
         ("", "missing 'p' header"),
         ("p x 2\n", "non-integer header fields"),
         ("p 2 1\ne 1 x\n", "non-integer edge endpoints"),
+        ("p 2 1\np 2 1\ne 1 2\n", "line 2: duplicate header line"),
     ],
 )
 def test_format_errors(doc, pattern):

@@ -1005,7 +1005,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
 
                 def candidates(charge=UNBOUNDED, need=UNBOUNDED, verts=UNBOUNDED):
                     return list(solver._intro_candidates(
-                        entry.edges, bag_j, v, g, nbrs, max_extra, charge, need, verts,
+                        entry.edges, bag_j, v, nbrs, max_extra, charge, need, verts,
                         ({}, {})))
 
                 every = candidates()
@@ -1202,7 +1202,7 @@ def test_candidates_read_each_steiner_tag_of_their_parent_once(monkeypatch):
     for bag_j, graph, v, edges in parents:
         nbrs = [u for u in graph.neighbors(v) if u in bag_j]
         calls.clear()
-        every = list(solver._intro_candidates(edges, bag_j, v, graph, nbrs, graph.n, UNBOUNDED,
+        every = list(solver._intro_candidates(edges, bag_j, v, nbrs, graph.n, UNBOUNDED,
                                               UNBOUNDED, UNBOUNDED, ({}, {})))
         steiner = sorted({x for k in edges for x in k if x < 0})
         assert sorted(calls) == steiner
