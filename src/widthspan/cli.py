@@ -12,6 +12,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -585,7 +586,15 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args, run)
+        rc = args.func(args, run)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError as exc:
+        # the reader has gone: send what is still buffered to the null
+        # device, so the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -96,24 +96,27 @@ def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], 
     the shift mod 2**h.  So shifts that agree in their low h bits share the
     Kruskal forest of the edges of height at most h, and one walk over a
     binary trie of shift bits, lowest bit first, builds every shift's tree.
-    A node at depth h holds one residue's forest (a union-find and a
-    bytearray marking its edges) and the pending edges, those of greater
-    height, in (spread, edge ID) order.  Each child residue
-    copies the forest, adds in that order the pending edges whose endpoints
-    lie in one block of 2**(h + 1) positions under it, and passes the rest
-    down.  A node whose forest spans is a leaf: every shift of its residue
-    has that tree.  So is a node at depth h when the bandwidth is at most
-    2**h and each aligned block of 2**h positions is one component of its
-    forest (it lacks one edge per block boundary):
+    The walk is depth first, from a stack.  An entry is a trie node at depth
+    h and residue r, with its parent's forest (a union-find and a bytearray
+    marking its edges), the number of edges that forest still lacks, and the
+    pending edges, those of height h or more, in (spread, edge ID) order.
+    Popped, the node copies the forest and adds, in that order, the pending
+    edges whose endpoints lie in one block of 2**h positions under r; the
+    rest stay pending.  The root (h = 0) adds none: a graph has no loops.
+    A node whose forest spans is a leaf: every shift of its residue has that
+    tree.  So is a node when the bandwidth is at most 2**h and each aligned
+    block of 2**h positions is one component of its forest (it lacks one
+    edge per block boundary):
     - every pending edge then joins two neighbouring blocks;
     - the edges across one boundary share their split height for each
       shift, so they are scanned together, in (spread, edge ID) order;
     - so every shift of the residue keeps the first pending edge across
       each boundary, and one Kruskal scan over the pending edges, in
       their order, finishes the tree of them all.
-    One forest is alive per level, and none is changed once passed down
-    (a leaf finishes its own).  Shifts come in walk order, not in
-    increasing order.
+    Any other node pushes its children, the residues r and r + 2**h below
+    the shift count, in reverse, so they pop in increasing order.  Siblings
+    share their parent's forest, and each copies it on its turn: one forest
+    is alive per level.  Shifts come in walk order, not in increasing order.
 
     Many leaves hold the same tree, so the whole trie is walked first and
     each leaf's shifts are gathered under its tree's edge marks (m bytes per
@@ -126,46 +129,33 @@ def padded_reports(g: Graph, a: LinearArrangement) -> Iterator[tuple[list[int], 
     xu = [zero[u] for u, _ in edges]
     xv = [zero[v] for _, v in edges]
     spreads = edge_spreads(g, a)
-    by_spread = sorted(range(m), key=spreads.__getitem__)
     w = max(spreads, default=0)  # the bandwidth
+    count = shift_count(n)
     trees: dict[bytes, list[int]] = {}
-    for shifts, in_tree in _trie_leaves(edges, xu, xv, n, w, shift_count(n), 0, 0,
-                                        list(range(n + 1)), bytearray(m), n - 1, by_spread):
-        trees.setdefault(bytes(in_tree), []).extend(shifts)
-    for in_tree, shifts in trees.items():
-        yield shifts, _make_report(in_tree, kernel._stretches(n, edges, in_tree))
-
-
-def _trie_leaves(
-    edges, xu, xv, n, w, count, depth, residue, parent, in_tree, wanted, pending
-) -> Iterator[tuple[range, bytearray]]:
-    """``(shifts, in_tree)`` for each leaf below the trie node of
-    ``padded_reports`` at ``depth`` and ``residue``, whose forest is the
-    union-find ``parent`` with ``in_tree`` marking its edges and lacks
-    ``wanted`` edges of a spanning tree; the graph has ``n`` vertices and
-    bandwidth ``w``.  A module-level generator, not a closure: a recursive
-    closure refers to itself through its cell, a cycle that only the cyclic
-    collector frees, and the edge lists with it."""
-    if wanted and w <= 1 << depth and wanted == (residue + n - 1) >> depth:
-        # each block of 2**depth positions is one component and every
-        # pending edge joins two neighbouring blocks: the tree is the same
-        # for every shift of this residue
-        if kernel.kruskal_step(parent, in_tree, edges, pending, wanted) != wanted:
-            raise ValueError("graph is not connected")
-        wanted = 0
-    if not wanted:
-        yield range(residue, count, 1 << depth), in_tree
-        return
-    if not pending:
-        raise ValueError("graph is not connected")
-    level = depth + 1
-    for r in range(residue, min(count, residue + (2 << depth)), 1 << depth):
+    stack = [(0, 0, list(range(n + 1)), bytearray(m), n - 1, sorted(range(m), key=spreads.__getitem__))]
+    while stack:
+        depth, residue, parent, in_tree, wanted, pending = stack.pop()
         joined, rest = [], []
         for i in pending:
-            (joined if (r + xu[i]) >> level == (r + xv[i]) >> level else rest).append(i)
-        forest, tree = parent.copy(), in_tree.copy()
-        added = kernel.kruskal_step(forest, tree, edges, joined, wanted)
-        yield from _trie_leaves(edges, xu, xv, n, w, count, level, r, forest, tree, wanted - added, rest)
+            (joined if (residue + xu[i]) >> depth == (residue + xv[i]) >> depth else rest).append(i)
+        parent, in_tree = parent.copy(), in_tree.copy()
+        wanted -= kernel.kruskal_step(parent, in_tree, edges, joined, wanted)
+        if wanted and w <= 1 << depth and wanted == (residue + n - 1) >> depth:
+            # each block of 2**depth positions is one component and every
+            # pending edge joins two neighbouring blocks: the tree is the same
+            # for every shift of this residue
+            if kernel.kruskal_step(parent, in_tree, edges, rest, wanted) != wanted:
+                raise ValueError("graph is not connected")
+            wanted = 0
+        if not wanted:
+            trees.setdefault(bytes(in_tree), []).extend(range(residue, count, 1 << depth))
+        elif not rest:
+            raise ValueError("graph is not connected")
+        else:
+            for r in reversed(range(residue, min(count, residue + (2 << depth)), 1 << depth)):
+                stack.append((depth + 1, r, parent, in_tree, wanted, rest))
+    for in_tree, shifts in trees.items():
+        yield shifts, _make_report(in_tree, kernel._stretches(n, edges, in_tree))
 
 
 def stretch_of(g: Graph, tree_edges: frozenset[int] | set[int]) -> StretchReport:

@@ -29,7 +29,7 @@ from widthspan.oracle import enumerate_min_stretch, expected_stretch_oracle
 from widthspan.twdp.decomposition import min_fill_td
 from widthspan.twdp.solver import dp_min_stretch
 
-from conftest import make_graph
+from corpus import make_graph
 
 
 def _announce(capsys, label: str, ok: bool, detail: str = ""):

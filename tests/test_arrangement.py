@@ -26,7 +26,7 @@ from widthspan.arrangement import (
 from widthspan.graph import generate
 from widthspan.lowstretch import NodeCharge, charge_diagnostics
 
-from conftest import make_graph
+from corpus import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 

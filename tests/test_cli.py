@@ -24,7 +24,7 @@ from widthspan.oracle import OracleCapExceeded
 from widthspan.twdp import decomposition
 from widthspan.twdp.decomposition import min_fill_td
 
-from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
+from corpus import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
 from test_graph import _ALL_KINDS, _mutated_documents
 
 C4 = "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
@@ -531,6 +531,37 @@ def test_input_that_is_not_utf8_is_cli_error(tmp_path, suffix):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"error: cannot read {bad}: ")
     assert "can't decode byte 0xff in position 0" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["stats", "build-tree", "verify"])
+def test_closed_stdout_is_one_error_line(tmp_path, command, unbuffered):
+    # the reader of stdout is gone before the command starts; buffered, the
+    # small stats report fails only in the flush, the 24 kB build-tree report
+    # in its write; each way ends in one error line and exit 1
+    g, _ = generate("grid", 1000)
+    graph = tmp_path / "grid.gr"
+    graph.write_text(dump_graph(g))
+    argv = {
+        "stats": ["stats", "--graph", str(graph)],
+        "build-tree": ["build-tree", "--graph", str(graph)],
+        "verify": ["verify", "--suite", "bandwidth", "--seed", "0"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "widthspan.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
 
 
 def test_bad_usage_exits_two():

@@ -17,7 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
-from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td
+from corpus import GRID_4X3_EDGES, GRID_4X3_TD, dump_td
 from widthspan.cli import main
 from widthspan.graph import dump_graph, generate
 from widthspan.twdp.decomposition import min_fill_td

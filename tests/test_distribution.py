@@ -1,3 +1,4 @@
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -18,7 +19,7 @@ from widthspan.graph import Graph, generate
 from widthspan.lowstretch import build_tree_padded, padded_reports
 from widthspan.oracle import expected_stretch_oracle
 
-from conftest import make_graph
+from corpus import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 
@@ -163,8 +164,8 @@ def _raising_node(g):
     tb = info.tb
     while tb.tb_next is not None:
         tb = tb.tb_next
-    assert tb.tb_frame.f_code.co_name == "_trie_leaves"
-    return tb.tb_frame.f_locals["depth"], list(tb.tb_frame.f_locals["pending"])
+    assert tb.tb_frame.f_code.co_name == "padded_reports"
+    return tb.tb_frame.f_locals["depth"], list(tb.tb_frame.f_locals["rest"])
 
 
 def test_both_disconnection_checks_are_reached():
@@ -295,6 +296,22 @@ def test_cycle_basis_check_fires_on_a_trees_first_sight(monkeypatch):
     assert [next(walk)[1].tree_edges for _ in range(first)] == trees[:first]
     with pytest.raises(ValueError, match="cycle-basis identity violated"):
         next(walk)
+
+
+@pytest.mark.parametrize("family,n,seed,digest", [
+    ("cycle", 200, None, "d9da038d02aff9c216c3cb476153a122250c833168f116b03460f88dc0b1c3b5"),
+    ("grid", 40, 3, "64fe2be86467353b2119b6175324f13845da9de66d042f32fdc9dfc2ad24aa39"),
+])
+def test_walk_order_is_pinned(family, n, seed, digest):
+    # the first-sight order of the distinct trees, and each tree's shifts in
+    # walk order, which tests such as the first-sight check above rest on
+    g, order = generate(family, n)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    walk = _walk_order(g, LinearArrangement.from_order(order))
+    assert hashlib.sha256(repr(walk).encode()).hexdigest() == digest
+    # a graph compares only with a graph
+    assert g.__eq__(walk) is NotImplemented
 
 
 def _distinct_trees(g, a):

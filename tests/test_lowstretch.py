@@ -25,7 +25,7 @@ from widthspan.lowstretch import (
     stretch_of,
 )
 
-from conftest import make_graph
+from corpus import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 

@@ -17,7 +17,7 @@ from widthspan.oracle import (
     spanning_tree_count,
 )
 
-from conftest import make_graph
+from corpus import make_graph
 
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
 

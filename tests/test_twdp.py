@@ -35,7 +35,7 @@ from widthspan.twdp.solver import (
     _steiner_tag,
 )
 
-from conftest import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
+from corpus import GRID_4X3_EDGES, GRID_4X3_TD, dump_td, make_graph
 
 # A bound no entry can reach: passed to a DP step where a test means it to
 # prune nothing.
