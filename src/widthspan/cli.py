@@ -120,6 +120,21 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  A stdout that is closed
+    (``sys.stdout`` is None) or refuses the bytes (a closed pipe, a full
+    device) is a CliError; what is still buffered then goes to the null
+    device, so that the flush at exit does not fail a second time."""
+    if sys.stdout is None:
+        raise CliError("cannot write stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write stdout: {exc}") from exc
+
+
 class _Run:
     """Collects input/output digests and writes the manifest per output."""
 
@@ -136,7 +151,7 @@ class _Run:
 
     def emit(self, text: str, out: str | None) -> None:
         if out is None:
-            sys.stdout.write(text)
+            _stdout(text)
             return
         _write(out, text)
         manifest = {
@@ -485,10 +500,10 @@ def _cmd_verify(args, run: _Run) -> int:
         for label, ok, detail in _SUITES[name](args.seed):
             status = "PASS" if ok else "FAIL"
             suffix = f"  ({detail})" if detail else ""
-            print(f"{status}  [{name}] {label}{suffix}")
+            _stdout(f"{status}  [{name}] {label}{suffix}\n")
             if not ok:
                 failed += 1
-    print(f"{'OK' if failed == 0 else 'FAILED'}: {failed} failing check(s)")
+    _stdout(f"{'OK' if failed == 0 else 'FAILED'}: {failed} failing check(s)\n")
     return 0 if failed == 0 else 1
 
 
@@ -586,15 +601,7 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        rc = args.func(args, run)
-        sys.stdout.flush()
-        return rc
-    except BrokenPipeError as exc:
-        # the reader has gone: send what is still buffered to the null
-        # device, so the flush at exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return 1
+        return args.func(args, run)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

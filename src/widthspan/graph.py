@@ -146,8 +146,9 @@ def _bulk_edges(n: int, us: list[int], vs: list[int]) -> tuple[tuple[int, int], 
 
 def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | None) -> tuple[tuple[int, int], ...]:
     """Validate edge by edge, raising the first error with its source line;
-    then check connectivity by a DFS from vertex 1 over the edges alone, so
-    that memory follows the edge list and not the declared n."""
+    then check connectivity by the kernel's Kruskal scan over a union-find of
+    vertex 1 and the edges' endpoints alone, so that memory follows the edge
+    list and not the declared n."""
 
     def where(i: int) -> int | None:
         return lines[i] if lines is not None else None
@@ -166,19 +167,14 @@ def _checked_edges(n: int, raw_edges: list[tuple[int, int]], lines: list[int] | 
         edges.append(key)
 
     if n >= 1:
-        adj: dict[int, list[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        reached = {1}
-        stack = [1]
-        while stack:
-            for y in adj.get(stack.pop(), ()):
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if len(reached) != n:
-            raise GraphValidationError(f"graph is disconnected ({len(reached)} of {n} vertices reachable)")
+        # connected iff the scan keeps n - 1 edges; else count 1's component
+        parent = {x: x for edge in edges for x in edge}
+        parent[1] = 1
+        m = len(edges)
+        if kernel.kruskal_step(parent, bytearray(m), edges, range(m), n - 1) != n - 1:
+            root = kernel.find(parent, 1)
+            reached = sum(kernel.find(parent, x) == root for x in parent)
+            raise GraphValidationError(f"graph is disconnected ({reached} of {n} vertices reachable)")
     return tuple(edges)
 
 

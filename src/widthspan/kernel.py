@@ -4,9 +4,10 @@ stretch queries (Tarjan's offline LCA), both O(n + m) memory.
 This is the package's one union-find and one tree rooting (the oracle keeps
 its own, as the independent check): other modules merge with
 ``kruskal_step``, take roots with ``find`` and root a tree with
-``root_tree``.  ``load_graph``'s connectivity fallback and
-``charge_diagnostics`` merge with ``kruskal_step``, ``charge_diagnostics``
-and the DP's join blocks take roots with ``find``, and
+``root_tree``.  ``load_graph``'s two connectivity checks and
+``charge_diagnostics`` merge with ``kruskal_step``, the per-edge
+connectivity check, ``charge_diagnostics`` and the DP's join blocks take
+roots with ``find``, and
 ``fundamental_cycle_spans`` walks the parents and depths of ``root_tree``;
 ``tests/test_one_union_find.py`` keeps it so.  ``kruskal_step`` and
 ``_stretches`` inline their finds, because they are the hot loops.

@@ -85,10 +85,10 @@ def _rooted(td: TreeDecomposition, g: Graph) -> dict[int, int | None]:
     return parent
 
 
-def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
-    """Parse PACE-2017 .td format.  Checks the header against the bags and,
-    when g is given, its n against g; ``make_nice`` checks the decomposition
-    itself."""
+def load_td(text: str, g: Graph) -> TreeDecomposition:
+    """Parse PACE-2017 .td format, a decomposition of g.  Checks the header
+    against the bags and its n against g; ``make_nice`` checks the
+    decomposition itself."""
     header = None
     header_line = 0
     bags: dict[int, frozenset[int]] = {}
@@ -157,7 +157,7 @@ def load_td(text: str, g: Graph | None = None) -> TreeDecomposition:
         raise TreeDecompositionError(
             f"line {header_line}: 's td' gives width+1 = {width_plus_1}, the largest bag has {largest} vertices"
         )
-    if g is not None and n != g.n:
+    if n != g.n:
         raise TreeDecompositionError(f"line {header_line}: 's td' gives n = {n}, the graph has {g.n} vertices")
     return TreeDecomposition(bags=bags, edges=tuple(edges))
 

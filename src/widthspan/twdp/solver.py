@@ -43,15 +43,16 @@ per edge set, and the traces of that set share them, whichever parent they
 come from.  Introduced edges go in as key and value tuples shared across the
 step (``_put``), so that the collector never tracks the edge maps.
 
-A join indexes the second child's table by its (split, cost) pairs, skips an
-entry of the first child with none alike, and takes as partners the entries
-whose realized bits are the shared edges plus whole promised blocks: alike
-entries have their edges in one split order.  A merged trace keeps the
+A join skips an entry of the first child whose shape, its (split, cost)
+pairs, the second child's table lacks.  The partners of any other entry have
+its shape, so its edges in one split order, and as realized bits the shared
+unit bag edges plus a union of its promised blocks.  So each subset of those
+blocks names one key, ``(shape, shared | blocks)``, and the join looks the
+subsets up by size and then lexicographically.  A merged trace keeps the
 pairs and has the union of both masks, so its key needs no second
-canonicalization.  Partners are merged in the order of an enumeration of the
-subsets of promised blocks, by size and then lexicographically.  Pricing
-before building, and pairing by shape, give the tables the same entries in
-the same order as building and looking up every candidate.
+canonicalization.  Pricing before building, and looking partners up by key,
+give the tables the same entries in the same order as building and looking
+up every candidate.
 
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root; the same searches give the girth (``_bounds``).
@@ -84,6 +85,7 @@ pinned ``dp-min-stretch`` inputs).  The bounds are always on:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .. import _Record, kernel
 from ..graph import Graph
@@ -517,79 +519,63 @@ def _blocks(edges: EdgeMap) -> list[tuple[frozenset, bool]]:
     return out
 
 
-def _partners(edges_j: EdgeMap, order: list, candidates: list):
-    """The join partners of a trace among the entries of its shape, its
-    (split, cost) pairs: ``order`` holds its edges in split order, which
-    correspond one to one to theirs, so an entry is a partner
-    when its realized edges are the shared edges plus a union of promised
-    blocks.  Yields (flip, key_k, entry_k), flip the edges those blocks
-    hold, by the number of blocks and then by their indices in ``_blocks``
-    order."""
-    pos = {k: i for i, k in enumerate(order)}
-    shared = 0
-    for k, (cost, _) in edges_j.items():
-        if _shared(k, cost):
-            shared |= 1 << pos[k]
-    promised = [ks for ks, realized in _blocks(edges_j) if not realized]
-    masks = [sum(1 << pos[k] for k in ks) for ks in promised]
-    found = []
-    for key_k, entry_k in candidates:
-        realized = key_k[1]
-        if realized & shared != shared:
-            continue
-        flip = realized & ~shared
-        chosen = tuple(i for i, mask in enumerate(masks) if flip & mask)
-        if sum(masks[i] for i in chosen) == flip:
-            found.append((len(chosen), chosen, key_k, entry_k))
-    found.sort(key=lambda f: f[:2])
-    for _, chosen, key_k, entry_k in found:
-        yield set().union(*(promised[i] for i in chosen)), key_k, entry_k
-
-
 def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
               *, limit: int) -> dict:
     """Combine complementary children: each block realized below exactly one
     child (or promised in both), bag-internal charges subtracted once.
-    Entries that cost more than ``limit`` are dropped."""
+    Entries that cost more than ``limit`` are dropped.
+
+    A partner of an entry has its shape, so its edges in the same split
+    order, and as realized bits the shared unit bag edges plus a union of
+    the entry's promised blocks: each subset of those blocks names one key,
+    looked up by the number of blocks and then lexicographically in
+    ``_blocks`` order.  The merged trace keeps the entry's edges, in their
+    order, each realized when either child realizes it."""
     # the bag-internal graph edges, grouped by their lesser endpoint
     bag_pairs = []
     for u in bag:
         ws = [w for w in g.neighbors(u) if u < w and w in bag]
         if ws:
             bag_pairs.append((u, ws))
-    by_shape: dict = {}
-    for key_k, entry_k in table_k.items():
-        by_shape.setdefault(key_k[0], []).append((key_k, entry_k))
+    shapes = {shape for shape, _ in table_k}
     table_i: dict = {}
     for key_j, entry_j in table_j.items():
         shape, realized_j = key_j
-        candidates = by_shape.get(shape)
-        if candidates is None:
+        if shape not in shapes:
             continue  # no entry of its shape, so no partner
         edges_j = entry_j.edges
         order = entry_j.order
+        pos = {k: i for i, k in enumerate(order)}
+        shared = 0
+        for k, (cost, _) in edges_j.items():
+            if _shared(k, cost):
+                shared |= 1 << pos[k]
+        masks = [sum(1 << pos[k] for k in ks) for ks, realized in _blocks(edges_j) if not realized]
         dup = None
-        for flip, key_k, entry_k in _partners(edges_j, order, candidates):
-            if dup is None:
-                # the charges both children made for bag-internal edges; every
-                # merged trace has entry_j's edges and costs, so it has the
-                # same distances
-                dup = 0
-                adj_j = _adjacency(edges_j)
-                for u, ws in bag_pairs:
-                    dist = _distances(adj_j, u)
-                    dup += sum(dist[w] for w in ws)
-            cost_i = entry_j.cost + entry_k.cost - dup
-            if cost_i > limit:
-                continue
-            # parent tag: realized below either child, so the merged trace's
-            # realized edges are the union of both children's
-            merged: EdgeMap = {
-                k: (cost, realized or k in flip or _shared(k, cost))
-                for k, (cost, realized) in edges_j.items()
-            }
-            _merge(table_i, (shape, realized_j | key_k[1]), merged, cost_i,
-                   ("join", key_j, key_k), order)
+        for r in range(len(masks) + 1):
+            for chosen in combinations(masks, r):
+                key_k = (shape, shared | sum(chosen))
+                entry_k = table_k.get(key_k)
+                if entry_k is None:
+                    continue
+                if dup is None:
+                    # the charges both children made for bag-internal edges;
+                    # every merged trace has entry_j's edges and costs, so it
+                    # has the same distances
+                    dup = 0
+                    adj_j = _adjacency(edges_j)
+                    for u, ws in bag_pairs:
+                        dist = _distances(adj_j, u)
+                        dup += sum(dist[w] for w in ws)
+                cost_i = entry_j.cost + entry_k.cost - dup
+                if cost_i > limit:
+                    continue
+                # parent tag: realized below either child, so the union of
+                # both masks, read at each edge's position in split order
+                realized = realized_j | key_k[1]
+                merged: EdgeMap = {k: (cost, realized >> pos[k] & 1 == 1)
+                                   for k, (cost, _) in edges_j.items()}
+                _merge(table_i, (shape, realized), merged, cost_i, ("join", key_j, key_k), order)
     return table_i
 
 

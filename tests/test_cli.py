@@ -536,9 +536,11 @@ def test_input_that_is_not_utf8_is_cli_error(tmp_path, suffix):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["stats", "build-tree", "verify"])
 def test_closed_stdout_is_one_error_line(tmp_path, command, unbuffered):
-    # the reader of stdout is gone before the command starts; buffered, the
-    # small stats report fails only in the flush, the 24 kB build-tree report
-    # in its write; each way ends in one error line and exit 1
+    # stdout is a pipe whose reader is gone before the command starts, the
+    # full device where there is one, or a closed descriptor (sys.stdout is
+    # None); buffered, the small stats report fails only in the flush, the
+    # 24 kB build-tree report in its write; each way ends in one error line
+    # and exit 1
     g, _ = generate("grid", 1000)
     graph = tmp_path / "grid.gr"
     graph.write_text(dump_graph(g))
@@ -551,17 +553,38 @@ def test_closed_stdout_is_one_error_line(tmp_path, command, unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "widthspan.cli", *argv], env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, text=True)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("error: cannot write stdout: ")
+    sinks = ["pipe", "closed"] + (["full"] if os.path.exists("/dev/full") else [])
+    for sink in sinks:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        full = open("/dev/full", "w") if sink == "full" else None
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "widthspan.cli", *argv], env=env,
+                stdout={"pipe": write_end, "closed": None, "full": full}[sink],
+                preexec_fn=(lambda: os.close(1)) if sink == "closed" else None,
+                stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write_end)
+            if full is not None:
+                full.close()
+        assert proc.returncode == 1, sink
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, sink
+        assert proc.stderr.count("\n") == 1, sink
+        assert proc.stderr.startswith("error: cannot write stdout: "), sink
+
+
+def test_closed_stdout_is_no_error_when_every_output_is_a_file(tmp_path):
+    graph = tmp_path / "k4.gr"
+    graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    out = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "widthspan.cli", "stats", "--graph", str(graph),
+                           "--out", str(out)], env=env, preexec_fn=lambda: os.close(1),
+                          stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text())["m"] == 6
 
 
 def test_bad_usage_exits_two():

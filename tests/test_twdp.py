@@ -145,7 +145,7 @@ def test_load_td_basic():
 
 
 def test_load_td_missing_bags_default_empty():
-    td = load_td("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 2\n2 3\n")
+    td = load_td("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 2\n2 3\n", p3())
     assert td.bags[2] == frozenset()
 
 
@@ -161,8 +161,9 @@ def test_load_td_missing_bags_default_empty():
     ],
 )
 def test_load_td_format_errors(doc, pattern):
+    # each error is raised before the header's n is compared with the graph's
     with pytest.raises(TreeDecompositionError, match=pattern):
-        load_td(doc)
+        load_td(doc, p3())
 
 
 @pytest.mark.parametrize(
@@ -324,12 +325,10 @@ def test_edge_coverage_matches_the_reference_on_the_atlas(atlas_corpus):
 
 
 def test_load_td_checks_the_header():
-    # the header's width+1 must match the largest bag, with or without a graph
+    # the header's width+1 must match the largest bag, and its n the graph's
     with pytest.raises(TreeDecompositionError, match="line 2: 's td' gives width[+]1 = 3, the largest bag has 2"):
-        load_td("c two bags\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n")
-    # its n is checked only against a given graph
+        load_td("c two bags\ns td 2 3 3\nb 1 1 2\nb 2 2 3\n1 2\n", p3())
     doc = "s td 2 2 9\nb 1 1 2\nb 2 2 3\n1 2\n"
-    assert max(map(len, load_td(doc).bags.values())) - 1 == 1
     with pytest.raises(TreeDecompositionError, match="line 1: 's td' gives n = 9, the graph has 3"):
         load_td(doc, p3())
 
@@ -1157,6 +1156,16 @@ def test_join_checks_the_blocks_of_every_entry_with_a_partner():
     table = _table(bag, mixed)
     with pytest.raises(RuntimeError, match="join block with mixed"):
         solver.join_step(table, table, bag, g, limit=UNBOUNDED)
+
+
+def test_join_skips_the_blocks_of_an_entry_without_a_partner():
+    # an entry whose shape the second child's table lacks has no partner, so
+    # its blocks are never read: a mixed one does not raise
+    g = make_graph(3, [(1, 2), (2, 3)])
+    bag = frozenset({1, 2, 3})
+    mixed = {(-1, 1): (2, True), (-1, 2): (2, False), (-1, 3): (1, True)}
+    path = {(1, 2): (1, True), (2, 3): (1, True)}
+    assert solver.join_step(_table(bag, mixed), _table(bag, path), bag, g, limit=UNBOUNDED) == {}
 
 
 def test_introduce_checks_the_steiner_tags_of_its_parents():
