@@ -25,7 +25,6 @@ from .arrangement import (
     dump_arrangement,
     edge_spreads,
     load_arrangement,
-    right_child_start,
     shift_count,
     split_nodes,
     widths,
@@ -37,8 +36,11 @@ from .lowstretch import (
     build_tree,
     build_tree_padded,
     charge_diagnostics,
-    fundamental_cycle_spans,
+    charges_hold,
+    cubic_bound_holds,
+    cycle_spans_hold,
     lemma31_check,
+    split_sets_hold,
     stretch_of,
 )
 from .oracle import (
@@ -361,52 +363,23 @@ def _suite_bandwidth(seed: int) -> list[tuple[str, bool, str]]:
     for b in (1, 2, 3):
         for n in (16, 33, 64):
             g, order = generate("random_bandwidth", n, seed=seed + b * 100 + n, b=b, p=0.7)
-            corpus.append((b, g, LinearArrangement.from_order(order)))
-    corpus.append((1, *_gen_pair("path", 40, seed)))
-    corpus.append((2, *_gen_pair("cycle", 40, seed)))
-    corpus.append((2, *_gen_pair("caterpillar", 41, seed)))
+            corpus.append((g, LinearArrangement.from_order(order)))
+    corpus.append(_gen_pair("path", 40, seed))
+    corpus.append(_gen_pair("cycle", 40, seed))
+    corpus.append(_gen_pair("caterpillar", 41, seed))
 
-    split_ok = degree_ok = fcb_ok = lemma_ok = bound_ok = charge_ok = cycle_ok = True
-    tight_split_ok = True
-    for b_cap, g, a in corpus:
+    split_ok = tight_split_ok = degree_ok = fcb_ok = lemma_ok = bound_ok = charge_ok = cycle_ok = True
+    for g, a in corpus:
         b, _ = widths(g, a)
-        nodes = split_nodes(g, a)
-        for (u, v), (lo, hi) in zip(g.edges, nodes):
-            pu, pv = sorted((a.position_of[u], a.position_of[v]))
-            # the lowest node holding both ends: they straddle its children
-            if not (lo <= pu < right_child_start(lo, hi) <= pv <= hi):
-                split_ok = False
-        counts = Counter(nodes).values()
-        if any(c > b * (b + 1) // 2 for c in counts):
-            split_ok = False
-        if any(c > max(0, (b - 1) * (b - 2) // 2) for c in counts):
-            tight_split_ok = False
-        if any(g.degree(v) > 2 * b for v in range(1, g.n + 1)):
-            degree_ok = False
         report = build_tree(g, a)
-        if report.fcb_weight != report.total_stretch + g.m - 2 * g.n + 2:
-            fcb_ok = False
-        if not all(ok for _, _, ok in lemma31_check(g, a, 0, report)):
-            lemma_ok = False
-        if report.avg_stretch > 4 * b**3 + 2 or report.fcb_weight > 4 * b**3 * g.n:
-            bound_ok = False
-        charges = charge_diagnostics(g, a)
-        if any(nc.long_components > b for nc in charges.nodes):
-            charge_ok = False
-        if charges.total_charge > b * g.n:
-            charge_ok = False
-        by_iv = {(nc.lo, nc.hi): nc.long_components for nc in charges.nodes}
-        for nc in charges.nodes:
-            if nc.lo == nc.hi:
-                continue
-            mid = right_child_start(nc.lo, nc.hi)
-            for lo, hi in ((nc.lo, mid - 1), (mid, nc.hi)):
-                # intervals of <= b positions can lose long components upward
-                if hi - lo + 1 > b and nc.long_components > by_iv[(lo, hi)]:
-                    charge_ok = False
-        for _, span, length in fundamental_cycle_spans(g, a, report):
-            if not (2 * span <= length * b and length <= span + 1):
-                cycle_ok = False
+        split_ok &= split_sets_hold(g, a, b)
+        tight_split_ok &= split_sets_hold(g, a, max(0, b - 2))  # (1/2)(b-1)(b-2)
+        degree_ok &= all(g.degree(v) <= 2 * b for v in range(1, g.n + 1))
+        fcb_ok &= report.fcb_weight == report.total_stretch + g.m - 2 * g.n + 2
+        lemma_ok &= all(ok for _, _, ok in lemma31_check(g, a, 0, report))
+        bound_ok &= cubic_bound_holds(g, report, b)
+        charge_ok &= charges_hold(g, charge_diagnostics(g, a))
+        cycle_ok &= cycle_spans_hold(g, a, report, b)
     checks.append(("split sets partition edges, |S_v| <= b(b+1)/2", split_ok, ""))
     checks.append(("tight split-set constant (1/2)(b-1)(b-2) (informational)", True,
                    "holds" if tight_split_ok else "violated for small b, safe bound used"))

@@ -8,10 +8,12 @@ arrangement tree adding split edges in increasing spread order.
 
 The module also exposes the charging-scheme diagnostics used to certify the
 cubic-in-bandwidth stretch bound: long-component counts per arrangement-tree
-node and the node charges they induce.
+node and the node charges they induce.  The predicates at its end state each
+of the paper's bounds once, for ``verify`` and the tests alike.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress
@@ -278,3 +280,40 @@ def fundamental_cycle_spans(g: Graph, a: LinearArrangement, report: StretchRepor
         span = max(positions) - min(positions)
         out.append((eid, span, report.per_edge_stretch[eid - 1] + 1))
     return out
+
+
+def cubic_bound_holds(g: Graph, report: StretchReport, b: int) -> bool:
+    """Average stretch <= 4b^3 + 2 and cycle-basis weight <= 4b^3 n."""
+    return report.avg_stretch <= 4 * b**3 + 2 and report.fcb_weight <= 4 * b**3 * g.n
+
+
+def split_sets_hold(g: Graph, a: LinearArrangement, b: int) -> bool:
+    """Each edge's end positions straddle the children of its split node,
+    and no node splits more than b(b+1)/2 edges."""
+    pos, nodes = a.position_of, split_nodes(g, a)
+    straddle = all(lo <= min(pos[u], pos[v]) < right_child_start(lo, hi) <= max(pos[u], pos[v]) <= hi
+                   for (u, v), (lo, hi) in zip(g.edges, nodes))
+    return straddle and max(Counter(nodes).values(), default=0) <= b * (b + 1) // 2
+
+
+def charges_hold(g: Graph, charges: ChargeReport) -> bool:
+    """Every node has 1 to b long components, the root one, and no more
+    than each child of more than b positions; the total charge is at most
+    bn.  b is the report's bandwidth."""
+    b = charges.bandwidth
+    long_of = {(nc.lo, nc.hi): nc.long_components for nc in charges.nodes}
+    for (lo, hi), count in long_of.items():
+        if not 1 <= count <= b:
+            return False
+        if lo < hi:
+            mid = right_child_start(lo, hi)
+            # a child of at most b positions can lose long components upward
+            if any(y - x + 1 > b and count > long_of[(x, y)] for x, y in ((lo, mid - 1), (mid, hi))):
+                return False
+    return charges.nodes[-1].long_components == 1 and charges.total_charge <= b * g.n
+
+
+def cycle_spans_hold(g: Graph, a: LinearArrangement, report: StretchReport, b: int) -> bool:
+    """Every fundamental cycle C of spread s has 2s/b <= |C| <= s + 1."""
+    return all(2 * span <= length * b and length <= span + 1
+               for _, span, length in fundamental_cycle_spans(g, a, report))

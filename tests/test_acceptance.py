@@ -21,7 +21,9 @@ from widthspan.lowstretch import (
     build_tree,
     build_tree_padded,
     charge_diagnostics,
-    fundamental_cycle_spans,
+    charges_hold,
+    cubic_bound_holds,
+    cycle_spans_hold,
     lemma31_check,
     stretch_of,
 )
@@ -40,16 +42,15 @@ def _announce(capsys, label: str, ok: bool, detail: str = ""):
 
 
 def _bandwidth_corpus():
-    """(b, graph, arrangement) triples; bandwidth witnesses of several sizes."""
+    """(graph, arrangement) pairs; bandwidth witnesses of several sizes."""
     out = []
     for b in (1, 2, 3):
         for n in (16, 40, 100):
             g, order = generate("random_bandwidth", n, seed=b * 1000 + n, b=b, p=0.7)
-            out.append((b, g, LinearArrangement.from_order(order)))
+            out.append((g, LinearArrangement.from_order(order)))
     for family, n in (("path", 50), ("cycle", 50), ("caterpillar", 51), ("grid", 20)):
         g, order = generate(family, n)
-        a = LinearArrangement.from_order(order)
-        out.append((widths(g, a)[0], g, a))
+        out.append((g, LinearArrangement.from_order(order)))
     return out
 
 
@@ -86,16 +87,14 @@ def test_criterion_2_cubic_bandwidth_bounds(capsys):
         for n in (16, 64, 256, 1024, 2048):
             g, order = generate("random_bandwidth", n, seed=b * 7 + n, b=b, p=0.8)
             a = LinearArrangement.from_order(order)
-            bw = max(widths(g, a)[0], 1)
-            r = build_tree(g, a)
-            if r.avg_stretch > 4 * bw**3 + 2 or r.fcb_weight > 4 * bw**3 * g.n:
+            if not cubic_bound_holds(g, build_tree(g, a), widths(g, a)[0]):
                 ok = False
     _announce(capsys, "criterion 2: avg stretch <= 4b^3+2 and cycle-basis weight <= 4b^3 n", ok)
 
 
 def test_criterion_3_padded_per_edge_bound(capsys):
     ok = True
-    for b, g, a in _bandwidth_corpus():
+    for g, a in _bandwidth_corpus():
         for shift in (0, (13 * g.n) % shift_count(g.n)):
             r = build_tree_padded(g, a, shift)
             if not all(bound for _, _, bound in lemma31_check(g, a, shift, r)):
@@ -105,26 +104,9 @@ def test_criterion_3_padded_per_edge_bound(capsys):
 
 def test_criterion_4_charging_diagnostics(capsys):
     ok = True
-    for b, g, a in _bandwidth_corpus():
-        bw = max(widths(g, a)[0], 1)
-        rep = charge_diagnostics(g, a)
-        if any(nc.long_components > bw for nc in rep.nodes):
-            ok = False
-        if rep.total_charge > bw * g.n:
-            ok = False
-        by_iv = {(nc.lo, nc.hi): nc.long_components for nc in rep.nodes}
-        for nc in rep.nodes:
-            size = nc.hi - nc.lo + 1
-            if size == 1:
-                continue
-            p = 1 << (size - 1).bit_length() - 1
-            for lo, hi in ((nc.lo, nc.lo + p - 1), (nc.lo + p, nc.hi)):
-                if hi - lo + 1 > bw and nc.long_components > by_iv[(lo, hi)]:
-                    ok = False
-        tree = build_tree(g, a)
-        for _, span, length in fundamental_cycle_spans(g, a, tree):
-            if not (2 * span <= length * bw and length <= span + 1):
-                ok = False
+    for g, a in _bandwidth_corpus():
+        b, _ = widths(g, a)
+        ok &= charges_hold(g, charge_diagnostics(g, a)) and cycle_spans_hold(g, a, build_tree(g, a), b)
     _announce(capsys, "criterion 4: long components, charges, and cycle spans in bounds", ok)
 
 

@@ -476,6 +476,13 @@ def _other_optimum(enumerate_min_stretch):
 @pytest.mark.parametrize("suite, target, wrap, label", [
     pytest.param("bandwidth", "lemma31_check", lambda real: lambda g, a, shift, report: [(1, 1, False)],
                  "per-edge stretch <= 2p-1 (padded)", id="bandwidth"),
+    *(pytest.param("bandwidth", target, lambda real: lambda *args: False, label, id=f"bandwidth-{target}")
+      for target, label in (
+          ("split_sets_hold", "split sets partition edges, |S_v| <= b(b+1)/2"),
+          ("cubic_bound_holds", "avg stretch <= 4b^3+2 and FCB <= 4b^3 n"),
+          ("charges_hold", "long components <= b and total charge <= bn"),
+          ("cycle_spans_hold", "fundamental cycles: 2s/b <= |C| <= s+1"),
+      )),
     pytest.param("cutwidth", "cutwidth_tree", _costlier_tree,
                  "best-shift tree minimizes over all shifts", id="cutwidth"),
     pytest.param("distribution", "expected_stretch_oracle", lambda real: lambda g, a: (Fraction(0),) * g.m,

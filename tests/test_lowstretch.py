@@ -16,12 +16,18 @@ from widthspan.arrangement import (
 )
 from widthspan.graph import dump_graph, generate, load_graph
 from widthspan.lowstretch import (
+    ChargeReport,
+    NodeCharge,
     StretchReport,
     build_tree,
     build_tree_padded,
     charge_diagnostics,
+    charges_hold,
+    cubic_bound_holds,
+    cycle_spans_hold,
     fundamental_cycle_spans,
     lemma31_check,
+    split_sets_hold,
     stretch_of,
 )
 
@@ -164,7 +170,6 @@ def test_charges_vanish_on_paths():
     assert rep.bandwidth == 1
     assert all(nc.long_components == 1 for nc in rep.nodes)
     assert rep.total_charge == 0
-    assert rep.nodes[-1].long_components == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -192,12 +197,9 @@ def test_charge_bounds_folded(b):
 
 
 def _check_charge_bounds(g, a):
-    bw, _ = widths(g, a)
     rep = charge_diagnostics(g, a)
-    assert rep.bandwidth == bw
-    assert all(1 <= nc.long_components <= max(bw, 1) for nc in rep.nodes)
-    assert rep.nodes[-1].long_components == 1
-    assert rep.total_charge <= bw * g.n
+    assert rep.bandwidth == widths(g, a)[0]
+    assert charges_hold(g, rep)
     return rep
 
 
@@ -212,17 +214,7 @@ def test_long_components_not_monotone_for_tiny_children():
     by_iv = {(nc.lo, nc.hi): nc.long_components for nc in rep.nodes}
     assert by_iv[(5, 7)] == 2 and by_iv[(7, 7)] == 1
     # the qualified claim: monotone below every child larger than b
-    children = {}
-    for nc in rep.nodes:
-        children[(nc.lo, nc.hi)] = nc
-    for nc in rep.nodes:
-        size = nc.hi - nc.lo + 1
-        if size == 1:
-            continue
-        p = 1 << (size - 1).bit_length() - 1
-        for lo, hi in ((nc.lo, nc.lo + p - 1), (nc.lo + p, nc.hi)):
-            if hi - lo + 1 > bw:
-                assert nc.long_components <= by_iv[(lo, hi)]
+    assert charges_hold(g, rep)
 
 
 @settings(max_examples=15, deadline=None)
@@ -233,11 +225,7 @@ def test_long_components_not_monotone_for_tiny_children():
 def test_fundamental_cycle_span_bounds(n, seed):
     g, order = generate("random_bandwidth", n, seed=seed, b=3, p=0.8)
     a = LinearArrangement.from_order(order)
-    bw, _ = widths(g, a)
-    r = build_tree(g, a)
-    for _eid, span, length in fundamental_cycle_spans(g, a, r):
-        assert 2 * span <= length * bw
-        assert length <= span + 1
+    assert cycle_spans_hold(g, a, build_tree(g, a), widths(g, a)[0])
 
 
 def _path_positions(g, a, tree_edges, u, v):
@@ -286,10 +274,24 @@ def test_avg_stretch_cubic_bound_small_families():
         for n in (16, 64, 128):
             g, order = generate("random_bandwidth", n, seed=11 * b + n, b=b, p=0.9)
             a = LinearArrangement.from_order(order)
-            bw = max(widths(g, a)[0], 1)
-            r = build_tree(g, a)
-            assert r.avg_stretch <= 4 * bw**3 + 2
-            assert r.fcb_weight <= 4 * bw**3 * g.n
+            assert cubic_bound_holds(g, build_tree(g, a), widths(g, a)[0])
+
+
+def test_each_bound_predicate_rejects_a_violation():
+    # C4, identity arrangement: bandwidth 3, one long component per node
+    g = make_graph(4, C4_EDGES)
+    a = LinearArrangement.identity(4)
+    report, charges = build_tree(g, a), charge_diagnostics(g, a)
+    assert split_sets_hold(g, a, 3) and cubic_bound_holds(g, report, 3)
+    assert charges_hold(g, charges) and cycle_spans_hold(g, a, report, 3)
+    assert not split_sets_hold(g, a, 1)  # the root splits two edges
+    assert not cycle_spans_hold(g, a, report, 1)  # edge 1-4: 2 * 3 > 4 * 1
+    heavy = StretchReport(frozenset({1, 2, 3}), (1, 1, 1, 129), 132, Fraction(33), 130)
+    assert not cubic_bound_holds(g, heavy, 2)  # 130 > 4 * 8 * 4, though 33 <= 4 * 8 + 2
+    # [1, 1] with no long component or more than 3, two at the root, a total charge over 3 * 4
+    for first, root, total in ((0, 1, 0), (4, 1, 0), (1, 2, 0), (1, 1, 13)):
+        nodes = (NodeCharge(1, 1, 1, first, 0), *charges.nodes[1:-1], NodeCharge(1, 4, 4, root, 0))
+        assert not charges_hold(g, ChargeReport(3, nodes, total))
 
 
 def test_inconsistent_report_raises():
