@@ -54,6 +54,14 @@ canonicalization.  Pricing before building, and looking partners up by key,
 give the tables the same entries in the same order as building and looking
 up every candidate.
 
+A back pointer holds the child entries an entry was built from, not their
+keys: ``("leaf",)``, ``("intro", entry, pairs)`` with the graph edges the
+introduce step made tree edges, ``("forget", entry)`` and ``("join",
+entry_j, entry_k)``.  So the DP (``_tables``) keeps only the tables its next
+step reads: it drops each child's table once the parent's is built, and
+reference counting frees every entry that no surviving back pointer reaches.
+The witness is rebuilt by following back pointers from the root entry.
+
 Branch and bound: UB is the least total stretch over the n BFS spanning trees
 of the graph, one per root; the same searches give the girth (``_bounds``).
 A tree needs no search: UB is its m edges of stretch 1 and its girth 2.
@@ -225,9 +233,10 @@ def _above(adj: dict[int, list[tuple[int, int, bool]]]) -> list[int]:
 
 class _Entry:
     """A table entry: the least cost of a trace, its edge map, its back
-    pointer, and ``order``, its edges in the split order of its key.  Every
-    entry carries its order: the step that builds it has the splits at hand,
-    and a join reads the order instead of walking the trace."""
+    pointer (the child entries it was built from), and ``order``, its edges
+    in the split order of its key.  Every entry carries its order: the step
+    that builds it has the splits at hand, and a join reads the order
+    instead of walking the trace."""
 
     __slots__ = ("cost", "edges", "back", "order")
 
@@ -425,7 +434,7 @@ def introduce_step(
     # per edge set: its (split, edge) pairs, its edges in split order, and
     # the realized masks whose traces passed the tag check
     groups: dict = {}
-    for key_j, entry in table_j.items():
+    for entry in table_j.values():
         max_extra = (n - 1) - sum(cost for cost, _ in entry.edges.values())
         for edges_i, pairs, charge in _intro_candidates(
             entry.edges, bag_j, v, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
@@ -443,7 +452,7 @@ def introduce_step(
                 if key[1] not in group[2]:
                     _above(_adjacency(edges_i))
                     group[2].add(key[1])
-            _merge(table_i, key, edges_i, entry.cost + charge, ("intro", key_j, pairs), group[1])
+            _merge(table_i, key, edges_i, entry.cost + charge, ("intro", entry, pairs), group[1])
     return table_i
 
 
@@ -455,7 +464,7 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
     edges and the bag alone, so traces with one edge set share them."""
     table_i: dict = {}
     orders: dict = {}  # per edge set: its (split, edge) pairs and its edges in split order
-    for key_j, entry in table_j.items():
+    for entry in table_j.values():
         incident = [(k, cv) for k, cv in entry.edges.items() if v in k]
         if any(not realized for _, (_, realized) in incident):
             continue
@@ -481,7 +490,7 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
         if known is None:
             ranked = _split_order(bag_i, _adjacency(edges))
             known = orders[names] = ranked, tuple(k for _, k in ranked)
-        _merge(table_i, _key(edges, known[0]), edges, entry.cost, ("forget", key_j), known[1])
+        _merge(table_i, _key(edges, known[0]), edges, entry.cost, ("forget", entry), known[1])
     return table_i
 
 
@@ -575,7 +584,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
                 realized = realized_j | key_k[1]
                 merged: EdgeMap = {k: (cost, realized >> pos[k] & 1 == 1)
                                    for k, (cost, _) in edges_j.items()}
-                _merge(table_i, (shape, realized), merged, cost_i, ("join", key_j, key_k), order)
+                _merge(table_i, (shape, realized), merged, cost_i, ("join", entry_j, entry_k), order)
     return table_i
 
 
@@ -631,19 +640,49 @@ def _limit(g: Graph, upper: int, girth: int, nd: NiceNode) -> int:
 
 
 class DPResult(_Record):
-    """The DP's optimum, a witness tree, the width, and the tables and nice
-    nodes themselves (the witness walk reads every table, so they are all
-    alive until the DP returns)."""
+    """The DP's optimum, a witness tree, the width, and the number of entries
+    of each nice node's table, in node order.  The tables themselves are
+    gone: the DP keeps only the tables its next step reads, plus the entries
+    that a back pointer reaches, and those only until it returns."""
 
     def __init__(self, min_total_stretch: int, min_avg_stretch: Fraction, tree_edges: frozenset[int],
-                 width: int, tables: list[dict], nodes: list[NiceNode]):
+                 width: int, table_sizes: tuple[int, ...]):
         vars(self).update(min_total_stretch=min_total_stretch, min_avg_stretch=min_avg_stretch,
-                          tree_edges=tree_edges, width=width, tables=tables, nodes=nodes)
+                          tree_edges=tree_edges, width=width, table_sizes=table_sizes)
 
-    @property
-    def table_sizes(self) -> tuple[int, ...]:
-        """The number of entries of each node's table, in node order."""
-        return tuple(len(t) for t in self.tables)
+
+def _tables(g: Graph, nodes: list[NiceNode]):
+    """Yield each nice node's table, in node order.  A child's table is
+    dropped once its parent's is built, so of the child only the entries
+    that the parent's back pointers hold stay alive."""
+    n = g.n
+    upper, girth = _bounds(g)
+    tables: list[dict | None] = [None] * len(nodes)
+    for node_id, nd in enumerate(nodes):
+        if nd.kind == "leaf":
+            table = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",), ())}
+        elif nd.kind == "forget":
+            table = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
+        else:
+            limit = _limit(g, upper, girth, nd)
+            if nd.kind == "introduce":
+                child = nd.children[0]
+                table = introduce_step(
+                    tables[child], nd.vertex, nodes[child].bag, g,
+                    future_budget=n - nd.size, limit=limit,
+                )
+            else:
+                j, k = nd.children
+                table = join_step(tables[j], tables[k], nd.bag, g, limit=limit)
+        if not table:
+            raise RuntimeError(
+                f"empty DP table at node {node_id} ({nd.kind}); this is a bug: "
+                f"every connected graph has a spanning tree"
+            )
+        for child in nd.children:
+            tables[child] = None
+        tables[node_id] = table
+        yield table
 
 
 def dp_min_stretch(
@@ -677,46 +716,23 @@ def dp_min_stretch(
                 "the table grows as n^(k+1)"
             )
 
-    n = g.n
-    upper, girth = _bounds(g)
-    tables: list[dict | None] = [None] * len(nodes)
-    for node_id, nd in enumerate(nodes):
-        if nd.kind == "leaf":
-            tables[node_id] = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",), ())}
-        elif nd.kind == "forget":
-            tables[node_id] = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
-        else:
-            limit = _limit(g, upper, girth, nd)
-            if nd.kind == "introduce":
-                child = nd.children[0]
-                tables[node_id] = introduce_step(
-                    tables[child], nd.vertex, nodes[child].bag, g,
-                    future_budget=n - nd.size, limit=limit,
-                )
-            else:
-                j, k = nd.children
-                tables[node_id] = join_step(tables[j], tables[k], nd.bag, g, limit=limit)
-        if not tables[node_id]:
-            raise RuntimeError(
-                f"empty DP table at node {node_id} ({nd.kind}); this is a bug: "
-                f"every connected graph has a spanning tree"
-            )
-
-    root = len(nodes) - 1
-    root_bag = nodes[root].bag
-    answer_key = _canon(root_bag, {})
-    entry = tables[root].get(answer_key)
+    sizes = []
+    for table in _tables(g, nodes):
+        sizes.append(len(table))
+    entry = table.get(_canon(nodes[-1].bag, {}))
     if entry is None:
         raise RuntimeError("no complete configuration at the root; this is a bug")
 
+    n = g.n
     pairs: set[tuple[int, int]] = set()
-    stack = [(root, answer_key)]
+    stack = [entry]
     while stack:
-        node_id, key = stack.pop()
-        back = tables[node_id][key].back
+        back = stack.pop().back
         if back[0] == "intro":
             pairs.update(_ekey(a, b) for a, b in back[2])
-        stack.extend(zip(nodes[node_id].children, back[1:]))
+            stack.append(back[1])
+        else:
+            stack.extend(back[1:])
     if len(pairs) != n - 1:
         raise RuntimeError(f"witness has {len(pairs)} edges, expected {n - 1}; this is a bug")
     by_pair = {edge: eid for eid, edge in enumerate(g.edges, start=1)}
@@ -731,6 +747,5 @@ def dp_min_stretch(
         min_avg_stretch=check.avg_stretch,
         tree_edges=tree_ids,
         width=width,
-        tables=tables,
-        nodes=nodes,
+        table_sizes=tuple(sizes),
     )

@@ -30,6 +30,8 @@ from widthspan.lowstretch import (
     split_sets_hold,
     stretch_of,
 )
+from widthspan.twdp.decomposition import min_fill_td
+from widthspan.twdp.solver import dp_min_stretch
 
 from corpus import make_graph
 
@@ -292,6 +294,15 @@ def test_each_bound_predicate_rejects_a_violation():
     for first, root, total in ((0, 1, 0), (4, 1, 0), (1, 2, 0), (1, 1, 13)):
         nodes = (NodeCharge(1, 1, 1, first, 0), *charges.nodes[1:-1], NodeCharge(1, 4, 4, root, 0))
         assert not charges_hold(g, ChargeReport(3, nodes, total))
+    # the 9-vertex path at bandwidth field 2, [1, 8] given two long components
+    # where its children of 4 positions have one each: each count is within
+    # [1, 2] and the root's is 1, so only the climb over a long child breaks
+    g, _ = generate("path", 9)
+    charges = charge_diagnostics(g, LinearArrangement.identity(9))
+    assert charges_hold(g, ChargeReport(2, charges.nodes, charges.total_charge))
+    nodes = tuple(NodeCharge(nc.lo, nc.hi, nc.leaf_count, 2, nc.charge) if (nc.lo, nc.hi) == (1, 8) else nc
+                  for nc in charges.nodes)
+    assert not charges_hold(g, ChargeReport(2, nodes, charges.total_charge))
 
 
 def test_inconsistent_report_raises():
@@ -321,3 +332,19 @@ def test_load_and_build_memory_stays_small():
         tracemalloc.stop()
     assert report == build_tree(g, a)
     assert peak < 18 * 2**20
+
+
+def test_exact_dp_memory_stays_small():
+    # each child table dropped once its parent's is built, and of it only
+    # the entries a back pointer reaches: the peak was 34.7 MiB with every
+    # table alive until the DP returned; 3.3 MiB now
+    g, _ = generate("cycle", 40)
+    td = min_fill_td(g)
+    tracemalloc.start()
+    try:
+        res = dp_min_stretch(g, td, enforce_limits=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.min_total_stretch == 2 * 39
+    assert peak < 8 * 2**20

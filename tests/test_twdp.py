@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -476,8 +477,8 @@ def test_empty_bags_change_nothing_on_the_4x3_grid():
     )
     _rooted(padded, g)
     assert make_nice(padded, g) == make_nice(td, g)
-    res = dp_min_stretch(g, padded)
-    plain = dp_min_stretch(g, td)
+    res = _run(g, padded)
+    plain = _run(g, td)
     assert (res.min_total_stretch, res.tree_edges, res.width, _table_digest(res)) == (
         plain.min_total_stretch, plain.tree_edges, plain.width, _table_digest(plain))
     assert res.min_total_stretch == enumerate_min_stretch(g).min_total_stretch
@@ -663,6 +664,45 @@ def _dp(g, **kwargs):
     return dp_min_stretch(g, min_fill_td(g), **kwargs)
 
 
+def _run(g, td):
+    """The fields of ``dp_min_stretch(g, td, enforce_limits=False)``, with
+    its nice nodes as ``nodes`` and every table it built as ``tables``.  The
+    DP drops each child's table once its parent's is built, so this keeps
+    each table as ``_tables`` yields it."""
+    kept = []
+    tables = solver._tables
+
+    def keep(g, nodes):
+        kept.append(nodes)
+        for table in tables(g, nodes):
+            kept.append(table)
+            yield table
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_tables", keep)
+        res = dp_min_stretch(g, td, enforce_limits=False)
+    return SimpleNamespace(**vars(res), nodes=kept[0], tables=kept[1:])
+
+
+def _relabel(back: tuple, labels: list[dict]) -> tuple:
+    """A back pointer with each child entry replaced by its label in
+    ``labels``, one dict per child that maps the entries of its table, by
+    identity, to their labels."""
+    tag, *rest = back
+    children = tuple(label[e] for label, e in zip(labels, rest))
+    return (tag, *children, *rest[len(children):])
+
+
+def _positions(table: dict) -> dict:
+    """Each entry of ``table``, by identity, to its insertion index."""
+    return {e: i for i, e in enumerate(table.values())}
+
+
+def _keys(table: dict) -> dict:
+    """Each entry of ``table``, by identity, to its key."""
+    return {e: k for k, e in table.items()}
+
+
 def test_dp_small_exact_values():
     assert _dp(p3()).min_total_stretch == 2
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -801,10 +841,10 @@ def _bounded_and_unbounded(monkeypatch, g, td):
     as the girth is at most n, m * n exceeds each entry's cost plus the least
     charge ``_limit`` reserves for the edges still to come."""
     upper, girth = _reference_upper_bound(g), _reference_girth(g)
-    bounded = dp_min_stretch(g, td, enforce_limits=False)
+    bounded = _run(g, td)
     with monkeypatch.context() as m:
         _without_bound(m)
-        unbounded = dp_min_stretch(g, td, enforce_limits=False)
+        unbounded = _run(g, td)
     limits = [
         solver._limit(g, upper, girth, _reference_counts(g, nd.bag, below))
         if nd.kind in ("introduce", "join") else None
@@ -818,6 +858,7 @@ def _chain_keys(unbounded, limits):
     pointers reach, costs no more than its node's limit.  Forget and leaf
     nodes have no limit."""
     nodes = unbounded.nodes
+    keys = [_keys(table) for table in unbounded.tables]
     chain: list[set | None] = [None] * len(nodes)
     for node_id in range(len(nodes)):
         children = nodes[node_id].children
@@ -825,8 +866,8 @@ def _chain_keys(unbounded, limits):
         chain[node_id] = {
             k for k, e in unbounded.tables[node_id].items()
             if (limit is None or e.cost <= limit)
-            # back[1:] starts with one key per child
-            and all(key in chain[child] for child, key in zip(children, e.back[1:]))
+            # back[1:] starts with one entry per child
+            and all(keys[child][x] in chain[child] for child, x in zip(children, e.back[1:]))
         }
     return chain
 
@@ -843,16 +884,13 @@ def _pinned(name):
 def _table_digest(res) -> str:
     """One digest over every node's table that does not depend on how keys
     are encoded: the (cost, edges, back) of each entry in insertion order,
-    each entry's edges in their own order, and each child key in a back
+    each entry's edges in their own order, and each child entry in a back
     pointer replaced by its insertion index in the child's table."""
-    position = [{k: i for i, k in enumerate(table)} for table in res.tables]
+    positions = [_positions(table) for table in res.tables]
     h = hashlib.sha256()
     for nd, table in zip(res.nodes, res.tables):
-        rows = []
-        for e in table.values():
-            tag, *rest = e.back
-            keys = tuple(position[c][k] for c, k in zip(nd.children, rest))
-            rows.append((e.cost, tuple(e.edges.items()), (tag, *keys, *rest[len(keys):])))
+        labels = [positions[c] for c in nd.children]
+        rows = [(e.cost, tuple(e.edges.items()), _relabel(e.back, labels)) for e in table.values()]
         h.update(hashlib.sha256(repr(rows).encode()).digest())
     return h.hexdigest()[:16]
 
@@ -903,7 +941,7 @@ PINNED_ATLAS_TABLES = [  # every 5th atlas graph, under min_fill_td
 @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
 def test_tables_are_pinned(name):
     g, td = _pinned(name)
-    res = dp_min_stretch(g, td, enforce_limits=False)
+    res = _run(g, td)
     assert (sum(res.table_sizes), _table_digest(res)) == PINNED_TABLES[name]
 
 
@@ -922,20 +960,44 @@ def test_deep_tables_are_pinned(name):
     family, n = name.split()
     g, _ = generate(family, int(n))
     td = _path_td(g.n) if family == "path" else min_fill_td(g)
-    res = dp_min_stretch(g, td, enforce_limits=False)
+    res = _run(g, td)
     assert (sum(res.table_sizes), _table_digest(res)) == PINNED_DEEP_TABLES[name]
 
 
 def test_atlas_tables_are_pinned(atlas_corpus):
     got = []
     for g in atlas_corpus[::5]:
-        res = dp_min_stretch(g, min_fill_td(g), enforce_limits=False)
+        res = _run(g, min_fill_td(g))
         got.append((sum(res.table_sizes), _table_digest(res)))
     assert got == PINNED_ATLAS_TABLES
 
 
-def _rows(table):
-    return [(k, e.cost, tuple(e.edges.items()), e.back) for k, e in table.items()]
+def test_tables_drop_each_child_once_its_parent_is_built():
+    # on the path decomposition of the 5,000-vertex path, 9,999 nice nodes:
+    # once a parent's table is yielded, the test alone holds its children's
+    # tables; and the root entry's back-pointer chain, one entry per node,
+    # is freed with the root table
+    g, _ = generate("path", 5000)
+    nodes = make_nice(_path_td(5000), g)
+    assert len(nodes) == 9999
+    live = {}
+    for node_id, table in enumerate(solver._tables(g, nodes)):
+        for child in nodes[node_id].children:
+            refs = sys.getrefcount(live[child])  # outside the assert, which keeps its operands
+            assert refs == 2
+            del live[child]
+        live[node_id] = table
+    assert list(live) == [9998]
+    live.clear()
+    assert dp_min_stretch(g, _path_td(5000), enforce_limits=False).min_total_stretch == 4999
+
+
+def _rows(table, *children):
+    """Each entry of ``table`` as (key, cost, edges, back), in insertion
+    order, each child entry in a back pointer replaced by its insertion
+    index in its table among ``children``."""
+    labels = [_positions(child) for child in children]
+    return [(k, e.cost, tuple(e.edges.items()), _relabel(e.back, labels)) for k, e in table.items()]
 
 
 def _without_bound(m):
@@ -990,7 +1052,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
         with monkeypatch.context() as m:
             _without_bound(m)
             _without_future_budget(m)
-            res = dp_min_stretch(g, td, enforce_limits=False)
+            res = _run(g, td)
         for nd in res.nodes:
             if nd.kind != "introduce":
                 continue
@@ -1037,7 +1099,7 @@ def test_table_keys_equal_the_keys_from_scratch(monkeypatch, atlas_corpus):
         with monkeypatch.context() as m:
             _without_bound(m)
             _without_future_budget(m)
-            res = dp_min_stretch(g, td, enforce_limits=False)
+            res = _run(g, td)
         for nd, table in zip(res.nodes, res.tables):
             for key, e in table.items():
                 assert (key, e.order) == (_canon(nd.bag, e.edges), _split_edges(nd.bag, e.edges))
@@ -1053,7 +1115,7 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
         if u in bag and w in bag:
             bag_pairs.setdefault(u, []).append(w)
     table_i: dict = {}
-    for key_j, entry_j in table_j.items():
+    for entry_j in table_j.values():
         adj_j = _adjacency(entry_j.edges)
         dup = 0
         for u, ws in bag_pairs.items():
@@ -1081,7 +1143,7 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                     for k, (cost, realized) in entry_j.edges.items()
                 }
                 solver._merge(table_i, _canon(bag, merged), merged, cost_i,
-                              ("join", key_j, key_k), _split_edges(bag, merged))
+                              ("join", entry_j, entry_k), _split_edges(bag, merged))
     return table_i
 
 
@@ -1099,8 +1161,8 @@ def test_shape_join_equals_the_subset_enumeration(monkeypatch, atlas_corpus):
                 j, k = (res.tables[c] for c in nd.children)
                 limit = limits[node_id] if res is bounded else g.m * g.n
                 got = solver.join_step(j, k, nd.bag, g, limit=limit)
-                assert _rows(got) == _rows(res.tables[node_id])
-                assert _rows(got) == _rows(_subset_join(j, k, nd.bag, g, limit=limit))
+                assert _rows(got, j, k) == _rows(res.tables[node_id], j, k)
+                assert _rows(got, j, k) == _rows(_subset_join(j, k, nd.bag, g, limit=limit), j, k)
                 joins += 1
     assert joins > 50
 
@@ -1145,7 +1207,8 @@ def test_shape_join_partners_realize_whole_blocks():
         (5 + 7 - 1, star),
         (5 + 7 - 1, {(1, 2): (1, True), (-1, 2): (2, True), (-1, 3): (2, True), (-1, 4): (1, True)}),
     ]
-    assert _rows(got) == _rows(_subset_join(table_j, table_k, bag, g, limit=UNBOUNDED))
+    assert _rows(got, table_j, table_k) == _rows(
+        _subset_join(table_j, table_k, bag, g, limit=UNBOUNDED), table_j, table_k)
 
 
 def test_join_checks_the_blocks_of_every_entry_with_a_partner():
@@ -1202,7 +1265,7 @@ def test_candidates_read_each_steiner_tag_of_their_parent_once(monkeypatch):
               (-2, 3): (2, False), (-2, 4): (1, False), (-2, 5): (3, False)}
     parents = [(bag, g, 6, parent)]
     grid, td = _pinned("grid 4x3")
-    res = dp_min_stretch(grid, td)
+    res = _run(grid, td)
     for nd in res.nodes:
         if nd.kind == "introduce":
             bag_j = nd.bag - {nd.vertex}
@@ -1250,9 +1313,12 @@ def test_bound_only_removes_entries(monkeypatch, name):
     assert bounded.tree_edges == unbounded.tree_edges
     assert sum(bounded.table_sizes) < sum(unbounded.table_sizes)
     chain = _chain_keys(unbounded, limits)
-    for a, b, keys in zip(bounded.tables, unbounded.tables, chain):
-        assert {k: (e.cost, e.edges, e.back) for k, e in a.items()} == {
-            k: (b[k].cost, b[k].edges, b[k].back) for k in keys
+    for nd, a, b, keys in zip(bounded.nodes, bounded.tables, unbounded.tables, chain):
+        # each child entry in a back pointer by its key in its own run's table
+        labels_a = [_keys(bounded.tables[c]) for c in nd.children]
+        labels_b = [_keys(unbounded.tables[c]) for c in nd.children]
+        assert {k: (e.cost, e.edges, _relabel(e.back, labels_a)) for k, e in a.items()} == {
+            k: (b[k].cost, b[k].edges, _relabel(b[k].back, labels_b)) for k in keys
         }
 
 
@@ -1352,7 +1418,7 @@ def test_optimal_trace_is_in_every_table():
     # instrumentation: conforming the witness tree at each bag must hit a
     # table entry whose cost is at most the witness stretch inside D(B)
     g = make_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    res = _dp(g)
+    res = _run(g, min_fill_td(g))
     tree_pairs = [g.edges[eid - 1] for eid in res.tree_edges]
     full = stretch_of(g, res.tree_edges)
     below = _reference_below(res.nodes)
