@@ -5,12 +5,18 @@ Reports are JSON with exact integers and rationals (``"p/q"`` strings) —
 never floats — so repeated runs diff cleanly.  Every file-producing run also
 writes ``<out>.manifest.json`` recording the command, input/output digests,
 seed, and wall-clock time.
+
+The digests come from CPython's built-in SHA-256 (``_sha2`` on 3.12+,
+``_sha256`` before) for a text under ``_BUILTIN_SHA256_LIMIT`` UTF-8 bytes,
+and from ``hashlib`` at or above it, imported only then.  ``hashlib`` loads
+OpenSSL's ``_hashlib``, about 3-4 ms and 3.6 MB of RSS per process, which a
+small run would otherwise spend on start-up alone.  A run that writes only to
+stdout writes no manifest and hashes nothing.
 """
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -50,6 +56,14 @@ from .oracle import (
 )
 from .twdp.decomposition import TreeDecompositionError, load_td, min_fill_td
 from .twdp.solver import DPLimitError, dp_min_stretch
+
+try:
+    from _sha2 import sha256 as _builtin_sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256  # CPython 3.10-3.11
+    except ImportError:  # a build with OpenSSL hashes only
+        _builtin_sha256 = None
 
 
 class CliError(Exception):
@@ -102,8 +116,24 @@ def _dumps(obj) -> str:
     return "{\n  " + ",\n  ".join(members) + "\n}\n" if members else "{}\n"
 
 
+# Texts shorter than this many UTF-8 bytes are hashed by the built-in SHA-256,
+# the rest by hashlib.  Importing hashlib loads OpenSSL: 3-4 ms and 3.6 MB
+# of RSS per process (3.10-3.13).  The built-in code is about 10x slower
+# (a 2.1 MB graph: 14-18 ms against 1.5-1.6 ms with OpenSSL, on a 2-vCPU
+# Xeon), so a text of 64 KiB costs it about 0.5 ms, far less than the import.
+# Every text of the benchmark's dp_exact and explicit_shifts runs (at most
+# 26 KB) is under the limit and every text of its build_tree_bw run (289 KB to
+# 2.1 MB) is over it, so both sides of the split are measured.
+_BUILTIN_SHA256_LIMIT = 1 << 16
+
+
 def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    data = text.encode()
+    if _builtin_sha256 is not None and len(data) < _BUILTIN_SHA256_LIMIT:
+        return _builtin_sha256(data).hexdigest()
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read(path: str) -> str:
@@ -137,18 +167,27 @@ def _stdout(text: str) -> None:
         raise CliError(f"cannot write stdout: {exc}") from exc
 
 
-class _Run:
-    """Collects input/output digests and writes the manifest per output."""
+# The options that name an output file.  A run given any of them writes a
+# manifest, so it digests each input as it reads it.
+_OUTPUT_OPTIONS = ("out", "report", "csv", "arrangement_out")
 
-    def __init__(self, argv: list[str], seed: int | None = None):
+
+class _Run:
+    """Collects input/output digests and writes the manifest per output.
+    The inputs are digested only when ``manifest`` is set, that is when some
+    output goes to a file."""
+
+    def __init__(self, argv: list[str], seed: int | None, manifest: bool):
         self.argv = argv
         self.seed = seed
+        self.manifest = manifest
         self.started = time.monotonic()
         self.inputs: dict[str, str] = {}
 
     def read_input(self, path: str) -> str:
         text = _read(path)
-        self.inputs[path] = _sha256(text)
+        if self.manifest:
+            self.inputs[path] = _sha256(text)
         return text
 
     def emit(self, text: str, out: str | None) -> None:
@@ -564,7 +603,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    run = _Run(["widthspan"] + argv, seed=getattr(args, "seed", None))
+    manifest = any(getattr(args, name, None) is not None for name in _OUTPUT_OPTIONS)
+    run = _Run(["widthspan"] + argv, getattr(args, "seed", None), manifest)
     # A command builds up to millions of tuples and lists and none of them
     # forms a reference cycle, so reference counting frees all of it; the
     # cyclic collector's passes over the growing heap find nothing.  Left on,

@@ -615,6 +615,55 @@ def test_manifest_records_digests(c4_files, tmp_path):
     assert "wall_clock_s" in manifest
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "ñ ü 漢字 🙂\n",
+    "x" * (cli._BUILTIN_SHA256_LIMIT - 1),
+    "x" * cli._BUILTIN_SHA256_LIMIT,
+    "x" * (cli._BUILTIN_SHA256_LIMIT + 1),
+])
+def test_sha256_equals_hashlib(text):
+    assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_the_builtin_sha256_limit_counts_utf8_bytes(monkeypatch):
+    builtin = []
+    monkeypatch.setattr(cli, "_builtin_sha256", lambda data: builtin.append(len(data)) or hashlib.sha256(data))
+    half = cli._BUILTIN_SHA256_LIMIT // 2
+    for text in ("é" * (half - 1) + "x", "é" * half, "x" * (cli._BUILTIN_SHA256_LIMIT - 1)):
+        assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
+    assert builtin == [cli._BUILTIN_SHA256_LIMIT - 1, cli._BUILTIN_SHA256_LIMIT - 1]
+
+
+def test_stdout_runs_hash_nothing(c4_files, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_sha256", lambda text: calls.append(text) or "")
+    graph, arr = c4_files
+    assert main(["build-tree", "--graph", graph, "--arrangement", arr]) == 0
+    assert _json_out(capsys)["avg_stretch"] == "3/2"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, inputs, output", [
+    (["stats"], ["--graph", "--arrangement"], "--out"),
+    (["build-tree"], ["--graph", "--arrangement"], "--report"),
+    (["distribution", "--explicit"], ["--graph", "--arrangement"], "--csv"),
+    (["dp-min-stretch"], ["--graph", "--td"], "--out"),
+])
+def test_every_file_output_records_the_input_digests(c4_files, tmp_path, capsys, command, inputs, output):
+    td = tmp_path / "c4.td"
+    td.write_text("s td 2 3 4\nb 1 1 2 3\nb 2 1 3 4\n1 2\n")
+    files = {"--graph": c4_files[0], "--arrangement": c4_files[1], "--td": str(td)}
+    out = tmp_path / "out"
+    argv = command + [arg for option in inputs for arg in (option, files[option])] + [output, str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["inputs"] == {
+        files[option]: hashlib.sha256(Path(files[option]).read_bytes()).hexdigest() for option in inputs
+    }
+    assert manifest["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
 def test_repeated_runs_byte_identical(c4_files, tmp_path):
     graph, arr = c4_files
     outs = []
