@@ -376,6 +376,8 @@ def _cmd_dp_min_stretch(args, run: _Run) -> int:
 
 
 def _cmd_oracle(args, run: _Run) -> int:
+    if args.cap < 0:
+        raise CliError(f"--cap must be at least 0, got {args.cap}")
     g = _load_graph_file(run, args.graph)
     try:
         result = enumerate_min_stretch(g, cap=args.cap, histogram=args.histogram)

@@ -36,12 +36,12 @@ leaf is a bag vertex, so no split is empty and no two edges share one; only
 a chain of degree-2 Steiner vertices, which normal form contracts, gives its
 edges one split, and ``_canon`` orders those root-down.
 
-Each entry keeps its edges in the split order of its key, so a join needs
-no walk.  A trace's splits follow from its edges and the bag alone, so an
-introduce or forget step computes them from scratch (``_split_order``) once
-per edge set, and the traces of that set share them, whichever parent they
-come from.  Introduced edges go in as key and value tuples shared across the
-step (``_put``), so that the collector never tracks the edge maps.
+An entry stores its key and ``pos``, each edge's place in split order, in
+the order the step that built it inserted the edges: DP state, as later
+steps meet edges in that order.  Positions follow from the edge set and the
+bag alone, so an introduce or forget step computes them (``_split_order``)
+once per edge set and its entries share them; a join's share their first
+child's.  Steps rebuild an edge map from key and ``pos`` (``_Entry.edges``).
 
 A join skips an entry of the first child whose shape, its (split, cost)
 pairs, the second child's table lacks.  The partners of any other entry have
@@ -231,45 +231,46 @@ def _above(adj: dict[int, list[tuple[int, int, bool]]]) -> list[int]:
 # DP table machinery.
 # ---------------------------------------------------------------------------
 
+def _positions(edges: EdgeMap, ranked: list) -> dict[tuple[int, int], int]:
+    """Each edge to its place in the split order ``ranked``, in ``edges`` order."""
+    place = {k: i for i, (_, k) in enumerate(ranked)}
+    return {k: place[k] for k in edges}
+
+
 class _Entry:
-    """A table entry: the least cost of a trace, its edge map, its back
-    pointer (the child entries it was built from), and ``order``, its edges
-    in the split order of its key.  Every entry carries its order: the step
-    that builds it has the splits at hand, and a join reads the order
-    instead of walking the trace."""
+    """A table entry: the least cost of a trace, its back pointer (the child
+    entries it was built from), its key, and ``pos``, each edge's place in
+    the key's split order, shared by the entries of one edge set.  ``edges``
+    rebuilds the edge map from the key and ``pos``; no entry stores one."""
 
-    __slots__ = ("cost", "edges", "back", "order")
+    __slots__ = ("cost", "back", "key", "pos")
 
-    def __init__(self, cost: int, edges: EdgeMap, back: tuple, order: tuple):
+    def __init__(self, cost: int, back: tuple, key: tuple, pos: dict[tuple[int, int], int]):
         self.cost = cost
-        self.edges = edges
         self.back = back
-        self.order = order
+        self.key = key
+        self.pos = pos
+
+    @property
+    def edges(self) -> EdgeMap:
+        """The trace's edge map, rebuilt from the key and ``pos``."""
+        shape, realized = self.key
+        return {k: (shape[2 * i + 1], realized >> i & 1 == 1) for k, i in self.pos.items()}
+
+    @property
+    def order(self) -> tuple:
+        """The edges in the split order of the key."""
+        return tuple(sorted(self.pos, key=self.pos.__getitem__))
 
 
-def _merge(table: dict, key: tuple, edges: EdgeMap, cost: int, back: tuple,
-           order: tuple) -> None:
+def _merge(table: dict, key: tuple, cost: int, back: tuple, pos: dict) -> None:
     old = table.get(key)
     if old is None or cost < old.cost:
-        table[key] = _Entry(cost, edges, back, order)
-
-
-def _put(out: EdgeMap, shared: tuple[dict, dict], a: int, b: int, cost: int,
-         realized: bool) -> None:
-    """Add the edge (a, b) of (cost, realized) to ``out`` as the one key
-    tuple and value tuple that ``shared`` keeps for an introduce step.  The
-    collector untracks a tuple of ints once it has seen it, and a dict that
-    holds only untracked objects is never tracked, so the step's edge maps
-    are not among the objects every full collection visits."""
-    keys, values = shared
-    k = (a, b) if a < b else (b, a)
-    cv = (cost, realized)
-    out[keys.setdefault(k, k)] = values.setdefault(cv, cv)
+        table[key] = _Entry(cost, back, key, pos)
 
 
 def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: list[int],
-                      max_extra: int, max_charge: int, max_need: int, max_verts: int,
-                      shared: tuple[dict, dict]):
+                      max_extra: int, max_charge: int, max_need: int, max_verts: int):
     """Every way v can be placed into the trace whose charge, future need and
     vertex count are at most max_charge, max_need and max_verts; nbrs are v's
     graph neighbours in bag_j.
@@ -289,8 +290,8 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: lis
 
     Yields (new_edges, realized_pairs, charge): realized_pairs are the graph
     edges that become tree edges at this step; charge is the sum of the
-    trace distances from v to nbrs.  New edges go in by ``_put``, through
-    ``shared``, which an introduce step passes to each of its parents.
+    trace distances from v to nbrs.  ``edges_j`` is the parent entry's edge
+    map as ``_Entry.edges`` rebuilds it; each new map is keyed and dropped.
 
     The parent's Steiner tags are read once, by one ``_above`` call: its
     Above vertices are the attach points and places listed above, and with
@@ -322,14 +323,14 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: lis
             if x in bag_j:
                 if x in nbrs and deg + base <= max_charge and need_j <= max_need:
                     out = dict(edges_j)
-                    _put(out, shared, v, x, 1, True)
+                    out[_ekey(v, x)] = (1, True)
                     yield out, ((v, x),), deg + base
                 first = 2
             else:
                 first = 1
             for length in range(first, longest(base) + 1):
                 out = dict(edges_j)
-                _put(out, shared, v, x, length, False)
+                out[_ekey(v, x)] = (length, False)
                 yield out, (), deg * length + base
 
     # v takes the place of an Above vertex: unit arms to bag vertices become
@@ -346,10 +347,10 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: lis
             pairs = []
             for w, cost, _ in arms:
                 if cost == 1 and w in bag_j:
-                    _put(out, shared, v, w, 1, True)
+                    out[_ekey(v, w)] = (1, True)
                     pairs.append((v, w))
                 else:
-                    _put(out, shared, v, w, cost, False)
+                    out[_ekey(v, w)] = (cost, False)
             yield out, tuple(pairs), charge
 
     # the charge of a point at offset alpha on a promised edge (a, b): each
@@ -385,7 +386,7 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: lis
                 del out[_ekey(a, b)]
                 pairs = []
                 for endpoint, cost, realized in sides:
-                    _put(out, shared, v, endpoint, cost, realized)
+                    out[_ekey(v, endpoint)] = (cost, realized)
                     if realized:
                         pairs.append((v, endpoint))
                 yield out, tuple(pairs), charge
@@ -399,9 +400,9 @@ def _intro_candidates(edges_j: EdgeMap, bag_j: frozenset[int], v: int, nbrs: lis
                 for length in range(1, longest(charge) + 1):
                     out = dict(edges_j)
                     del out[_ekey(a, b)]
-                    _put(out, shared, fresh, a, alpha, False)
-                    _put(out, shared, fresh, b, total - alpha, False)
-                    _put(out, shared, fresh, v, length, False)
+                    out[_ekey(fresh, a)] = (alpha, False)
+                    out[_ekey(fresh, b)] = (total - alpha, False)
+                    out[_ekey(fresh, v)] = (length, False)
                     yield out, (), deg * length + charge
 
 
@@ -423,21 +424,20 @@ def introduce_step(
     candidates with one edge set share their splits, and those with one
     edge set and realized mask one check, whichever parent they come from.
     The check comes before the splits, so a mixed trace raises the Steiner
-    message even where it also has a non-bag leaf.  Each entry carries its
-    edges in the split order of its key."""
+    message even where it also has a non-bag leaf.  The entries of one edge
+    set share its positions."""
     bag_i = bag_j | {v}
     cap = 2 * len(bag_i)  # Steiner vertices have degree >= 3: fewer than |bag| of them
     n = g.n
     nbrs = [u for u in g.neighbors(v) if u in bag_j]
     table_i: dict = {}
-    shared: tuple[dict, dict] = ({}, {})
-    # per edge set: its (split, edge) pairs, its edges in split order, and
-    # the realized masks whose traces passed the tag check
+    # per edge set: its (split, edge) pairs, its positions, and the realized
+    # masks whose traces passed the tag check
     groups: dict = {}
     for entry in table_j.values():
-        max_extra = (n - 1) - sum(cost for cost, _ in entry.edges.values())
+        max_extra = (n - 1) - sum(entry.key[0][1::2])
         for edges_i, pairs, charge in _intro_candidates(
-            entry.edges, bag_j, v, nbrs, max_extra, limit - entry.cost, future_budget, cap, shared
+            entry.edges, bag_j, v, nbrs, max_extra, limit - entry.cost, future_budget, cap
         ):
             names = tuple(edges_i)
             group = groups.get(names)
@@ -446,13 +446,13 @@ def introduce_step(
                 _above(adj)
                 ranked = _split_order(bag_i, adj)
                 key = _key(edges_i, ranked)
-                group = groups[names] = ranked, tuple(k for _, k in ranked), {key[1]}
+                group = groups[names] = ranked, _positions(edges_i, ranked), {key[1]}
             else:
                 key = _key(edges_i, group[0])
                 if key[1] not in group[2]:
                     _above(_adjacency(edges_i))
                     group[2].add(key[1])
-            _merge(table_i, key, edges_i, entry.cost + charge, ("intro", entry, pairs), group[1])
+            _merge(table_i, key, entry.cost + charge, ("intro", entry, pairs), group[1])
     return table_i
 
 
@@ -463,12 +463,17 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
     an anonymous Below Steiner vertex.  A trace's splits follow from its
     edges and the bag alone, so traces with one edge set share them."""
     table_i: dict = {}
-    orders: dict = {}  # per edge set: its (split, edge) pairs and its edges in split order
+    arms: dict = {}  # per parent ``pos``, by identity: the mask of v's arms, which must all be realized
+    known: dict = {}  # per edge set: its (split, edge) pairs and its positions
     for entry in table_j.values():
-        incident = [(k, cv) for k, cv in entry.edges.items() if v in k]
-        if any(not realized for _, (_, realized) in incident):
+        pos = entry.pos
+        mask = arms.get(id(pos))
+        if mask is None:
+            mask = arms[id(pos)] = sum(1 << i for k, i in pos.items() if v in k)
+        if entry.key[1] & mask != mask:
             continue
-        edges = {k: cv for k, cv in entry.edges.items() if v not in k}
+        edges = entry.edges
+        incident = [(k, edges.pop(k)) for k in pos if v in k]
         if len(incident) == 1:
             (k, _), = incident
             x = k[0] if k[1] == v else k[1]
@@ -486,11 +491,11 @@ def forget_step(table_j: dict, v: int, bag_i: frozenset[int]) -> dict:
         else:  # isolated v: impossible, the trace is connected and spans the bag
             raise RuntimeError("forgetting an isolated vertex")
         names = tuple(edges)
-        known = orders.get(names)
-        if known is None:
+        group = known.get(names)
+        if group is None:
             ranked = _split_order(bag_i, _adjacency(edges))
-            known = orders[names] = ranked, tuple(k for _, k in ranked)
-        _merge(table_i, _key(edges, known[0]), edges, entry.cost, ("forget", entry), known[1])
+            group = known[names] = ranked, _positions(edges, ranked)
+        _merge(table_i, _key(edges, group[0]), entry.cost, ("forget", entry), group[1])
     return table_i
 
 
@@ -538,8 +543,9 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
     order, and as realized bits the shared unit bag edges plus a union of
     the entry's promised blocks: each subset of those blocks names one key,
     looked up by the number of blocks and then lexicographically in
-    ``_blocks`` order.  The merged trace keeps the entry's edges, in their
-    order, each realized when either child realizes it."""
+    ``_blocks`` order.  The merged trace keeps the entry's edges and their
+    positions, each realized when either child realizes it: its key is the
+    shape and the union of both masks."""
     # the bag-internal graph edges, grouped by their lesser endpoint
     bag_pairs = []
     for u in bag:
@@ -553,12 +559,8 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
         if shape not in shapes:
             continue  # no entry of its shape, so no partner
         edges_j = entry_j.edges
-        order = entry_j.order
-        pos = {k: i for i, k in enumerate(order)}
-        shared = 0
-        for k, (cost, _) in edges_j.items():
-            if _shared(k, cost):
-                shared |= 1 << pos[k]
+        pos = entry_j.pos
+        shared = sum(1 << i for k, i in pos.items() if _shared(k, shape[2 * i + 1]))
         masks = [sum(1 << pos[k] for k in ks) for ks, realized in _blocks(edges_j) if not realized]
         dup = None
         for r in range(len(masks) + 1):
@@ -579,12 +581,7 @@ def join_step(table_j: dict, table_k: dict, bag: frozenset[int], g: Graph,
                 cost_i = entry_j.cost + entry_k.cost - dup
                 if cost_i > limit:
                     continue
-                # parent tag: realized below either child, so the union of
-                # both masks, read at each edge's position in split order
-                realized = realized_j | key_k[1]
-                merged: EdgeMap = {k: (cost, realized >> pos[k] & 1 == 1)
-                                   for k, (cost, _) in edges_j.items()}
-                _merge(table_i, (shape, realized), merged, cost_i, ("join", entry_j, entry_k), order)
+                _merge(table_i, (shape, realized_j | key_k[1]), cost_i, ("join", entry_j, entry_k), pos)
     return table_i
 
 
@@ -660,7 +657,8 @@ def _tables(g: Graph, nodes: list[NiceNode]):
     tables: list[dict | None] = [None] * len(nodes)
     for node_id, nd in enumerate(nodes):
         if nd.kind == "leaf":
-            table = {_canon(nd.bag, {}): _Entry(0, {}, ("leaf",), ())}
+            key = _canon(nd.bag, {})
+            table = {key: _Entry(0, ("leaf",), key, {})}
         elif nd.kind == "forget":
             table = forget_step(tables[nd.children[0]], nd.vertex, nd.bag)
         else:

@@ -612,10 +612,17 @@ def _split_edges(bag: frozenset[int], edges: EdgeMap) -> tuple:
     return tuple(k for _, k in solver._split_order(bag, _adjacency(edges)))
 
 
+def _key_and_positions(bag: frozenset[int], edges: EdgeMap) -> tuple:
+    """A trace's key and its edges' places in split order, from scratch."""
+    ranked = solver._split_order(bag, _adjacency(edges))
+    return solver._key(edges, ranked), solver._positions(edges, ranked)
+
+
 def _table(bag: frozenset[int], edges: EdgeMap, cost: int = 0) -> dict:
-    """A table of one hand-built entry, which carries its edges in the split
-    order of its key as every entry the DP builds does."""
-    return {_canon(bag, edges): _Entry(cost, edges, ("leaf",), _split_edges(bag, edges))}
+    """A table of one hand-built entry, which stores its key and positions
+    as every entry the DP builds does."""
+    key, pos = _key_and_positions(bag, edges)
+    return {key: _Entry(cost, ("leaf",), key, pos)}
 
 
 def test_introduce_step_k2():
@@ -1066,8 +1073,7 @@ def test_priced_candidates_match_the_built_ones(monkeypatch, atlas_corpus):
 
                 def candidates(charge=UNBOUNDED, need=UNBOUNDED, verts=UNBOUNDED):
                     return list(solver._intro_candidates(
-                        entry.edges, bag_j, v, nbrs, max_extra, charge, need, verts,
-                        ({}, {})))
+                        entry.edges, bag_j, v, nbrs, max_extra, charge, need, verts))
 
                 every = candidates()
                 charges, needs, counts = [], [], []
@@ -1142,8 +1148,8 @@ def _subset_join(table_j: dict, table_k: dict, bag: frozenset[int], g, *,
                     k: (cost, realized or partner[k][1])
                     for k, (cost, realized) in entry_j.edges.items()
                 }
-                solver._merge(table_i, _canon(bag, merged), merged, cost_i,
-                              ("join", entry_j, entry_k), _split_edges(bag, merged))
+                key_i, pos_i = _key_and_positions(bag, merged)
+                solver._merge(table_i, key_i, cost_i, ("join", entry_j, entry_k), pos_i)
     return table_i
 
 
@@ -1275,7 +1281,7 @@ def test_candidates_read_each_steiner_tag_of_their_parent_once(monkeypatch):
         nbrs = [u for u in graph.neighbors(v) if u in bag_j]
         calls.clear()
         every = list(solver._intro_candidates(edges, bag_j, v, nbrs, graph.n, UNBOUNDED,
-                                              UNBOUNDED, UNBOUNDED, ({}, {})))
+                                              UNBOUNDED, UNBOUNDED))
         steiner = sorted({x for k in edges for x in k if x < 0})
         assert sorted(calls) == steiner
         above += any(all(not realized for k, (_, realized) in edges.items() if s in k)
