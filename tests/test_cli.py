@@ -503,8 +503,8 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch, suite, target, wrap
     (["gen", "--family", "grid", "--n", "1"], "n must be >= 2"),
     (["gen", "--family", "random_bandwidth", "--n", "5", "--b", "2"], "random_bandwidth requires 0 < p <= 1"),
     (["oracle", "--cap", "1", "--graph", "C4"], "4 spanning trees exceeds enumeration cap 1"),
-    (["oracle", "--cap", "-1", "--graph", "C4"], "--cap must be at least 0, got -1"),
     (["gen", "--family", "cycle", "--n", "2"], "cycle needs n >= 3"),
+    (["oracle", "--cap", "-1", "--graph", "C4"], "--cap must be at least 0, got -1"),
 ])
 def test_bad_option_values_exit_one_with_one_error_line(c4_files, capsys, argv, message):
     argv = [c4_files[0] if arg == "C4" else arg for arg in argv]
